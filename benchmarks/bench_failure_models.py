@@ -120,7 +120,7 @@ def check_degenerate_identity(placements, domains, asn_of) -> None:
 
 def check_churn_shard_invariance(placements, churn) -> None:
     monolithic = availability_curves(placements, [churn], shard_size=0)
-    sharded = availability_curves(placements, [churn], shard_size=SHARD_SIZE, workers=2)
+    sharded = availability_curves(placements, [churn], shard_size=SHARD_SIZE)
     assert np.array_equal(_curve(monolithic, "churn"), _curve(sharded, "churn"))
 
 

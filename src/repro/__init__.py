@@ -52,6 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __version__ = "1.0.0"
 
+#: Worker threads of each crawl (the toot and the follower crawl alike).
+CRAWL_THREADS = 8
+
 __all__ = [
     "CircuitBreaker",
     "CollectedDatasets",
@@ -102,11 +105,9 @@ class CollectedDatasets:
 def collect_datasets(
     network: FediverseNetwork,
     monitor_interval_minutes: int = 24 * 60,
-    crawl_threads: int = 8,
     corpus_dir: "str | Path | None" = None,
     corpus_shard_size: int | None = None,
     graph_dir: "str | Path | None" = None,
-    graph_shard_size: int | None = None,
     fault_rates: "FaultRates | float | None" = None,
     fault_seed: int = 0,
     retry_policy: "RetryPolicy | int | None" = None,
@@ -142,7 +143,7 @@ def collect_datasets(
     the networkx-backed ``graphs`` dataset is rebuilt from the store's
     decoded edges (identical graph, since the store preserves crawl
     order).  An existing graph manifest is reused the same way a corpus
-    one is.  ``graph_shard_size`` overrides the edges-per-shard split.
+    one is.
 
     Resilience knobs: ``fault_rates`` (a
     :class:`~repro.crawler.faults.FaultRates`, or a float total rate
@@ -176,7 +177,7 @@ def collect_datasets(
     instances = InstancesDataset.build(network, log)
 
     toot_crawler = TootCrawler(
-        transport, threads=crawl_threads, politeness_delay=politeness_delay
+        transport, threads=CRAWL_THREADS, politeness_delay=politeness_delay
     )
     corpus = None
     coverage = None
@@ -211,7 +212,7 @@ def collect_datasets(
         toots = TootsDataset.from_corpus(corpus)
 
     graph_crawler = FollowerGraphCrawler(
-        transport, threads=crawl_threads, politeness_delay=politeness_delay
+        transport, threads=CRAWL_THREADS, politeness_delay=politeness_delay
     )
     graph_store = None
     graph_coverage = None
@@ -220,7 +221,7 @@ def collect_datasets(
         graphs = GraphDataset.from_crawl(graph_crawl)
         graph_coverage = graph_crawl.coverage().as_dict()
     else:
-        from repro.corpus import DEFAULT_GRAPH_SHARD_SIZE, GraphStore, GraphWriter
+        from repro.corpus import GraphStore, GraphWriter
 
         if (Path(graph_dir) / "manifest.json").exists():
             graph_store = GraphStore(graph_dir)
@@ -235,11 +236,7 @@ def collect_datasets(
                 )
             graph_coverage = graph_store.coverage
         else:
-            writer = GraphWriter(
-                graph_dir,
-                shard_size=graph_shard_size or DEFAULT_GRAPH_SHARD_SIZE,
-                resume=resume,
-            )
+            writer = GraphWriter(graph_dir, resume=resume)
             graph_crawl = graph_crawler.crawl(sink=writer)
             graph_coverage = graph_crawl.coverage().as_dict()
             graph_store = writer.finalise(

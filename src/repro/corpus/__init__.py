@@ -29,6 +29,14 @@ the corpus columnar from the first crawled page onward:
   handles in first-appearance order and flushes integer edge shards, and
   the store answers the placement/resilience queries (follower-domain
   sets, adjacency matrices) without ever building a networkx graph;
+* :mod:`repro.corpus.sharded` — the one store lifecycle both datasets
+  share: the journaled spool-per-instance writer with crash recovery
+  and quarantine, the sorted-domain merge into fixed-size shards with
+  atomic tables and manifest, and the read side's manifest validation
+  (untrusted input: a malformed value raises a :class:`DatasetError`
+  naming the directory and key), shard bounds, ``nbytes``, ``coverage`` and ``content_digest``.  The
+  corpus and graph classes add only their spool columns, merge and
+  interning rules, schema, and column queries;
 * :mod:`repro.corpus.placement` — placement construction straight from
   columns: :meth:`PlacementArrays.from_corpus
   <repro.engine.placement.PlacementArrays.from_corpus>` builds home

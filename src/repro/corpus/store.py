@@ -12,125 +12,39 @@ which the scale paths never call.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import DatasetError
 from repro.corpus.columns import COLUMN_NAMES, CORPUS_SCHEMA, TootColumns
-from repro.corpus.npzmap import open_npz
-
-_MANIFEST = "manifest.json"
-
-#: Manifest keys that vary per run without changing the corpus content
-#: (timestamps, crawl-coverage accounting) — excluded from digests.
-VOLATILE_MANIFEST_KEYS = ("created_at", "coverage")
+from repro.corpus.sharded import ShardedStore
 
 
-def digest_array(digest: "hashlib._Hash", name: str, array: np.ndarray) -> None:
-    """Fold one named array (dtype + shape + raw bytes) into a digest."""
-    array = np.ascontiguousarray(array)
-    digest.update(name.encode("utf-8"))
-    digest.update(str(array.dtype).encode("utf-8"))
-    digest.update(repr(array.shape).encode("utf-8"))
-    digest.update(array.tobytes())
+class CorpusStore(ShardedStore):
+    """Read-side handle on a columnar corpus directory.
 
+    Manifest validation, shard bounds, ``nbytes``, ``coverage`` and
+    ``content_digest`` are :class:`~repro.corpus.sharded.ShardedStore`'s;
+    this class adds the toot columns and their queries.
+    """
 
-def stable_manifest_digest(digest: "hashlib._Hash", manifest: dict[str, Any]) -> None:
-    """Fold the non-volatile manifest keys (canonical JSON) into a digest."""
-    stable = {
-        key: value
-        for key, value in manifest.items()
-        if key not in VOLATILE_MANIFEST_KEYS
+    kind = "corpus"
+    unit = "toots"
+    schema = CORPUS_SCHEMA
+    columns = COLUMN_NAMES
+    count_key = "n_toots"
+    table_names = ("domains", "authors", "hashtags", "replication_counts")
+    shard_prefix = "shard"
+    manifest_keys = {
+        "n_observations": int,
+        "n_boosts": int,
+        "home_toot_counts": dict,
+        "observations": dict,
     }
-    digest.update(json.dumps(stable, sort_keys=True).encode("utf-8"))
 
-#: Manifest keys that must be present (and their JSON types).
-_REQUIRED_KEYS = {
-    "schema": str,
-    "shard_size": int,
-    "n_toots": int,
-    "n_observations": int,
-    "n_boosts": int,
-    "crawl_minute": int,
-    "columns": list,
-    "tables": str,
-    "shards": list,
-    "home_toot_counts": dict,
-    "observations": dict,
-}
-
-
-class CorpusStore:
-    """Read-side handle on a columnar corpus directory."""
-
-    def __init__(self, path: str | Path, *, mmap: bool = False) -> None:
-        self.path = Path(path)
-        self.mmap = bool(mmap)
-        manifest_path = self.path / _MANIFEST
-        if not manifest_path.exists():
-            raise DatasetError(f"no corpus manifest at {manifest_path}")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{manifest_path}: invalid JSON") from exc
-        self.manifest = self._validated(manifest)
-        self._tables: Any = None
-        self._cached_shard: tuple[int, Any] | None = None
-        self._observations: dict[str, tuple[int, int]] | None = None
-
-    # -- manifest validation ---------------------------------------------------
-
-    def _validated(self, manifest: Any) -> dict[str, Any]:
-        where = f"{self.path}: corpus manifest"
-        if not isinstance(manifest, dict):
-            raise DatasetError(f"{where} must be a JSON object")
-        for key, expected in _REQUIRED_KEYS.items():
-            if key not in manifest:
-                raise DatasetError(f"{where} is missing {key!r}")
-            if not isinstance(manifest[key], expected):
-                raise DatasetError(f"{where} field {key!r} has the wrong type")
-        if manifest["schema"] != CORPUS_SCHEMA:
-            raise DatasetError(
-                f"{where} key 'schema': unsupported corpus schema "
-                f"{manifest['schema']!r} (expected {CORPUS_SCHEMA!r})"
-            )
-        if list(manifest["columns"]) != list(COLUMN_NAMES):
-            raise DatasetError(
-                f"{where} key 'columns' declares an unexpected column set"
-            )
-        if not (self.path / manifest["tables"]).exists():
-            raise DatasetError(
-                f"{where} key 'tables': corpus tables file "
-                f"{manifest['tables']!r} is missing"
-            )
-        cursor = 0
-        for entry in manifest["shards"]:
-            if not isinstance(entry, dict) or {"file", "start", "stop"} - set(entry):
-                raise DatasetError(
-                    f"{where} key 'shards': corpus shard entries need file/start/stop"
-                )
-            if entry["start"] != cursor or entry["stop"] <= entry["start"]:
-                raise DatasetError(
-                    f"{where} key 'shards': corpus shard ranges must be "
-                    f"contiguous from zero: "
-                    f"[{entry['start']}, {entry['stop']}) after {cursor}"
-                )
-            if not (self.path / entry["file"]).exists():
-                raise DatasetError(
-                    f"{where} key 'shards': corpus shard file "
-                    f"{entry['file']!r} is missing"
-                )
-            cursor = entry["stop"]
-        if cursor != manifest["n_toots"]:
-            raise DatasetError(
-                f"{where} key 'n_toots': corpus shards cover {cursor} toots "
-                f"but the manifest declares {manifest['n_toots']}"
-            )
-        return manifest
+    _cached_shard: tuple[int, Any] | None = None
+    _observations: dict[str, tuple[int, int]] | None = None
 
     # -- structure -------------------------------------------------------------
 
@@ -146,62 +60,10 @@ class CorpusStore:
     def n_boosts(self) -> int:
         return self.manifest["n_boosts"]
 
-    @property
-    def crawl_minute(self) -> int:
-        return self.manifest["crawl_minute"]
-
-    @property
-    def shard_size(self) -> int:
-        return self.manifest["shard_size"]
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.manifest["shards"])
-
-    def shard_bounds(self) -> list[tuple[int, int]]:
-        """The ``[start, stop)`` toot range of every shard, in order."""
-        return [(entry["start"], entry["stop"]) for entry in self.manifest["shards"]]
-
-    def nbytes(self) -> int:
-        """Total on-disk footprint (shards + tables + manifest)."""
-        names = [entry["file"] for entry in self.manifest["shards"]]
-        names += [self.manifest["tables"], _MANIFEST]
-        return sum((self.path / name).stat().st_size for name in names)
-
-    @property
-    def coverage(self) -> dict[str, Any] | None:
-        """The crawl-coverage accounting stamped at finalise (if any).
-
-        ``None`` for corpora written before coverage existed or built
-        from non-crawl sources; see :class:`CrawlCoverage
-        <repro.crawler.toot_crawler.CrawlCoverage>` for the keys.
-        """
-        return self.manifest.get("coverage")
-
-    def content_digest(self) -> str:
-        """SHA-256 over the corpus *content*, independent of file bytes.
-
-        Hashes every decompressed shard column, the intern tables, and
-        the manifest minus its volatile keys — ``.npz`` files embed zip
-        member timestamps, so raw bytes differ between two writes of the
-        same corpus while this digest does not.  The differential
-        fault-injection suite compares exactly this.
-        """
-        digest = hashlib.sha256()
-        for name in ("domains", "authors", "hashtags", "replication_counts"):
-            digest_array(digest, name, self._table(name))
-        for index in range(self.n_shards):
-            for name in COLUMN_NAMES:
-                digest_array(digest, f"shard{index}:{name}", self.shard_column(index, name))
-        stable_manifest_digest(digest, self.manifest)
-        return digest.hexdigest()
+    def _shard_arrays(self, index: int) -> Iterator[np.ndarray]:
+        return (self.shard_column(index, name) for name in COLUMN_NAMES)
 
     # -- intern tables ---------------------------------------------------------
-
-    def _table(self, name: str) -> np.ndarray:
-        if self._tables is None:
-            self._tables = open_npz(self.path / self.manifest["tables"], mmap=self.mmap)
-        return self._tables[name]
 
     @property
     def domains(self) -> np.ndarray:
@@ -246,10 +108,10 @@ class CorpusStore:
 
     def _shard_file(self, index: int) -> Any:
         """The (cached) lazy ``NpzFile`` handle of shard ``index``."""
-        if self._cached_shard is not None and self._cached_shard[0] == index:
-            return self._cached_shard[1]
-        entry = self.manifest["shards"][index]
-        handle = open_npz(self.path / entry["file"], mmap=self.mmap)
+        cached = self._cached_shard  # one read: another thread may swap it
+        if cached is not None and cached[0] == index:
+            return cached[1]
+        handle = self._open_shard(index)
         self._cached_shard = (index, handle)
         return handle
 

@@ -17,20 +17,15 @@ buffered (sealed spools live on disk); the merge streams each spool in
 bounded row chunks, so at any moment it holds one chunk of decoded
 strings, the URL intern table, and at most one pending shard of
 columns — the full corpus never exists in memory, as Python objects or
-otherwise.  Spools are a private format tuned for that: string columns
-are stored as newline-joined UTF-8 bytes plus an ``int64`` offset
-array (one ``.npy`` pair per column, written and freed one column at a
-time), which is ~4× smaller than numpy's fixed-width unicode arrays
-and sliceable by row range without decoding the rest.
+otherwise.  The spool format, the journaled seal/resume lifecycle and
+the shard flushing are shared with the follower graph
+(:mod:`repro.corpus.sharded`); this module holds what is corpus-only:
+the toot spool columns and the URL-dedup merge.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import os
-import shutil
-import threading
 import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -39,8 +34,16 @@ import numpy as np
 
 from repro import obs
 from repro.errors import DatasetError
-from repro.corpus.columns import COLUMN_NAMES, CORPUS_SCHEMA
-from repro.corpus.journal import JOURNAL_NAME, CrawlJournal
+from repro.corpus.sharded import (
+    MERGE_CHUNK_ROWS,
+    Interner,
+    ShardedWriter,
+    ShardSink,
+    SpoolReader,
+    string_array,
+    write_strings,
+)
+from repro.corpus.store import CorpusStore
 
 _log = logging.getLogger("repro.corpus.writer")
 
@@ -48,52 +51,6 @@ _log = logging.getLogger("repro.corpus.writer")
 #: (:data:`repro.engine.sharding.DEFAULT_SHARD_SIZE`) so corpus shard
 #: boundaries flow straight through to sweep evaluation.
 DEFAULT_CORPUS_SHARD_SIZE = 250_000
-
-#: Rows per merge chunk: bounds the decoded-string working set while
-#: keeping the per-chunk numpy/dict overhead amortised.
-_MERGE_CHUNK_ROWS = 200_000
-
-#: Spool/shard file names.
-_MANIFEST = "manifest.json"
-_TABLES = "tables.npz"
-_SPOOL_DIR = "spool"
-_QUARANTINE_DIR = "quarantine"
-
-#: Suffix of in-flight writes (spool seals, shards, manifests); anything
-#: carrying it after a crash is, by construction, a partial write.
-_PARTIAL_SUFFIX = ".part"
-
-
-def _atomic_savez(target: Path, **arrays: np.ndarray) -> None:
-    """Write an ``.npz`` so it exists either completely or not at all.
-
-    ``np.savez`` writes to an open file object (passing a path would
-    append its own ``.npz`` suffix to the temp name); the final
-    ``os.replace`` is atomic on POSIX, so a crash leaves only a
-    ``*.part`` file that recovery quarantines.
-    """
-    tmp = target.with_name(target.name + _PARTIAL_SUFFIX)
-    with open(tmp, "wb") as handle:
-        np.savez(handle, **arrays)
-    os.replace(tmp, target)
-
-
-def _atomic_write_text(target: Path, text: str) -> None:
-    """Write a text file via temp + atomic rename."""
-    tmp = target.with_name(target.name + _PARTIAL_SUFFIX)
-    tmp.write_text(text)
-    os.replace(tmp, target)
-
-
-def _quarantine(entry: Path, quarantine_dir: Path) -> None:
-    """Move a partial write out of the way, never overwriting evidence."""
-    quarantine_dir.mkdir(exist_ok=True)
-    target = quarantine_dir / entry.name
-    suffix = 0
-    while target.exists():
-        suffix += 1
-        target = quarantine_dir / f"{entry.name}.{suffix}"
-    shutil.move(str(entry), str(target))
 
 _SPOOL_VALUE_COLUMNS = (
     "toot_id",
@@ -103,69 +60,6 @@ _SPOOL_VALUE_COLUMNS = (
     "media_attachments",
     "favourites",
 )
-
-
-def _string_array(values: list[str]) -> np.ndarray:
-    return np.asarray(values, dtype=np.str_) if values else np.empty(0, dtype=np.str_)
-
-
-def _write_strings(directory: Path, name: str, values: list[str]) -> None:
-    """Persist a string column as newline-joined UTF-8 bytes + offsets.
-
-    ``offsets`` has ``len(values) + 1`` entries; row ``i`` occupies
-    ``data[offsets[i] : offsets[i + 1] - 1]`` (the trailing byte is the
-    separator), so any row range decodes with one slice + split.
-    """
-    if not values:
-        np.save(directory / f"{name}_bytes.npy", np.empty(0, dtype=np.uint8))
-        np.save(directory / f"{name}_offsets.npy", np.zeros(1, dtype=np.int64))
-        return
-    data = np.frombuffer("\n".join(values).encode("utf-8"), dtype=np.uint8)
-    separators = np.flatnonzero(data == ord("\n"))
-    if separators.size != len(values) - 1:
-        raise DatasetError(f"corpus {name} values must not contain newlines")
-    offsets = np.empty(len(values) + 1, dtype=np.int64)
-    offsets[0] = 0
-    offsets[1:-1] = separators + 1
-    offsets[-1] = data.size + 1
-    np.save(directory / f"{name}_bytes.npy", data)
-    np.save(directory / f"{name}_offsets.npy", offsets)
-
-
-class _SpoolReader:
-    """Row-range access to one sealed spool without loading it whole.
-
-    ``length_column`` names the string column whose offset table defines
-    the spool's row count (``url`` for toot spools, ``follower`` for the
-    graph spools in :mod:`repro.corpus.graph`).
-    """
-
-    def __init__(self, directory: Path, length_column: str = "url") -> None:
-        self._dir = directory
-        self._bytes: dict[str, np.ndarray] = {}
-        self._offsets: dict[str, np.ndarray] = {}
-        self.n_rows = int(self._offset_table(length_column).size - 1)
-
-    def _offset_table(self, name: str) -> np.ndarray:
-        if name not in self._offsets:
-            self._offsets[name] = np.load(self._dir / f"{name}_offsets.npy")
-        return self._offsets[name]
-
-    def strings(self, name: str, start: int, stop: int) -> list[str]:
-        """Decode rows ``[start, stop)`` of a string column."""
-        if stop <= start:
-            return []
-        offsets = self._offset_table(name)
-        if name not in self._bytes:
-            self._bytes[name] = np.load(self._dir / f"{name}_bytes.npy", mmap_mode="r")
-        blob = self._bytes[name][int(offsets[start]) : int(offsets[stop]) - 1]
-        parts = np.asarray(blob).tobytes().decode("utf-8").split("\n")
-        if len(parts) != stop - start:
-            raise DatasetError(f"corrupt spool string column {name!r} in {self._dir}")
-        return parts
-
-    def values(self, name: str) -> np.ndarray:
-        return np.load(self._dir / f"{name}.npy")
 
 
 class _Growable:
@@ -188,24 +82,6 @@ class _Growable:
 
     def values(self) -> np.ndarray:
         return self._data[: self.size].copy()
-
-
-class _Interner:
-    """First-seen string interning."""
-
-    def __init__(self) -> None:
-        self.code: dict[str, int] = {}
-        self.values: list[str] = []
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def intern_one(self, value: str) -> int:
-        known = self.code.get(value)
-        if known is None:
-            known = self.code[value] = len(self.values)
-            self.values.append(value)
-        return known
 
 
 _SPOOL_DTYPES = dict(
@@ -374,27 +250,24 @@ class _InstanceSpool:
         self.hashtag_lengths = []
         self._length_chunks = []
         for name in ("url", "account", "author_domain", "hashtag_flat"):
-            _write_strings(directory, name, getattr(self, name))
+            write_strings(directory, name, getattr(self, name))
             setattr(self, name, [])
 
 
-class CorpusWriter:
+class CorpusWriter(ShardedWriter):
     """Streams a toot crawl into an integer-coded columnar corpus.
 
     Use as the ``sink`` argument of :meth:`TootCrawler.crawl`; or feed it
     directly via :meth:`add_page` / :meth:`add_records` +
     :meth:`end_instance`, then :meth:`finalise` once every instance is
-    in.  Page/record ingestion is thread-safe at instance granularity
-    (each instance is crawled by exactly one worker).
-
-    Crash safety: every page appends to an on-disk crawl journal, spools
-    seal via temp + atomic rename, and shards/tables/manifest are
-    written atomically.  ``resume=True`` replays the journal of an
-    interrupted run — journal-sealed spools are trusted and reported via
-    :meth:`sealed_domains` (crawlers skip them), while partial writes
-    (unsealed spools, ``*.part`` files, orphaned shards) are moved to a
-    ``quarantine/`` subdirectory rather than silently merged.
+    in.  Every crawled page also appends to the crawl journal.  The
+    lifecycle — thread safety, sealing, ``resume=True`` recovery and
+    quarantine, the atomic shard/tables/manifest writes — is
+    :class:`~repro.corpus.sharded.ShardedWriter`'s.
     """
+
+    store_class = CorpusStore
+    spool_class = _InstanceSpool
 
     def __init__(
         self,
@@ -402,79 +275,9 @@ class CorpusWriter:
         shard_size: int = DEFAULT_CORPUS_SHARD_SIZE,
         resume: bool = False,
     ) -> None:
-        if shard_size < 1:
-            raise DatasetError("corpus shard_size must be a positive number of toots")
-        self.path = Path(path)
-        self.shard_size = shard_size
-        self.path.mkdir(parents=True, exist_ok=True)
-        self._spool_dir = self.path / _SPOOL_DIR
-        self._lock = threading.Lock()
-        self._spools: dict[str, _InstanceSpool] = {}
-        self._sealed: dict[str, Path] = {}
-        self._resumed: set[str] = set()
-        self._resumed_rows: dict[str, int] = {}
-        self._finalised = False
-        self._journal = CrawlJournal(self.path / JOURNAL_NAME)
-        if resume:
-            self._recover()
-        elif self._journal.path.exists():
-            raise DatasetError(
-                f"{self.path} holds an interrupted crawl journal; "
-                f"open the writer with resume=True or clear the directory"
-            )
-        self._spool_dir.mkdir(exist_ok=True)
-
-    # -- crash recovery --------------------------------------------------------
-
-    def _recover(self) -> None:
-        """Trust journal-sealed spools; quarantine every partial write."""
-        replay = CrawlJournal.replay(self._journal.path)
-        trusted = replay.sealed_domains()
-        quarantine = self.path / _QUARANTINE_DIR
-        if self._spool_dir.exists():
-            for entry in sorted(self._spool_dir.iterdir()):
-                if entry.is_dir() and entry.name in trusted:
-                    self._sealed[entry.name] = entry
-                    self._resumed.add(entry.name)
-                    progress = replay.progress.get(entry.name)
-                    self._resumed_rows[entry.name] = progress.rows if progress else 0
-                else:
-                    _quarantine(entry, quarantine)
-        # an interrupted finalise leaves orphaned output files behind
-        if not (self.path / _MANIFEST).exists():
-            for pattern in ("shard-*.npz", _TABLES, f"*{_PARTIAL_SUFFIX}"):
-                for entry in sorted(self.path.glob(pattern)):
-                    _quarantine(entry, quarantine)
-        if self._resumed:
-            self._journal.note("resumed", trusted=sorted(self._resumed))
+        super().__init__(path, shard_size, resume)
 
     # -- streaming ingestion ---------------------------------------------------
-
-    def _spool(self, domain: str) -> _InstanceSpool:
-        if self._finalised:
-            raise DatasetError("the corpus writer has already been finalised")
-        with self._lock:
-            spool = self._spools.get(domain)
-            if spool is None:
-                if domain in self._sealed:
-                    raise DatasetError(f"instance {domain!r} was already sealed")
-                spool = self._spools[domain] = _InstanceSpool(domain)
-            return spool
-
-    def sealed_domains(self) -> set[str]:
-        """Instances whose spools are sealed on disk (resumed ones included)."""
-        with self._lock:
-            return set(self._sealed)
-
-    def resumed_domains(self) -> set[str]:
-        """Sealed instances recovered from a previous run's journal."""
-        with self._lock:
-            return set(self._resumed)
-
-    def resumed_rows(self) -> dict[str, int]:
-        """Journal-recorded row counts of the resumed instances."""
-        with self._lock:
-            return dict(self._resumed_rows)
 
     def add_page(self, domain: str, payload: Iterable[Mapping[str, Any]]) -> int:
         """Encode one timeline page for ``domain``; returns toots added."""
@@ -500,46 +303,16 @@ class CorpusWriter:
         """
         return self._spool(domain).add_columns(**columns)
 
-    def end_instance(self, domain: str) -> None:
-        """Seal ``domain``'s spool to disk (its crawl completed cleanly).
-
-        An instance whose crawl completed without a single toot (an
-        empty federated timeline) is sealed as an empty spool, so it
-        still appears in the corpus observations with ``(0, 0)`` counts
-        — exactly like the record path's empty list.
-        """
-        if self._finalised:
-            raise DatasetError("the corpus writer has already been finalised")
-        with self._lock:
-            spool = self._spools.pop(domain, None)
-            if spool is None:
-                if domain in self._sealed:
-                    return
-                spool = _InstanceSpool(domain)
-            target = self._spool_dir / domain
-            self._sealed[domain] = target
-        staging = target.with_name(target.name + _PARTIAL_SUFFIX)
+    def _seal(self, spool: _InstanceSpool, target: Path) -> None:
         timed = obs.active()
         started = time.perf_counter() if timed else 0.0
-        spool.seal(staging)
-        os.replace(staging, target)
+        super()._seal(spool, target)
         if timed:
             obs.observe(
                 "repro_corpus_seal_seconds", time.perf_counter() - started
             )
             obs.count("repro_corpus_spools_sealed_total")
-        self._journal.sealed(domain)
-        _log.debug("sealed spool for %s", domain)
-
-    def discard_instance(self, domain: str) -> None:
-        """Drop everything buffered for ``domain`` (its crawl failed)."""
-        with self._lock:
-            self._spools.pop(domain, None)
-            sealed = self._sealed.pop(domain, None)
-            self._resumed.discard(domain)
-        if sealed is not None:
-            shutil.rmtree(sealed, ignore_errors=True)
-        self._journal.discarded(domain)
+        _log.debug("sealed spool for %s", spool.domain)
 
     # -- the merge -------------------------------------------------------------
 
@@ -547,7 +320,7 @@ class CorpusWriter:
         self,
         crawl_minute: int = 0,
         coverage: Mapping[str, Any] | None = None,
-    ) -> "CorpusStore":
+    ) -> CorpusStore:
         """Merge every sealed spool into shards + tables + manifest.
 
         Instances merge in sorted-domain order with first-seen-URL
@@ -560,53 +333,45 @@ class CorpusWriter:
         resumable.  Returns the opened
         :class:`~repro.corpus.store.CorpusStore`.
         """
-        if self._finalised:
-            raise DatasetError("the corpus writer has already been finalised")
-        with self._lock:
-            if self._spools:
-                unsealed = ", ".join(sorted(self._spools))
-                raise DatasetError(
-                    f"cannot finalise with open instance spools: {unsealed}"
-                )
-            self._finalised = True
-        self._journal.note("finalise_started")
+        self._begin_merge()
         with obs.span("corpus/merge", instances=len(self._sealed)) as merge_span:
-            store = self._merge(crawl_minute, coverage, merge_span)
-        return store
+            merge_started = time.perf_counter() if obs.active() else 0.0
+            manifest = self._write_store(crawl_minute, coverage)
+            observed_rows = manifest["n_observations"]
+            n_toots = manifest["n_toots"]
+            n_shards = len(manifest["shards"])
+            if obs.active():
+                merge_seconds = time.perf_counter() - merge_started
+                merge_span.set(rows=observed_rows, toots=n_toots, shards=n_shards)
+                obs.count("repro_corpus_merge_seconds_total", merge_seconds)
+                obs.count("repro_corpus_shards_written_total", n_shards)
+                obs.count("repro_corpus_merged_rows_total", observed_rows)
+                if merge_seconds > 0:
+                    obs.set_gauge(
+                        "repro_corpus_merge_rows_per_second",
+                        observed_rows / merge_seconds,
+                    )
+            _log.info(
+                "corpus finalised: %d observed rows -> %d unique toots in %d shards",
+                observed_rows,
+                n_toots,
+                n_shards,
+            )
+            return CorpusStore(self.path)
 
-    def _merge(self, crawl_minute, coverage, merge_span) -> "CorpusStore":
-        merge_started = time.perf_counter() if obs.active() else 0.0
-
+    def _merge(self, sink: ShardSink) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
         url_code: dict[str, int] = {}
-        domains = _Interner()
-        authors = _Interner()
-        hashtags = _Interner()
+        domains = Interner()
+        authors = Interner()
+        hashtags = Interner()
         replication = _Growable()
         home_toots = _Growable()
         observations: dict[str, tuple[int, int]] = {}
         boosts = 0
         observed_rows = 0
 
-        pending: dict[str, list[np.ndarray]] = {name: [] for name in COLUMN_NAMES}
-        pending_rows = 0
-        shards: list[dict[str, object]] = []
-        flushed_rows = 0
-
-        def flush(everything: bool = False) -> None:
-            nonlocal pending_rows, flushed_rows
-            while pending_rows >= self.shard_size or (everything and pending_rows):
-                take = min(self.shard_size, pending_rows)
-                shard_arrays = _take_shard(pending, take)
-                file_name = f"shard-{len(shards):05d}.npz"
-                _atomic_savez(self.path / file_name, **shard_arrays)
-                shards.append(
-                    {"file": file_name, "start": flushed_rows, "stop": flushed_rows + take}
-                )
-                flushed_rows += take
-                pending_rows -= take
-
         for domain in sorted(self._sealed):
-            spool = _SpoolReader(self._sealed[domain])
+            spool = SpoolReader(self._sealed[domain], length_column="url")
             n_rows = spool.n_rows
             observed_rows += n_rows
             if n_rows == 0:
@@ -617,8 +382,8 @@ class CorpusWriter:
             tag_indptr = spool.values("hashtag_indptr")
             home_observed = 0
 
-            for start in range(0, n_rows, _MERGE_CHUNK_ROWS):
-                stop = min(start + _MERGE_CHUNK_ROWS, n_rows)
+            for start in range(0, n_rows, MERGE_CHUNK_ROWS):
+                stop = min(start + MERGE_CHUNK_ROWS, n_rows)
                 rows = stop - start
                 urls = spool.strings("url", start, stop)
                 author_domains = spool.strings("author_domain", start, stop)
@@ -688,44 +453,33 @@ class CorpusWriter:
                 is_boost = value_columns["is_boost"][start:stop][new_mask]
                 boosts += int(is_boost.sum())
 
-                pending["url"].append(_string_array([urls[i] for i in new_rows]))
-                pending["home_code"].append(home_codes.astype(np.int32))
-                pending["author_code"].append(author_codes.astype(np.int32))
-                pending["collected_code"].append(
-                    np.full(new_count, collected, dtype=np.int32)
-                )
-                pending["is_boost"].append(is_boost)
-                pending["hashtag_codes"].append(flat_codes)
-                pending["hashtag_indptr"].append(local_indptr)
+                chunks = {
+                    "url": string_array([urls[i] for i in new_rows]),
+                    "home_code": home_codes.astype(np.int32),
+                    "author_code": author_codes.astype(np.int32),
+                    "collected_code": np.full(new_count, collected, dtype=np.int32),
+                    "is_boost": is_boost,
+                    "hashtag_codes": flat_codes,
+                    "hashtag_indptr": local_indptr,
+                }
                 for name in _SPOOL_VALUE_COLUMNS:
                     if name != "is_boost":
-                        pending[name].append(value_columns[name][start:stop][new_mask])
-                pending_rows += new_count
+                        chunks[name] = value_columns[name][start:stop][new_mask]
                 del urls
-                flush()
+                sink.add(new_count, chunks)
             observations[domain] = (home_observed, n_rows - home_observed)
-        flush(everything=True)
+        sink.flush(everything=True)
 
-        n_toots = flushed_rows
-        replication.ensure(n_toots)
-        _atomic_savez(
-            self.path / _TABLES,
-            domains=_string_array(domains.values),
-            authors=_string_array(authors.values),
-            hashtags=_string_array(hashtags.values),
+        replication.ensure(sink.rows)
+        tables = dict(
+            domains=string_array(domains.values),
+            authors=string_array(authors.values),
+            hashtags=string_array(hashtags.values),
             replication_counts=replication.values(),
         )
-        manifest = {
-            "schema": CORPUS_SCHEMA,
-            "created_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "shard_size": self.shard_size,
-            "n_toots": n_toots,
+        fields = {
             "n_observations": observed_rows,
             "n_boosts": boosts,
-            "crawl_minute": crawl_minute,
-            "columns": list(COLUMN_NAMES),
-            "tables": _TABLES,
-            "shards": shards,
             "home_toot_counts": {
                 domain: int(count)
                 for domain, count in zip(domains.values, home_toots.values())
@@ -735,67 +489,39 @@ class CorpusWriter:
                 domain: list(counts) for domain, counts in sorted(observations.items())
             },
         }
-        if coverage is not None:
-            manifest["coverage"] = dict(coverage)
-        _atomic_write_text(
-            self.path / _MANIFEST, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        return tables, fields
+
+    @staticmethod
+    def _take_shard(
+        pending: dict[str, list[np.ndarray]], take: int
+    ) -> dict[str, np.ndarray]:
+        """Split ``take`` rows off the pending chunk lists as one shard.
+
+        The hashtag CSR pair is re-based so every shard's ``hashtag_indptr``
+        starts at zero; all other columns split by plain row count.
+        """
+        # merge chunk lists once, then slice (chunks rarely exceed a few spools)
+        indptr_parts = pending["hashtag_indptr"]
+        merged_indptr = indptr_parts[0]
+        for part in indptr_parts[1:]:
+            merged_indptr = np.concatenate([merged_indptr, merged_indptr[-1] + part[1:]])
+        flat = (
+            np.concatenate(pending["hashtag_codes"])
+            if len(pending["hashtag_codes"]) > 1
+            else pending["hashtag_codes"][0]
         )
-        shutil.rmtree(self._spool_dir, ignore_errors=True)
-        self._journal.remove()
+        flat_take = int(merged_indptr[take])
 
-        if obs.active():
-            merge_seconds = time.perf_counter() - merge_started
-            merge_span.set(rows=observed_rows, toots=n_toots, shards=len(shards))
-            obs.count("repro_corpus_merge_seconds_total", merge_seconds)
-            obs.count("repro_corpus_shards_written_total", len(shards))
-            obs.count("repro_corpus_merged_rows_total", observed_rows)
-            if merge_seconds > 0:
-                obs.set_gauge(
-                    "repro_corpus_merge_rows_per_second",
-                    observed_rows / merge_seconds,
-                )
-        _log.info(
-            "corpus finalised: %d observed rows -> %d unique toots in %d shards",
-            observed_rows,
-            n_toots,
-            len(shards),
-        )
-
-        from repro.corpus.store import CorpusStore
-
-        return CorpusStore(self.path)
-
-
-def _take_shard(
-    pending: dict[str, list[np.ndarray]], take: int
-) -> dict[str, np.ndarray]:
-    """Split ``take`` rows off the pending chunk lists as one shard.
-
-    The hashtag CSR pair is re-based so every shard's ``hashtag_indptr``
-    starts at zero; all other columns split by plain row count.
-    """
-    # merge chunk lists once, then slice (chunks rarely exceed a few spools)
-    indptr_parts = pending["hashtag_indptr"]
-    merged_indptr = indptr_parts[0]
-    for part in indptr_parts[1:]:
-        merged_indptr = np.concatenate([merged_indptr, merged_indptr[-1] + part[1:]])
-    flat = (
-        np.concatenate(pending["hashtag_codes"])
-        if len(pending["hashtag_codes"]) > 1
-        else pending["hashtag_codes"][0]
-    )
-    flat_take = int(merged_indptr[take])
-
-    shard: dict[str, np.ndarray] = {}
-    for name, chunks in pending.items():
-        if name == "hashtag_indptr":
-            shard[name] = merged_indptr[: take + 1].copy()
-            pending[name] = [merged_indptr[take:] - merged_indptr[take]]
-        elif name == "hashtag_codes":
-            shard[name] = flat[:flat_take]
-            pending[name] = [flat[flat_take:]]
-        else:
-            merged = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-            shard[name] = merged[:take]
-            pending[name] = [merged[take:]]
-    return shard
+        shard: dict[str, np.ndarray] = {}
+        for name, chunks in pending.items():
+            if name == "hashtag_indptr":
+                shard[name] = merged_indptr[: take + 1].copy()
+                pending[name] = [merged_indptr[take:] - merged_indptr[take]]
+            elif name == "hashtag_codes":
+                shard[name] = flat[:flat_take]
+                pending[name] = [flat[flat_take:]]
+            else:
+                merged = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+                shard[name] = merged[:take]
+                pending[name] = [merged[take:]]
+        return shard

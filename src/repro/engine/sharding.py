@@ -18,25 +18,19 @@ and assembles each shard's CSR matrix lazily (generator-based, so peak
 incidence memory is O(shard), not O(corpus)); for placements that only
 exist as a built :class:`~repro.engine.incidence.TootIncidence`,
 :meth:`ShardedIncidence.from_incidence` shards the existing matrix by
-row range instead.  :func:`streaming_losses` folds the shards into one
-small ``(k, max_steps + 1)`` loss table — serially, or across a
-``ThreadPoolExecutor`` when ``workers > 1``: the gather and
-``maximum.reduceat`` kernels release the GIL, shards are independent,
-and the reduction is an integer sum folded in shard order, so the
-parallel path is deterministic and bit-identical to the serial one.
+row range instead.  :func:`streaming_losses` folds the shards, in shard
+order, into one small ``(k, max_steps + 1)`` loss table.
 
 ``availability_curves`` / ``run_availability_sweep``
-(:mod:`repro.engine.sweep`) expose this via ``shard_size`` / ``workers``
-knobs with an auto-shard threshold; the CLI forwards them as
-``--shard-size`` / ``--workers``.  ``benchmarks/bench_shard_scale.py``
-gates the identity, memory, and parallel-speedup claims.
+(:mod:`repro.engine.sweep`) expose this via a ``shard_size`` knob with
+an auto-shard threshold; the CLI forwards it as ``--shard-size``.
+``benchmarks/bench_shard_scale.py`` gates the identity and memory
+claims.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
@@ -182,9 +176,9 @@ class ShardedIncidence:
         """Shard an already-built incidence matrix by row range.
 
         The incidence memory is already paid here; sharding still caps
-        the *evaluation* working set per shard and enables the threaded
-        path.  Shard CSR structures are zero-copy views over the parent
-        matrix's ``indices``/``data`` plus a rebased ``indptr``.
+        the *evaluation* working set per shard.  Shard CSR structures are
+        zero-copy views over the parent matrix's ``indices``/``data`` plus
+        a rebased ``indptr``.
         """
         matrix = incidence.matrix
         indptr = matrix.indptr
@@ -295,8 +289,6 @@ def streaming_losses(
     sharded: ShardedIncidence,
     removal_matrix: np.ndarray,
     steps_per_schedule: np.ndarray,
-    *,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Accumulate per-(schedule, step) loss counts across every shard.
 
@@ -304,14 +296,8 @@ def streaming_losses(
     table (:func:`~repro.engine.kernels.losses_per_step_batch` over the
     shard's rows); tables are integer counts over disjoint toot ranges,
     so their sum equals the unsharded table exactly — no floating-point
-    reassociation anywhere.
-
-    ``workers > 1`` evaluates shards on a thread pool (the numpy
-    gather/``reduceat`` kernels release the GIL); results are folded in
-    shard order as they are submitted, so the accumulated table — and
-    every curve derived from it — is deterministic and bit-identical
-    regardless of thread scheduling.  Peak memory holds at most
-    ``workers`` assembled shards at once.
+    reassociation anywhere.  Shards are assembled one at a time, so peak
+    memory holds one shard's incidence structure.
     """
     removal_matrix = np.asarray(removal_matrix, dtype=np.float64)
     if removal_matrix.ndim != 2:
@@ -328,16 +314,12 @@ def streaming_losses(
         return losses_per_step_batch(shard.matrix, removal_matrix, steps)
 
     bounds = sharded.shard_bounds()
-    threaded = workers is not None and workers > 1 and len(bounds) > 1
 
-    # when somebody is watching, wrap each fold in a span and tally the
-    # busy time each worker spends inside kernels; the inactive path
-    # pays exactly one obs.active() check
+    # when somebody is watching, wrap each fold in a span and time it;
+    # the inactive path pays exactly one obs.active() check
     observing = obs.active()
     if observing:
         plain_evaluate = evaluate
-        busy = [0.0]
-        busy_lock = threading.Lock()
 
         def evaluate(bounds: tuple[int, int]) -> np.ndarray:
             with obs.span("engine/shard", start=bounds[0], stop=bounds[1]):
@@ -345,38 +327,17 @@ def streaming_losses(
                 table = plain_evaluate(bounds)
                 fold_seconds = time.perf_counter() - fold_started
             obs.observe("repro_engine_fold_seconds", fold_seconds)
-            with busy_lock:
-                busy[0] += fold_seconds
             return table
 
-        wall_started = time.perf_counter()
-
     with obs.span(
-        "engine/streaming_losses",
-        shards=len(bounds),
-        schedules=n_schedules,
-        workers=workers if threaded else 1,
+        "engine/streaming_losses", shards=len(bounds), schedules=n_schedules
     ):
-        if threaded:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # executor.map yields in submission order: a fixed,
-                # shard-ordered fold no matter which thread finishes first
-                for table in pool.map(evaluate, bounds):
-                    losses += table
-        else:
-            for shard_bounds in bounds:
-                losses += evaluate(shard_bounds)
+        for shard_bounds in bounds:
+            losses += evaluate(shard_bounds)
 
     if observing:
-        wall = time.perf_counter() - wall_started
         obs.count("repro_engine_shard_folds_total", len(bounds))
         obs.count("repro_engine_toots_folded_total", sharded.n_toots)
-        pool_size = workers if threaded else 1
-        if wall > 0:
-            obs.set_gauge(
-                "repro_engine_worker_utilisation",
-                min(1.0, busy[0] / (wall * pool_size)),
-            )
     return losses
 
 
@@ -384,8 +345,6 @@ def sharded_availability_curves(
     sharded: ShardedIncidence,
     removal_matrix: np.ndarray,
     steps_per_schedule: np.ndarray,
-    *,
-    workers: int | None = None,
 ) -> list[np.ndarray]:
     """Availability curves over shards — the streaming counterpart of
     :func:`~repro.engine.kernels.availability_curves_batch`.
@@ -395,5 +354,5 @@ def sharded_availability_curves(
     is bit-identical to the unsharded batch for any shard size.
     """
     steps = np.asarray(steps_per_schedule, dtype=np.int64)
-    losses = streaming_losses(sharded, removal_matrix, steps, workers=workers)
+    losses = streaming_losses(sharded, removal_matrix, steps)
     return curves_from_loss_table(losses, steps, sharded.n_toots)

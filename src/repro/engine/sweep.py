@@ -17,10 +17,10 @@ across sweeps, wrappers, or ad-hoc experiments — rebuild nothing.
 
 Past a million toots the full incidence matrix itself becomes the
 memory ceiling, so :func:`availability_curves` and
-:func:`run_availability_sweep` take ``shard_size`` / ``workers`` knobs:
+:func:`run_availability_sweep` take a ``shard_size`` knob:
 arrays-backed placements are then evaluated shard by shard through
 :mod:`repro.engine.sharding` (bit-identical curves, O(shard) peak
-memory, optional thread-parallel shards).  Corpora at or above
+memory).  Corpora at or above
 :data:`~repro.engine.sharding.AUTO_SHARD_THRESHOLD` toots shard
 automatically; ``shard_size=0`` forces the monolithic path.
 """
@@ -69,25 +69,20 @@ def availability_curve(
     failure: FailureModel,
     *,
     shard_size: int | None = None,
-    workers: int | None = None,
 ) -> list[AvailabilityPoint]:
     """One availability curve for one placement map and one failure model."""
-    curves = availability_curves(
-        placements, [failure], shard_size=shard_size, workers=workers
-    )
+    curves = availability_curves(placements, [failure], shard_size=shard_size)
     return curves[failure.name]
 
 
 def _resolve_sharding(
     placements: PlacementMap | TootIncidence | ShardedIncidence,
     shard_size: int | None,
-    workers: int | None,
 ) -> ShardedIncidence | None:
     """Decide whether — and over what backing store — to shard.
 
     ``shard_size=None`` is automatic: arrays-backed corpora at or above
-    :data:`AUTO_SHARD_THRESHOLD` toots shard at :data:`DEFAULT_SHARD_SIZE`,
-    as does any request for ``workers > 1`` (parallelism needs shards).
+    :data:`AUTO_SHARD_THRESHOLD` toots shard at :data:`DEFAULT_SHARD_SIZE`.
     Backends built from a columnar corpus carry their crawl shard
     boundaries (``PlacementArrays.source_bounds``); automatic sharding
     streams over exactly those shards, so the on-disk layout and the
@@ -101,11 +96,6 @@ def _resolve_sharding(
     if shard_size is not None and shard_size < 0:
         raise AnalysisError("shard_size must be a positive number of toots (or 0)")
     if shard_size == 0:
-        if workers is not None and workers > 1:
-            raise AnalysisError(
-                "workers > 1 needs shards to parallelise over — "
-                "drop shard_size=0 or the workers request"
-            )
         return None
     arrays = (
         None
@@ -113,10 +103,7 @@ def _resolve_sharding(
         else getattr(placements, "arrays", None)
     )
     if shard_size is None:
-        auto_shard = (
-            arrays is not None and arrays.n_toots >= AUTO_SHARD_THRESHOLD
-        ) or (workers is not None and workers > 1)
-        if not auto_shard:
+        if arrays is None or arrays.n_toots < AUTO_SHARD_THRESHOLD:
             return None
         source_bounds = getattr(arrays, "source_bounds", None)
         if source_bounds:
@@ -137,14 +124,12 @@ def availability_curves(
     failures: Sequence[FailureModel],
     *,
     shard_size: int | None = None,
-    workers: int | None = None,
 ) -> dict[str, list[AvailabilityPoint]]:
     """Curves for many failure models over one shared incidence matrix.
 
-    ``shard_size`` / ``workers`` route the evaluation through the
-    streaming sharded engine (:mod:`repro.engine.sharding`); the curves
-    are bit-identical either way, so the knobs trade peak memory and
-    wall time only.
+    ``shard_size`` routes the evaluation through the streaming sharded
+    engine (:mod:`repro.engine.sharding`); the curves are bit-identical
+    either way, so the knob trades peak memory and wall time only.
 
     Cumulative models contribute one removal column each; temporal
     models (``failure.temporal``) contribute one single-step column per
@@ -158,7 +143,7 @@ def availability_curves(
     names = [failure.name for failure in failures]
     if len(set(names)) != len(names):
         raise AnalysisError("failure models must have distinct names")
-    sharded = _resolve_sharding(placements, shard_size, workers)
+    sharded = _resolve_sharding(placements, shard_size)
     if sharded is not None:
         target: ShardedIncidence | TootIncidence = sharded
     else:
@@ -193,7 +178,7 @@ def availability_curves(
         removal_matrix = np.concatenate(blocks, axis=1)
         steps = np.asarray(col_steps, dtype=np.int64)
         if sharded is not None:
-            losses = streaming_losses(sharded, removal_matrix, steps, workers=workers)
+            losses = streaming_losses(sharded, removal_matrix, steps)
             total = sharded.n_toots
         else:
             losses = losses_per_step_batch(target.matrix, removal_matrix, steps)
@@ -359,14 +344,13 @@ def run_availability_sweep(
     candidate_domains: Sequence[str] | None = None,
     keep_placements: bool = False,
     shard_size: int | None = None,
-    workers: int | None = None,
 ) -> SweepResult:
     """Evaluate every (strategy, failure) combination in one call.
 
     Builds each strategy's placement map and incidence matrix once, then
     batch-evaluates all failure schedules against it.  Random strategies
     carry their own seeds, so a seed sweep is just more
-    :class:`StrategySpec` entries.  ``shard_size`` / ``workers`` stream
+    :class:`StrategySpec` entries.  ``shard_size`` streams
     each strategy's evaluation through the sharded engine (automatic at
     :data:`~repro.engine.sharding.AUTO_SHARD_THRESHOLD` toots) — same
     curves, bounded memory.
@@ -382,9 +366,7 @@ def run_availability_sweep(
         placements = spec.build(toots, graphs=graphs, candidate_domains=candidate_domains)
         if keep_placements:
             placements_by_name[spec.name] = placements
-        strategy_curves = availability_curves(
-            placements, failures, shard_size=shard_size, workers=workers
-        )
+        strategy_curves = availability_curves(placements, failures, shard_size=shard_size)
         for failure_name, curve in strategy_curves.items():
             curves[(spec.name, failure_name)] = curve
     return SweepResult(

@@ -68,11 +68,8 @@ class ExperimentContext:
         twitter_users: int = 4_000,
         twitter_seed: int = 2007,
         shard_size: int | None = None,
-        workers: int | None = None,
         corpus_dir: "str | Path | None" = None,
-        corpus_shard_size: int | None = None,
         graph_dir: "str | Path | None" = None,
-        graph_shard_size: int | None = None,
         churn_ticks: int = CHURN_TICKS,
         churn_seeds: Sequence[int] = CHURN_SEEDS,
         fault_rate: float | None = None,
@@ -85,22 +82,19 @@ class ExperimentContext:
         self.twitter_days = twitter_days
         self.twitter_users = twitter_users
         self.twitter_seed = twitter_seed
-        #: Streaming-evaluation knobs forwarded to every sweep (None =
+        #: Streaming-evaluation knob forwarded to every sweep (None =
         #: automatic: shard past the engine's corpus-size threshold).
         self.shard_size = shard_size
-        self.workers = workers
         #: When set, the toot crawl streams into a columnar corpus at
         #: this directory (:mod:`repro.corpus`) and placement maps build
         #: straight from its columns — no ``TootRecord`` lists anywhere
         #: on the fig15/16 path.
         self.corpus_dir = corpus_dir
-        self.corpus_shard_size = corpus_shard_size
         #: When set, the follower crawl streams into an on-disk edge
         #: store (:mod:`repro.corpus.graph`) and subscription placements
         #: read follower-domain sets from its integer shards — no
         #: networkx pass on the placement path.
         self.graph_dir = graph_dir
-        self.graph_shard_size = graph_shard_size
         #: Temporal-churn sweep shape: probe ticks across the window and
         #: one sampled outage process per bootstrap seed.
         self.churn_ticks = churn_ticks
@@ -201,9 +195,7 @@ class ExperimentContext:
                     network,
                     monitor_interval_minutes=self.monitor_interval_minutes,
                     corpus_dir=self.corpus_dir,
-                    corpus_shard_size=self.corpus_shard_size,
                     graph_dir=self.graph_dir,
-                    graph_shard_size=self.graph_shard_size,
                     fault_rates=self.fault_rate,
                     fault_seed=self.fault_seed,
                     retry_policy=self.retries,
@@ -456,8 +448,8 @@ class ExperimentContext:
         :func:`repro.engine.sweep.run_availability_sweep`: placement maps
         come from :meth:`placements_for`, so repeated sweeps sharing a
         strategy also share its incidence matrix via the engine's weak
-        per-map cache.  The context's ``shard_size`` / ``workers`` knobs
-        are forwarded to every evaluation, so large presets stream
+        per-map cache.  The context's ``shard_size`` knob is forwarded
+        to every evaluation, so large presets stream
         through the sharded engine instead of materialising full
         matrices.
         """
@@ -486,10 +478,7 @@ class ExperimentContext:
                 fresh = self._phase(
                     "sweep",
                     lambda: availability_curves(
-                        placements,
-                        missing,
-                        shard_size=self.shard_size,
-                        workers=self.workers,
+                        placements, missing, shard_size=self.shard_size
                     ),
                     strategy=spec.name,
                     failures=len(missing),
@@ -522,8 +511,6 @@ class ExperimentContext:
         }
         if self.shard_size is not None:
             metadata["shard_size"] = self.shard_size
-        if self.workers is not None:
-            metadata["workers"] = self.workers
         if self.corpus_dir is not None:
             metadata["corpus_dir"] = str(self.corpus_dir)
         if self.graph_dir is not None:

@@ -361,7 +361,7 @@ class ScenarioConfig:
         instances × timeline length — and users drive the memory-hungry
         follower graph.  A paper-scale-pointing corpus therefore wants
         many toots over a moderately larger population.  Drive the
-        sweeps with sharded evaluation (``--shard-size``/``--workers``):
+        sweeps with sharded evaluation (``--shard-size``):
         the point of this preset is that evaluation no longer needs the
         whole corpus in memory at once.
         """

@@ -12,7 +12,10 @@ Every request is recorded into the process-wide metrics registry
 (:func:`repro.obs.metrics`) regardless of whether ``--metrics`` was
 passed, so ``GET /metrics`` always tells the truth about this server:
 ``repro_serve_requests_total{endpoint,status}`` and the
-``repro_serve_request_seconds{endpoint}`` latency histogram.
+``repro_serve_request_seconds{endpoint}`` latency histogram.  Both are
+recorded before the reply is written, so the latency runs from request
+parse to the start of the reply, and a client that has its answer
+always finds its request counted.
 
 Threading matters here: the handler threads all call into one shared
 :class:`~repro.serve.service.AvailabilityService`, whose one-time
@@ -41,6 +44,30 @@ _ROUTES = {
 }
 
 
+def _answer(
+    service: AvailabilityService, path: str, query: str
+) -> tuple[int, bytes, str]:
+    """``(status, body, content type)`` of one GET, nothing written yet."""
+    if path == "/metrics":
+        body = obs.metrics().render_prometheus().encode("utf-8")
+        return 200, body, "text/plain; version=0.0.4; charset=utf-8"
+    if path == "/health":
+        status, payload = 200, {"status": "ok"}
+    elif path not in _ROUTES:
+        status, payload = 404, {
+            "error": f"unknown endpoint {path!r}",
+            "endpoints": sorted(_ROUTES) + ["/health", "/metrics"],
+        }
+    else:
+        verb, params = _ROUTES[path], dict(parse_qsl(query))
+        try:
+            status, payload = 200, handle_query(service, verb, params)
+        except ReproError as exc:
+            status, payload = 400, {"error": str(exc)}
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return status, body, "application/json"
+
+
 def build_http_server(
     service: AvailabilityService, host: str = "127.0.0.1", port: int = 8015
 ) -> ThreadingHTTPServer:
@@ -52,57 +79,25 @@ def build_http_server(
     """
 
     class Handler(BaseHTTPRequestHandler):
-        def _reply(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            self._reply_bytes(status, body, "application/json")
-
-        def _reply_bytes(self, status: int, body: bytes, content_type: str) -> None:
+        def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+            parsed = urlsplit(self.path)
+            path = parsed.path.rstrip("/") or "/"
+            started = time.perf_counter()
+            status, body, content_type = _answer(service, path, parsed.query)
+            # counted before the reply is written: a client holding its
+            # answer always finds its own request in the metrics
+            registry = obs.metrics()
+            registry.observe(
+                "repro_serve_request_seconds",
+                time.perf_counter() - started,
+                endpoint=path,
+            )
+            registry.inc("repro_serve_requests_total", endpoint=path, status=str(status))
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
-
-        def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-            parsed = urlsplit(self.path)
-            path = parsed.path.rstrip("/") or "/"
-            started = time.perf_counter()
-            status = 200
-            try:
-                if path == "/health":
-                    self._reply(200, {"status": "ok"})
-                    return
-                if path == "/metrics":
-                    body = obs.metrics().render_prometheus().encode("utf-8")
-                    self._reply_bytes(
-                        200, body, "text/plain; version=0.0.4; charset=utf-8"
-                    )
-                    return
-                verb = _ROUTES.get(path)
-                if verb is None:
-                    status = 404
-                    self._reply(
-                        404,
-                        {"error": f"unknown endpoint {path!r}",
-                         "endpoints": sorted(_ROUTES) + ["/health", "/metrics"]},
-                    )
-                    return
-                params = dict(parse_qsl(parsed.query))
-                try:
-                    self._reply(200, handle_query(service, verb, params))
-                except ReproError as exc:
-                    status = 400
-                    self._reply(400, {"error": str(exc)})
-            finally:
-                registry = obs.metrics()
-                registry.observe(
-                    "repro_serve_request_seconds",
-                    time.perf_counter() - started,
-                    endpoint=path,
-                )
-                registry.inc(
-                    "repro_serve_requests_total", endpoint=path, status=str(status)
-                )
 
         def log_message(self, *args) -> None:  # silence per-request stderr noise
             pass

@@ -20,6 +20,7 @@ from repro.engine import (
     StrategySpec,
     availability_curves,
 )
+from repro.engine import sweep
 from repro.engine.placement import (
     build_no_replication,
     build_random_replication,
@@ -121,7 +122,7 @@ class TestSweepIdentity:
         return InstanceRemoval(candidate_domains, steps=20, name="rank")
 
     def test_curves_identical_monolithic_and_corpus_sharded(
-        self, record_toots, tiny_store, candidate_domains, failure
+        self, record_toots, tiny_store, candidate_domains, failure, monkeypatch
     ):
         legacy = replication.random_replication(record_toots, candidate_domains, 3, seed=2)
         corpus_arrays = PlacementArrays.from_corpus(
@@ -142,13 +143,22 @@ class TestSweepIdentity:
         )
         assert sharded.shard_bounds() == list(tiny_store.shard_bounds())
         assert availability_curves(sharded, [failure]) == expected
-        # the workers path auto-shards over the corpus bounds
-        threaded = availability_curves(
+        # automatic sharding streams over the corpus bounds
+        folded: list[list[tuple[int, int]]] = []
+        fold = sweep.streaming_losses
+
+        def recording_fold(sharded, *args):
+            folded.append(sharded.shard_bounds())
+            return fold(sharded, *args)
+
+        monkeypatch.setattr(sweep, "AUTO_SHARD_THRESHOLD", 1)
+        monkeypatch.setattr(sweep, "streaming_losses", recording_fold)
+        auto = availability_curves(
             replication.PlacementMap(corpus_arrays.strategy, arrays=corpus_arrays),
             [failure],
-            workers=2,
         )
-        assert threaded == expected
+        assert auto == expected
+        assert folded == [list(tiny_store.shard_bounds())]
 
     def test_invalid_bounds_rejected(self, tiny_store, candidate_domains):
         arrays = PlacementArrays.from_corpus(

@@ -23,6 +23,7 @@ import pytest
 
 from repro.errors import DatasetError
 from repro.corpus import CorpusStore, CorpusWriter, CrawlJournal, GraphWriter
+from repro.corpus import sharded
 from repro.corpus.journal import JOURNAL_NAME
 from repro.crawler import (
     FaultInjector,
@@ -108,49 +109,87 @@ class TestCrawlJournal:
             CrawlJournal.replay(path)
 
 
+class WriterKind:
+    """One store's writer, crawler and file names, for parametrised tests."""
+
+    def __init__(self, writer, crawler, shard_prefix, counts) -> None:
+        self.writer = writer
+        self.crawler = crawler
+        self.shard_prefix = shard_prefix
+        self.counts = counts  # the crawl result's per-instance row counts
+
+    def crawl_one(self, network, writer, domain: str) -> int:
+        """Crawl one instance into ``writer`` (sealing it); returns its rows."""
+        minute = network.clock.window_minutes - 1
+        crawler = self.crawler(SimulatedTransport(network), threads=2)
+        if self.crawler is TootCrawler:
+            return crawler._page_instance(domain, minute, [], writer)
+        return crawler._crawl_into(writer, domain, minute)
+
+    def crawl(self, network, writer):
+        return self.crawler(SimulatedTransport(network), threads=2).crawl(sink=writer)
+
+
+WRITER_KINDS = {
+    "corpus": WriterKind(CorpusWriter, TootCrawler, "shard", "toot_counts"),
+    "graph": WriterKind(GraphWriter, FollowerGraphCrawler, "edges", "edge_counts"),
+}
+
+
+@pytest.fixture(params=sorted(WRITER_KINDS))
+def kind(request) -> WriterKind:
+    return WRITER_KINDS[request.param]
+
+
 class TestWriterRecovery:
-    def test_fresh_writer_refuses_leftover_journal(self, tmp_path):
+    def test_fresh_writer_refuses_leftover_journal(self, tmp_path, kind):
         journal = CrawlJournal(tmp_path / JOURNAL_NAME)
         journal.page("a.example", rows=3)
         journal.close()
         with pytest.raises(DatasetError, match="resume=True"):
-            CorpusWriter(tmp_path)
+            kind.writer(tmp_path)
 
-    def test_resume_trusts_sealed_and_quarantines_the_rest(self, tmp_path):
+    def test_resume_trusts_sealed_and_quarantines_the_rest(self, tmp_path, kind):
         network = chaos_network()
-        writer = CorpusWriter(tmp_path, shard_size=40)
-        crawler = TootCrawler(SimulatedTransport(network), threads=2)
-        minute = network.clock.window_minutes - 1
-        rows = crawler._page_instance("alpha.example", minute, [], writer)
-        # simulate a crash that left a half-written spool dir behind
+        writer = kind.writer(tmp_path, shard_size=40)
+        rows = kind.crawl_one(network, writer, "alpha.example")
+        assert rows > 0
+        # simulate a crash that left a half-written spool dir behind, plus
+        # the partial and orphaned outputs of an interrupted finalise
         ghost = tmp_path / "spool" / "ghost.example.part"
         ghost.mkdir()
         (ghost / "url_bytes.npy").write_bytes(b"partial")
-        (tmp_path / "shard-00000.npz.part").write_bytes(b"partial shard")
+        (tmp_path / f"{kind.shard_prefix}-00000.npz").write_bytes(b"orphaned shard")
+        (tmp_path / f"{kind.shard_prefix}-00001.npz.part").write_bytes(b"partial shard")
+        (tmp_path / "tables.npz").write_bytes(b"orphaned tables")
         writer._journal.close()
 
-        resumed = CorpusWriter(tmp_path, shard_size=40, resume=True)
+        resumed = kind.writer(tmp_path, shard_size=40, resume=True)
         assert resumed.sealed_domains() == {"alpha.example"}
         assert resumed.resumed_domains() == {"alpha.example"}
         assert resumed.resumed_rows() == {"alpha.example": rows}
         quarantined = sorted(p.name for p in (tmp_path / "quarantine").iterdir())
-        assert "ghost.example.part" in quarantined
-        assert "shard-00000.npz.part" in quarantined
+        assert quarantined == sorted([
+            "ghost.example.part",
+            f"{kind.shard_prefix}-00000.npz",
+            f"{kind.shard_prefix}-00001.npz.part",
+            "tables.npz",
+        ])
+        resumed._journal.close()
 
-    def test_resumed_crawl_skips_sealed_instances(self, tmp_path):
+    def test_resumed_crawl_skips_sealed_instances(self, tmp_path, kind):
         network = chaos_network()
         minute = network.clock.window_minutes - 1
 
-        first = CorpusWriter(tmp_path / "interrupted", shard_size=40)
-        crawler = TootCrawler(SimulatedTransport(network), threads=2)
-        rows = crawler._page_instance("alpha.example", minute, [], first)
+        first = kind.writer(tmp_path / "interrupted", shard_size=40)
+        rows = kind.crawl_one(network, first, "alpha.example")
         first._journal.close()  # "crash" before the other instances
 
-        resumed_writer = CorpusWriter(tmp_path / "interrupted", shard_size=40, resume=True)
+        resumed_writer = kind.writer(tmp_path / "interrupted", shard_size=40, resume=True)
         transport = SimulatedTransport(network)
-        result = TootCrawler(transport, threads=2).crawl(sink=resumed_writer)
+        result = kind.crawler(transport, threads=2).crawl(sink=resumed_writer)
         assert result.resumed == ["alpha.example"]
-        assert result.toot_counts["alpha.example"] == rows
+        assert getattr(result, kind.counts)["alpha.example"] == rows
         # not a single request went to the sealed instance
         assert "alpha.example" not in transport.stats.by_domain
         resumed_store = resumed_writer.finalise(
@@ -158,36 +197,68 @@ class TestWriterRecovery:
         )
         assert result.coverage().instances_resumed == 1
 
-        clean_writer = CorpusWriter(tmp_path / "clean", shard_size=40)
-        clean = TootCrawler(SimulatedTransport(network), threads=2).crawl(sink=clean_writer)
+        clean_writer = kind.writer(tmp_path / "clean", shard_size=40)
+        clean = kind.crawl(network, clean_writer)
         clean_store = clean_writer.finalise(
             crawl_minute=minute, coverage=clean.coverage().as_dict()
         )
         assert resumed_store.content_digest() == clean_store.content_digest()
         assert not (tmp_path / "interrupted" / JOURNAL_NAME).exists()
 
-    def test_discard_after_resume_forgets_the_instance(self, tmp_path):
+    def test_discard_after_resume_forgets_the_instance(self, tmp_path, kind):
         network = chaos_network()
-        minute = network.clock.window_minutes - 1
-        writer = CorpusWriter(tmp_path, shard_size=40)
-        TootCrawler(SimulatedTransport(network), threads=2)._page_instance(
-            "alpha.example", minute, [], writer
-        )
+        writer = kind.writer(tmp_path, shard_size=40)
+        kind.crawl_one(network, writer, "alpha.example")
         writer._journal.close()
-        resumed = CorpusWriter(tmp_path, shard_size=40, resume=True)
+        resumed = kind.writer(tmp_path, shard_size=40, resume=True)
         resumed.discard_instance("alpha.example")
         assert resumed.sealed_domains() == set()
         assert resumed.resumed_domains() == set()
+        resumed._journal.close()
 
-    def test_coverage_lands_in_manifest_and_store(self, tmp_path):
+    def test_coverage_lands_in_manifest_and_store(self, tmp_path, kind):
         network = chaos_network()
-        writer = CorpusWriter(tmp_path, shard_size=40)
-        result = TootCrawler(SimulatedTransport(network), threads=2).crawl(sink=writer)
+        writer = kind.writer(tmp_path, shard_size=40)
+        result = kind.crawl(network, writer)
         coverage = result.coverage().as_dict()
         store = writer.finalise(crawl_minute=result.crawl_minute, coverage=coverage)
         assert store.coverage == coverage
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["coverage"] == coverage
+
+    def test_finalise_killed_mid_merge_resumes_to_the_clean_store(
+        self, tmp_path, kind, monkeypatch
+    ):
+        network = chaos_network()
+        clean_writer = kind.writer(tmp_path / "clean", shard_size=1)
+        clean = kind.crawl(network, clean_writer)
+        clean_store = clean_writer.finalise(crawl_minute=clean.crawl_minute)
+
+        writer = kind.writer(tmp_path / "killed", shard_size=1)
+        result = kind.crawl(network, writer)
+
+        def crash(target, text):
+            (target.parent / (target.name + ".part")).write_text(text[:10])
+            raise OSError("killed while writing the manifest")
+
+        # the shards and tables are on disk when the manifest write dies
+        monkeypatch.setattr(sharded, "atomic_write_text", crash)
+        with pytest.raises(OSError, match="killed"):
+            writer.finalise(crawl_minute=result.crawl_minute)
+        monkeypatch.undo()
+        writer._journal.close()
+        killed = tmp_path / "killed"
+        orphans = sorted(p.name for p in killed.glob(f"{kind.shard_prefix}-*.npz"))
+        assert len(orphans) > 1 and (killed / "tables.npz").exists()
+
+        resumed = kind.writer(killed, shard_size=1, resume=True)
+        assert resumed.resumed_domains() == set(getattr(result, kind.counts))
+        quarantined = sorted(p.name for p in (killed / "quarantine").iterdir())
+        assert quarantined == sorted(orphans + ["manifest.json.part", "tables.npz"])
+        store = resumed.finalise(crawl_minute=result.crawl_minute)
+        assert store.content_digest() == clean_store.content_digest()
+        assert not (killed / JOURNAL_NAME).exists()
+        assert not (killed / "spool").exists()
 
 
 @pytest.mark.parametrize("shard_size", [1, None])

@@ -5,9 +5,7 @@ every shard size — the composition law (per-step losses are additive
 integer counts across toot ranges) admits no tolerance.  The grid here
 crosses shard sizes {1, a prime, n_toots, n_toots + 7} (the prime forces
 a ragged tail shard) with every placement backend — no-replication,
-unweighted and weighted random, subscription, and dict-backed maps — and
-the ``workers > 1`` thread path, which must be deterministic under any
-thread scheduling because the loss tables are folded in shard order.
+unweighted and weighted random, subscription, and dict-backed maps.
 """
 
 from __future__ import annotations
@@ -157,39 +155,8 @@ class TestShardedEquivalence:
             failures,
             candidate_domains=domains,
             shard_size=PRIME_SHARD,
-            workers=2,
         )
         assert sharded.curves == baseline.curves
-
-
-# -- the parallel path: deterministic under thread scheduling ---------------------
-
-
-class TestWorkers:
-    @pytest.mark.parametrize("shard_size", (1, PRIME_SHARD))
-    def test_threaded_matches_serial_bit_identically(self, corpus, shard_size):
-        _, _, _, failures = corpus
-        placements = backends(corpus)["weighted-random"]
-        serial = availability_curves(placements, failures, shard_size=shard_size)
-        for _ in range(5):  # five runs: thread scheduling must never matter
-            threaded = availability_curves(
-                placements, failures, shard_size=shard_size, workers=3
-            )
-            assert threaded == serial
-
-    def test_workers_alone_trigger_sharding(self, corpus, monkeypatch):
-        _, _, _, failures = corpus
-        placements = backends(corpus)["random"]
-        expected = availability_curves(placements, failures, shard_size=0)
-
-        def forbidden(cls, maps):
-            raise AssertionError("workers>1 on an arrays backend must not build the full matrix")
-
-        monkeypatch.setattr(
-            TootIncidence, "from_placements", classmethod(forbidden)
-        )
-        got = availability_curves(placements, failures, workers=2)
-        assert got == expected
 
 
 # -- auto-shard threshold and knob validation -------------------------------------
@@ -225,12 +192,6 @@ class TestResolution:
         placements = backends(corpus)["random"]
         with pytest.raises(AnalysisError):
             availability_curves(placements, failures, shard_size=-1)
-
-    def test_unsharded_with_workers_is_rejected(self, corpus):
-        _, _, _, failures = corpus
-        placements = backends(corpus)["random"]
-        with pytest.raises(AnalysisError, match="workers > 1 needs shards"):
-            availability_curves(placements, failures, shard_size=0, workers=4)
 
 
 # -- new failure models: correlated groups and temporal schedules -----------------
@@ -284,16 +245,6 @@ class TestNewModelSharding:
             expected = availability_curves(placements, models, shard_size=0)
             got = availability_curves(placements, models, shard_size=shard_size)
             assert got == expected, (label, shard_size)
-
-    @pytest.mark.parametrize("shard_size", (1, PRIME_SHARD))
-    def test_threaded_temporal_matches_serial(self, corpus, shard_size):
-        models = self._models(corpus)
-        placements = backends(corpus)["weighted-random"]
-        serial = availability_curves(placements, models, shard_size=shard_size)
-        threaded = availability_curves(
-            placements, models, shard_size=shard_size, workers=3
-        )
-        assert threaded == serial
 
     def test_temporal_loss_table_matches_monolithic(self, corpus):
         """streaming_losses over tick columns == the monolithic batch, bit for bit."""

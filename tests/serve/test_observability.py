@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -86,6 +88,33 @@ class TestMetricsEndpoint:
         status, _, body = get_raw(http_base, "/metrics")
         assert status == 200
         assert not body.startswith("{")
+
+
+class TestCountedBeforeReply:
+    """A client holding its answer must find its request already counted."""
+
+    REQUESTS = 400
+    TIME_LIMIT_S = 20.0
+
+    def test_counter_never_lags_the_reply(self, http_base):
+        registry = obs.metrics()
+        registry.reset()
+        switch_interval = sys.getswitchinterval()
+        # force thread switches often, so a count recorded after the reply
+        # is written loses the race to this thread's read of the counter
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + self.TIME_LIMIT_S
+            for sent in range(1, self.REQUESTS + 1):
+                assert get_raw(http_base, "/health")[0] == 200
+                counted = registry.counter_value(
+                    "repro_serve_requests_total", endpoint="/health", status="200"
+                )
+                assert counted == sent, f"request {sent} read a count of {counted}"
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            sys.setswitchinterval(switch_interval)
 
 
 class TestStatsVerb:

@@ -61,16 +61,13 @@ class TestParser:
         assert args.json_dir is None
         assert args.preset == "tiny"
         assert args.shard_size is None
-        assert args.workers is None
 
     def test_run_accepts_scale_knobs(self):
         args = build_parser().parse_args(
-            ["run", "fig15", "fig16", "--preset", "large",
-             "--shard-size", "100000", "--workers", "4"]
+            ["run", "fig15", "fig16", "--preset", "large", "--shard-size", "100000"]
         )
         assert args.preset == "large"
         assert args.shard_size == 100_000
-        assert args.workers == 4
 
     def test_run_accepts_churn_knobs(self):
         args = build_parser().parse_args(
@@ -181,13 +178,12 @@ class TestRunCommand:
         out_dir = tmp_path / "sharded"
         assert (
             main(["run", "fig15", "--preset", "tiny", "--seed", "7",
-                  "--shard-size", "13", "--workers", "2", "--json", str(out_dir)])
+                  "--shard-size", "13", "--json", str(out_dir)])
             == 0
         )
         capsys.readouterr()
         payload = json.loads((out_dir / "fig15.json").read_text())
         assert payload["metadata"]["shard_size"] == 13
-        assert payload["metadata"]["workers"] == 2
 
     def test_run_forwards_churn_knobs_into_metadata(self, tmp_path, capsys):
         out_dir = tmp_path / "churned"
@@ -436,6 +432,31 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert str(corpus_dir) in err
         assert "key 'n_toots'" in err
+
+    @pytest.mark.parametrize(
+        "defect",
+        [{"stop": "123"}, {"file": 7}, {"file": "../outside.npz"}],
+        ids=["string-stop", "int-file", "file-outside-store"],
+    )
+    def test_malformed_shard_entry_is_exit_2(self, tmp_path, capsys, defect):
+        corpus_dir = tmp_path / "corp"
+        assert main(["collect", "--corpus", str(corpus_dir), "--preset", "tiny",
+                     "--seed", "3"]) == 0
+        capsys.readouterr()
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        (tmp_path / "outside.npz").write_bytes(
+            (corpus_dir / manifest["shards"][0]["file"]).read_bytes()
+        )
+        manifest["shards"][0].update(defect)
+        (corpus_dir / "manifest.json").write_text(json.dumps(manifest))
+
+        assert main(["serve", str(corpus_dir), "--stdin"]) == 2
+        err = capsys.readouterr().err
+        assert str(corpus_dir) in err and "key 'shards'" in err
+        assert main(["run", "fig15", "--preset", "tiny", "--seed", "3",
+                     "--corpus", str(corpus_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(corpus_dir) in err and "key 'shards'" in err
 
     def test_serve_warm_unknown_strategy_is_exit_2(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corp"
