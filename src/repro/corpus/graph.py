@@ -25,6 +25,8 @@ existing.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -36,9 +38,9 @@ from repro.corpus.sharded import (
     ShardedStore,
     ShardedWriter,
     ShardSink,
+    SpoolFile,
     SpoolReader,
     string_array,
-    write_strings,
 )
 from repro.crawler.graph_crawler import split_handle
 
@@ -61,18 +63,24 @@ class _EdgeSpool:
         self.followed: list[str] = []
 
     def add_edges(self, edges: Iterable[tuple[str, str]]) -> int:
-        added = 0
-        for follower, followed in edges:
-            self.follower.append(str(follower))
-            self.followed.append(str(followed))
-            added += 1
-        return added
+        pairs = edges if isinstance(edges, list) else list(edges)
+        self.follower.extend(map(str, map(itemgetter(0), pairs)))
+        self.followed.extend(map(str, map(itemgetter(1), pairs)))
+        return len(pairs)
 
-    def seal(self, directory: Path) -> None:
-        directory.mkdir(parents=True, exist_ok=True)
-        for name in ("follower", "followed"):
-            write_strings(directory, name, getattr(self, name))
-            setattr(self, name, [])
+    def seal(self, path: Path) -> None:
+        with SpoolFile(path) as spool:
+            for name in ("follower", "followed"):
+                spool.add_strings(name, getattr(self, name))
+                setattr(self, name, [])
+
+    @staticmethod
+    def open(path: Path) -> SpoolReader:
+        """Map a sealed edge spool, checking that both columns agree."""
+        spool = SpoolReader(path, ("follower", "followed"), {})
+        if spool.rows("follower") != spool.rows("followed"):
+            raise spool.error("follower and followed columns disagree on the row count")
+        return spool
 
 
 class GraphStore(ShardedStore):
@@ -275,47 +283,48 @@ class GraphWriter(ShardedWriter):
         """
         nodes = Interner()
         domains = Interner()
-        node_domains: list[int] = []
-
-        def node_code(handle: str) -> int:
-            known = nodes.code.get(handle)
-            if known is None:
-                known = nodes.intern_one(handle)
-                node_domains.append(domains.intern_one(split_handle(handle)[1]))
-            return known
-
+        node_domains: list[np.ndarray] = []
         edges_collected: dict[str, int] = {}
         self_loops = 0
         for domain in sorted(self._sealed):
-            spool = SpoolReader(self._sealed[domain], length_column="follower")
-            n_rows = spool.n_rows
+            spool = _EdgeSpool.open(self._sealed[domain])
+            n_rows = spool.rows("follower")
             edges_collected[domain] = n_rows
             for start in range(0, n_rows, MERGE_CHUNK_ROWS):
                 stop = min(start + MERGE_CHUNK_ROWS, n_rows)
                 followers = spool.strings("follower", start, stop)
                 followed = spool.strings("followed", start, stop)
-                src: list[int] = []
-                dst: list[int] = []
-                for follower, target in zip(followers, followed):
-                    if follower == target:
-                        self_loops += 1
-                        continue
-                    src.append(node_code(follower))
-                    dst.append(node_code(target))
-                if not src:
+                kept = list(map(str.__ne__, followers, followed))
+                n_kept = kept.count(True)
+                self_loops += len(kept) - n_kept
+                if not n_kept:
                     continue
+                # follower before followed within each edge: intern the
+                # interleaved handle sequence, first seen in order
+                handles: list[str] = [""] * (2 * n_kept)
+                handles[0::2] = compress(followers, kept)
+                handles[1::2] = compress(followed, kept)
+                del followers, followed
+                known = len(nodes)
+                codes = nodes.intern(handles)
+                if len(nodes) > known:
+                    node_domains.append(
+                        domains.intern([split_handle(h)[1] for h in nodes.values[known:]])
+                    )
                 sink.add(
-                    len(src),
+                    n_kept,
                     {
-                        "follower_code": np.asarray(src, dtype=np.int32),
-                        "followed_code": np.asarray(dst, dtype=np.int32),
+                        "follower_code": codes[0::2].astype(np.int32),
+                        "followed_code": codes[1::2].astype(np.int32),
                     },
                 )
         sink.flush(everything=True)
 
         tables = dict(
             handles=string_array(nodes.values),
-            node_domains=np.asarray(node_domains, dtype=np.int32),
+            node_domains=(
+                np.concatenate(node_domains) if node_domains else np.empty(0, np.int64)
+            ).astype(np.int32),
             domains=string_array(domains.values),
         )
         fields = {

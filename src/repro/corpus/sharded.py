@@ -25,21 +25,34 @@ and count key, and column queries.
   handle, :meth:`~ShardedStore.nbytes`, :attr:`~ShardedStore.coverage`
   and :meth:`~ShardedStore.content_digest`.
 
-Spools are a private format tuned for the merge: string columns are
-stored as newline-joined UTF-8 bytes plus an ``int64`` offset array (one
-``.npy`` pair per column, written and freed one column at a time), which
-is ~4× smaller than numpy's fixed-width unicode arrays and sliceable by
-row range without decoding the rest.
+Spools are a private format tuned for the merge: one file per instance,
+``spool/<domain>.spool``.  The file holds the member arrays back to
+back (each 8-byte aligned), then a JSON index (member name → dtype,
+shape, offset, nbytes), then a fixed 16-byte trailer (index length +
+magic).  String columns are two members each, newline-joined UTF-8
+bytes plus an ``int64`` offset array, which is ~4× smaller than numpy's
+fixed-width unicode arrays and sliceable by row range without decoding
+the rest.  A seal writes each member as it is encoded, so it holds one
+encoded column at a time; a read maps the file once and hands out
+zero-copy member views.  The spool is read back as untrusted input:
+:class:`SpoolReader` turns any malformed file into a
+:class:`DatasetError` naming it, and ``resume=True`` quarantines such a
+spool (or a spool directory of the older one-``.npy``-per-member
+layout) instead of merging it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import shutil
+import struct
 import threading
 import time
+import zipfile
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterable, Mapping
 
@@ -49,11 +62,24 @@ from repro.errors import DatasetError
 from repro.corpus.journal import JOURNAL_NAME, CrawlJournal
 from repro.corpus.npzmap import open_npz
 
+_log = logging.getLogger("repro.corpus.sharded")
+
 #: File and directory names inside a store.
 MANIFEST_NAME = "manifest.json"
 TABLES_NAME = "tables.npz"
 SPOOL_DIR = "spool"
 QUARANTINE_DIR = "quarantine"
+
+#: A sealed spool is ``spool/<domain>`` plus this suffix.
+SPOOL_SUFFIX = ".spool"
+
+#: The last bytes of every spool file: ``<index length: u64 LE><magic>``.
+SPOOL_TRAILER = struct.Struct("<Q8s")
+SPOOL_MAGIC = b"RSPOOL01"
+
+#: Every spool member starts at a multiple of this many bytes, so the
+#: zero-copy views of ``int64`` members are aligned.
+SPOOL_ALIGN = 8
 
 #: Suffix of in-flight writes (spool seals, shards, manifests); anything
 #: carrying it after a crash is, by construction, a partial write.
@@ -110,63 +136,189 @@ def string_array(values: list[str]) -> np.ndarray:
     return np.asarray(values, dtype=np.str_) if values else np.empty(0, dtype=np.str_)
 
 
-def write_strings(directory: Path, name: str, values: list[str]) -> None:
-    """Persist a string column as newline-joined UTF-8 bytes + offsets.
+class SpoolFile:
+    """Writes one spool file, member by member (see the module docstring).
 
-    ``offsets`` has ``len(values) + 1`` entries; row ``i`` occupies
-    ``data[offsets[i] : offsets[i + 1] - 1]`` (the trailing byte is the
-    separator), so any row range decodes with one slice + split.
+    Use as a context manager: :meth:`add` appends each member as soon as
+    it is encoded (the caller can drop it right after), and a clean exit
+    writes the index and trailer.
     """
-    if not values:
-        np.save(directory / f"{name}_bytes.npy", np.empty(0, dtype=np.uint8))
-        np.save(directory / f"{name}_offsets.npy", np.zeros(1, dtype=np.int64))
-        return
-    data = np.frombuffer("\n".join(values).encode("utf-8"), dtype=np.uint8)
-    separators = np.flatnonzero(data == ord("\n"))
-    if separators.size != len(values) - 1:
-        raise DatasetError(f"corpus {name} values must not contain newlines")
-    offsets = np.empty(len(values) + 1, dtype=np.int64)
-    offsets[0] = 0
-    offsets[1:-1] = separators + 1
-    offsets[-1] = data.size + 1
-    np.save(directory / f"{name}_bytes.npy", data)
-    np.save(directory / f"{name}_offsets.npy", offsets)
+
+    def __init__(self, path: Path) -> None:
+        self._handle = open(path, "wb")
+        self._index: dict[str, dict[str, Any]] = {}
+        self._offset = 0
+
+    def __enter__(self) -> "SpoolFile":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        try:
+            if exc_type is None:
+                index = json.dumps(self._index, sort_keys=True).encode("utf-8")
+                self._handle.write(index)
+                self._handle.write(SPOOL_TRAILER.pack(len(index), SPOOL_MAGIC))
+        finally:
+            self._handle.close()
+
+    def add(self, name: str, array: np.ndarray) -> None:
+        array = np.ascontiguousarray(array)
+        padding = -self._offset % SPOOL_ALIGN
+        self._handle.write(b"\0" * padding)
+        self._offset += padding
+        self._handle.write(array.data)
+        self._index[name] = {
+            "dtype": array.dtype.str,
+            "shape": list(array.shape),
+            "offset": self._offset,
+            "nbytes": array.nbytes,
+        }
+        self._offset += array.nbytes
+
+    def add_strings(self, name: str, values: list[str]) -> None:
+        """A string column as newline-joined UTF-8 bytes + offsets.
+
+        ``{name}_offsets`` has ``len(values) + 1`` entries; row ``i``
+        occupies ``data[offsets[i] : offsets[i + 1] - 1]`` (the trailing
+        byte is the separator), so any row range decodes with one slice
+        + split.
+        """
+        if not values:
+            self.add(f"{name}_bytes", np.empty(0, dtype=np.uint8))
+            self.add(f"{name}_offsets", np.zeros(1, dtype=np.int64))
+            return
+        data = np.frombuffer("\n".join(values).encode("utf-8"), dtype=np.uint8)
+        separators = np.flatnonzero(data == ord("\n"))
+        if separators.size != len(values) - 1:
+            raise DatasetError(f"corpus {name} values must not contain newlines")
+        self.add(f"{name}_bytes", data)
+        offsets = np.empty(len(values) + 1, dtype=np.int64)
+        offsets[0] = 0
+        offsets[1:-1] = separators + 1
+        offsets[-1] = data.size + 1
+        del data, separators
+        self.add(f"{name}_offsets", offsets)
 
 
 class SpoolReader:
-    """Row-range access to one sealed spool without loading it whole.
+    """Zero-copy, row-range access to one sealed spool file.
 
-    ``length_column`` names the string column whose offset table defines
-    the spool's row count (``url`` for toot spools, ``follower`` for
-    edge spools).
+    The file is untrusted input.  It must hold exactly the ``strings``
+    columns (a ``_bytes``/``_offsets`` member pair each) and the
+    ``values`` members with their declared dtypes, every member range
+    must lie inside the file and match its shape, and every string
+    column's offsets must frame its bytes.  Anything else is a
+    :class:`DatasetError` naming the file.  The file is mapped once;
+    :meth:`values` and the string members are views of that mapping.
     """
 
-    def __init__(self, directory: Path, length_column: str) -> None:
-        self._dir = directory
-        self._bytes: dict[str, np.ndarray] = {}
-        self._offsets: dict[str, np.ndarray] = {}
-        self.n_rows = int(self._offset_table(length_column).size - 1)
+    def __init__(
+        self,
+        path: Path,
+        strings: Iterable[str],
+        values: Mapping[str, Any],
+    ) -> None:
+        self.path = path
+        expected = {name: np.dtype(dtype) for name, dtype in values.items()}
+        for name in strings:
+            expected[f"{name}_bytes"] = np.dtype(np.uint8)
+            expected[f"{name}_offsets"] = np.dtype(np.int64)
+        try:
+            mapped = np.memmap(path, dtype=np.uint8, mode="r").view(np.ndarray)
+        except (OSError, ValueError) as exc:
+            raise self.error(f"cannot be mapped ({exc})") from exc
+        self._members = self._parse(mapped, expected)
+        self._rows = {name: self._check_strings(name) for name in strings}
 
-    def _offset_table(self, name: str) -> np.ndarray:
-        if name not in self._offsets:
-            self._offsets[name] = np.load(self._dir / f"{name}_offsets.npy")
-        return self._offsets[name]
+    def error(self, problem: str) -> DatasetError:
+        return DatasetError(f"corrupt spool {self.path}: {problem}")
+
+    def _parse(
+        self, mapped: np.ndarray, expected: Mapping[str, np.dtype]
+    ) -> dict[str, np.ndarray]:
+        size = mapped.size
+        if size < SPOOL_TRAILER.size:
+            raise self.error(f"{size} bytes is shorter than the trailer")
+        index_size, magic = SPOOL_TRAILER.unpack(mapped[-SPOOL_TRAILER.size :].tobytes())
+        if magic != SPOOL_MAGIC:
+            raise self.error("bad trailer magic")
+        data_end = size - SPOOL_TRAILER.size - index_size
+        if data_end < 0:
+            raise self.error(f"index of {index_size} bytes runs past the file start")
+        try:
+            index = json.loads(mapped[data_end : size - SPOOL_TRAILER.size].tobytes())
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise self.error("unreadable index") from exc
+        if not isinstance(index, dict) or set(index) != set(expected):
+            found = sorted(index) if isinstance(index, dict) else type(index).__name__
+            raise self.error(f"unexpected members {found}")
+        members: dict[str, np.ndarray] = {}
+        for name, dtype in expected.items():
+            entry = index[name]
+            if not isinstance(entry, dict):
+                raise self.error(f"member {name!r} has no index entry")
+            shape, offset, nbytes = entry.get("shape"), entry.get("offset"), entry.get("nbytes")
+            if entry.get("dtype") != dtype.str:
+                raise self.error(
+                    f"member {name!r} has dtype {entry.get('dtype')!r}, expected {dtype.str!r}"
+                )
+            if not (
+                isinstance(shape, list)
+                and len(shape) == 1
+                and _has_type(shape[0], int)
+                and shape[0] >= 0
+                and _has_type(offset, int)
+                and _has_type(nbytes, int)
+                and shape[0] * dtype.itemsize == nbytes
+            ):
+                raise self.error(f"member {name!r} has a malformed shape or size")
+            if offset < 0 or offset % SPOOL_ALIGN or offset + nbytes > data_end:
+                raise self.error(
+                    f"member {name!r} range [{offset}, {offset + nbytes}) lies outside "
+                    f"the {data_end} data bytes"
+                )
+            members[name] = mapped[offset : offset + nbytes].view(dtype)
+        return members
+
+    def _check_strings(self, name: str) -> int:
+        """Validate one string column's framing; returns its row count."""
+        data, offsets = self._members[f"{name}_bytes"], self._members[f"{name}_offsets"]
+        rows = offsets.size - 1
+        if rows < 0 or offsets[0] != 0:
+            raise self.error(f"string column {name!r} offsets do not start at 0")
+        if rows == 0:
+            framed = data.size == 0
+        else:
+            framed = (
+                int(offsets[-1]) == data.size + 1
+                and bool(np.all(offsets[1:] > offsets[:-1]))
+                and bool(np.all(data[offsets[1:-1] - 1] == ord("\n")))
+            )
+        if not framed:
+            raise self.error(f"string column {name!r} offsets do not frame its bytes")
+        return rows
+
+    def rows(self, name: str) -> int:
+        """Rows in string column ``name``."""
+        return self._rows[name]
 
     def strings(self, name: str, start: int, stop: int) -> list[str]:
         """Decode rows ``[start, stop)`` of a string column."""
         if stop <= start:
             return []
-        offsets = self._offset_table(name)
-        if name not in self._bytes:
-            self._bytes[name] = np.load(self._dir / f"{name}_bytes.npy", mmap_mode="r")
-        blob = self._bytes[name][int(offsets[start]) : int(offsets[stop]) - 1]
-        parts = np.asarray(blob).tobytes().decode("utf-8").split("\n")
+        offsets = self._members[f"{name}_offsets"]
+        blob = self._members[f"{name}_bytes"][int(offsets[start]) : int(offsets[stop]) - 1]
+        try:
+            parts = str(blob, "utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"string column {name!r} is not UTF-8") from exc
         if len(parts) != stop - start:
-            raise DatasetError(f"corrupt spool string column {name!r} in {self._dir}")
+            raise self.error(f"string column {name!r} has a stray separator")
         return parts
 
     def values(self, name: str) -> np.ndarray:
-        return np.load(self._dir / f"{name}.npy")
+        """A numeric member (a read-only view of the mapping)."""
+        return self._members[name]
 
 
 class Interner:
@@ -185,6 +337,19 @@ class Interner:
             known = self.code[value] = len(self.values)
             self.values.append(value)
         return known
+
+    def intern(self, values: list[str]) -> np.ndarray:
+        """Codes of ``values``, interning unseen ones first-seen in order.
+
+        The lookups run in C (``map`` over ``dict.get``); only the misses
+        take the Python loop.
+        """
+        codes = np.fromiter(
+            map(self.code.get, values, repeat(-1)), np.int64, len(values)
+        )
+        for position in np.flatnonzero(codes < 0).tolist():
+            codes[position] = self.intern_one(values[position])
+        return codes
 
 
 # -- shard flushing -------------------------------------------------------------------
@@ -443,13 +608,41 @@ class ShardedStore:
 
     def _table(self, name: str) -> np.ndarray:
         if self._tables is None:
-            self._tables = open_npz(self.path / self.manifest["tables"], mmap=self.mmap)
+            self._tables = _Archive(self, self.manifest["tables"], "tables")
         return self._tables[name]
 
-    def _open_shard(self, index: int) -> Any:
+    def _open_shard(self, index: int) -> "_Archive":
         """A fresh lazy ``.npz`` handle on shard ``index``."""
-        entry = self.manifest["shards"][index]
-        return open_npz(self.path / entry["file"], mmap=self.mmap)
+        return _Archive(self, self.manifest["shards"][index]["file"], "shard")
+
+
+#: What a damaged ``.npz`` raises: truncation (``BadZipFile``, ``EOFError``),
+#: a failed member CRC (``BadZipFile``), non-zip bytes (``ValueError``).
+_ARCHIVE_ERRORS = (zipfile.BadZipFile, EOFError, OSError, ValueError)
+
+
+class _Archive:
+    """A store's shard or tables ``.npz`` whose read failures are named.
+
+    Opening the file and reading a member both turn a damaged archive
+    into a :class:`DatasetError` naming the store directory and the file,
+    so callers that catch library errors (serve answers 400) never see a
+    raw ``zipfile`` or ``numpy`` exception.
+    """
+
+    def __init__(self, store: ShardedStore, name: str, what: str) -> None:
+        self._where = f"{store.path}: unreadable {store.kind} {what} file {name!r}"
+        try:
+            self._handle = open_npz(store.path / name, mmap=store.mmap)
+        except _ARCHIVE_ERRORS as exc:
+            raise DatasetError(f"{self._where}: {exc}") from exc
+        self.files = list(self._handle.files)
+
+    def __getitem__(self, member: str) -> np.ndarray:
+        try:
+            return self._handle[member]
+        except _ARCHIVE_ERRORS as exc:
+            raise DatasetError(f"{self._where} (member {member!r}): {exc}") from exc
 
 
 # -- the write side ---------------------------------------------------------------------
@@ -466,15 +659,18 @@ class ShardedWriter:
 
     Crash safety: spools seal via temp + atomic rename and are journaled,
     and shards/tables/manifest are written atomically.  ``resume=True``
-    replays the journal of an interrupted run — journal-sealed spools are
-    trusted and reported via :meth:`sealed_domains` (crawlers skip them),
-    while partial writes (unsealed spools, ``*.part`` files, orphaned
-    shards and tables) are moved to a ``quarantine/`` subdirectory rather
-    than silently merged.
+    replays the journal of an interrupted run — journal-sealed spools
+    that read back cleanly are trusted and reported via
+    :meth:`sealed_domains` (crawlers skip them), while everything else
+    (unsealed or unreadable spools, spool directories of the older
+    layout, ``*.part`` files, orphaned shards and tables) is moved to a
+    ``quarantine/`` subdirectory rather than silently merged, and its
+    instance is crawled again.
 
     Subclasses set ``store_class`` (the format) and ``spool_class`` (one
-    instance's buffers, with a ``seal(directory)`` method), and implement
-    :meth:`_merge`.
+    instance's buffers, with a ``seal(path)`` method writing the spool
+    file and an ``open(path)`` classmethod returning its validated
+    :class:`SpoolReader`), and implement :meth:`_merge`.
     """
 
     store_class: ClassVar[type[ShardedStore]]
@@ -515,11 +711,17 @@ class ShardedWriter:
         quarantine_dir = self.path / QUARANTINE_DIR
         if self._spool_dir.exists():
             for entry in sorted(self._spool_dir.iterdir()):
-                if entry.is_dir() and entry.name in trusted:
-                    self._sealed[entry.name] = entry
-                    self._resumed.add(entry.name)
-                    progress = replay.progress.get(entry.name)
-                    self._resumed_rows[entry.name] = progress.rows if progress else 0
+                domain = entry.name[: -len(SPOOL_SUFFIX)]
+                if (
+                    entry.name.endswith(SPOOL_SUFFIX)
+                    and domain in trusted
+                    and entry.is_file()
+                    and self._readable(entry)
+                ):
+                    self._sealed[domain] = entry
+                    self._resumed.add(domain)
+                    progress = replay.progress.get(domain)
+                    self._resumed_rows[domain] = progress.rows if progress else 0
                 else:
                     quarantine(entry, quarantine_dir)
         # an interrupted finalise leaves orphaned output files behind
@@ -530,6 +732,15 @@ class ShardedWriter:
                     quarantine(entry, quarantine_dir)
         if self._resumed:
             self._journal.note("resumed", trusted=sorted(self._resumed))
+
+    def _readable(self, path: Path) -> bool:
+        """Whether a journal-sealed spool file reads back cleanly."""
+        try:
+            self.spool_class.open(path)
+        except DatasetError as exc:
+            _log.warning("quarantining unreadable spool: %s", exc)
+            return False
+        return True
 
     # -- streaming ingestion ---------------------------------------------------
 
@@ -578,7 +789,7 @@ class ShardedWriter:
                 if domain in self._sealed:
                     return
                 spool = self.spool_class(domain)
-            target = self._spool_dir / domain
+            target = self._spool_dir / f"{domain}{SPOOL_SUFFIX}"
             self._sealed[domain] = target
         self._seal(spool, target)
         self._journal.sealed(domain)
@@ -595,7 +806,7 @@ class ShardedWriter:
             sealed = self._sealed.pop(domain, None)
             self._resumed.discard(domain)
         if sealed is not None:
-            shutil.rmtree(sealed, ignore_errors=True)
+            sealed.unlink(missing_ok=True)
         self._journal.discarded(domain)
 
     # -- the merge -------------------------------------------------------------

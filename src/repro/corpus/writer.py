@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import time
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -39,9 +40,9 @@ from repro.corpus.sharded import (
     Interner,
     ShardedWriter,
     ShardSink,
+    SpoolFile,
     SpoolReader,
     string_array,
-    write_strings,
 )
 from repro.corpus.store import CorpusStore
 
@@ -92,6 +93,10 @@ _SPOOL_DTYPES = dict(
     media_attachments=np.int32,
     favourites=np.int32,
 )
+
+#: The spool's string columns: one row per toot, except ``hashtag_flat``
+#: (one row per hashtag, framed by the ``hashtag_indptr`` member).
+_SPOOL_STRINGS = ("url", "account", "author_domain", "hashtag_flat")
 
 
 class _InstanceSpool:
@@ -225,33 +230,53 @@ class _InstanceSpool:
         self.hashtag_flat.extend(hashtag_flat)
         return rows
 
-    def seal(self, directory: Path) -> None:
-        """Write the buffers to a spool directory, one column at a time.
+    def seal(self, path: Path) -> None:
+        """Write the buffers to one spool file, one column at a time.
 
-        Each column's buffer is dropped as soon as it is on disk, so the
-        seal never holds more than one encoded column beyond the raw
+        Each column's buffer is dropped as soon as it is in the file, so
+        the seal never holds more than one encoded column beyond the raw
         page buffers.
         """
-        directory.mkdir(parents=True, exist_ok=True)
-        for name in _SPOOL_VALUE_COLUMNS:
-            parts = [np.asarray(getattr(self, name), _SPOOL_DTYPES[name])]
-            parts += self._value_chunks[name]
-            column = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            np.save(directory / f"{name}.npy", column)
-            setattr(self, name, [])
-            self._value_chunks[name] = []
-        length_parts = [np.asarray(self.hashtag_lengths, np.int64)] + self._length_chunks
-        lengths = (
-            length_parts[0] if len(length_parts) == 1 else np.concatenate(length_parts)
+        with SpoolFile(path) as spool:
+            for name in _SPOOL_VALUE_COLUMNS:
+                parts = [np.asarray(getattr(self, name), _SPOOL_DTYPES[name])]
+                parts += self._value_chunks[name]
+                spool.add(name, parts[0] if len(parts) == 1 else np.concatenate(parts))
+                setattr(self, name, [])
+                self._value_chunks[name] = []
+            length_parts = [np.asarray(self.hashtag_lengths, np.int64)] + self._length_chunks
+            lengths = (
+                length_parts[0] if len(length_parts) == 1 else np.concatenate(length_parts)
+            )
+            indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+            np.cumsum(lengths, out=indptr[1:])
+            spool.add("hashtag_indptr", indptr)
+            self.hashtag_lengths = []
+            self._length_chunks = []
+            for name in _SPOOL_STRINGS:
+                spool.add_strings(name, getattr(self, name))
+                setattr(self, name, [])
+
+    @staticmethod
+    def open(path: Path) -> SpoolReader:
+        """Map a sealed spool file, checking that its columns agree."""
+        spool = SpoolReader(
+            path, _SPOOL_STRINGS, {**_SPOOL_DTYPES, "hashtag_indptr": np.int64}
         )
-        indptr = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        np.save(directory / "hashtag_indptr.npy", indptr)
-        self.hashtag_lengths = []
-        self._length_chunks = []
-        for name in ("url", "account", "author_domain", "hashtag_flat"):
-            write_strings(directory, name, getattr(self, name))
-            setattr(self, name, [])
+        rows = spool.rows("url")
+        if spool.rows("account") != rows or spool.rows("author_domain") != rows or any(
+            spool.values(name).size != rows for name in _SPOOL_VALUE_COLUMNS
+        ):
+            raise spool.error("columns disagree on the row count")
+        indptr = spool.values("hashtag_indptr")
+        if (
+            indptr.size != rows + 1
+            or indptr[0] != 0
+            or indptr[-1] != spool.rows("hashtag_flat")
+            or bool(np.any(indptr[1:] < indptr[:-1]))
+        ):
+            raise spool.error("hashtag_indptr does not frame the hashtag column")
+        return spool
 
 
 class CorpusWriter(ShardedWriter):
@@ -371,14 +396,13 @@ class CorpusWriter(ShardedWriter):
         observed_rows = 0
 
         for domain in sorted(self._sealed):
-            spool = SpoolReader(self._sealed[domain], length_column="url")
-            n_rows = spool.n_rows
+            spool = _InstanceSpool.open(self._sealed[domain])
+            n_rows = spool.rows("url")
             observed_rows += n_rows
             if n_rows == 0:
                 observations[domain] = (0, 0)
                 continue
             collected = domains.intern_one(domain)
-            value_columns = {name: spool.values(name) for name in _SPOOL_VALUE_COLUMNS}
             tag_indptr = spool.values("hashtag_indptr")
             home_observed = 0
 
@@ -387,84 +411,63 @@ class CorpusWriter(ShardedWriter):
                 rows = stop - start
                 urls = spool.strings("url", start, stop)
                 author_domains = spool.strings("author_domain", start, stop)
-                home_mask = np.fromiter(
-                    (value == domain for value in author_domains), np.bool_, rows
-                )
+                home_mask = np.fromiter(map(domain.__eq__, author_domains), np.bool_, rows)
                 home_observed += int(home_mask.sum())
 
-                # URL dedup: the intern table replaces unique_toots()
-                codes = np.empty(rows, dtype=np.int64)
-                new_mask = np.empty(rows, dtype=np.bool_)
-                next_code = len(url_code)
-                for i, url in enumerate(urls):
-                    known = url_code.get(url)
-                    if known is None:
-                        url_code[url] = known = next_code
-                        next_code += 1
-                        new_mask[i] = True
-                    else:
-                        new_mask[i] = False
-                    codes[i] = known
-                replication.ensure(next_code)
+                # URL dedup, first seen wins: known URLs resolve in C, and
+                # only the misses (new URLs, and repeats of a URL that is
+                # new in this chunk) take the Python loop, in row order
+                codes = np.fromiter(map(url_code.get, urls, repeat(-1)), np.int64, rows)
+                new_rows: list[int] = []
+                for row in np.flatnonzero(codes < 0).tolist():
+                    next_code = len(url_code)
+                    codes[row] = code = url_code.setdefault(urls[row], next_code)
+                    if code == next_code:
+                        new_rows.append(row)
+                replication.ensure(len(url_code))
                 remote = ~home_mask
                 if remote.any():
                     replication.add_at(codes[remote])
-                new_rows = np.flatnonzero(new_mask)
-                if not new_rows.size:
+                if not new_rows:
                     continue
-                new_count = int(new_rows.size)
+                new_count = len(new_rows)
+                taken = np.asarray(new_rows, dtype=np.int64)
 
-                home_codes = np.fromiter(
-                    (domains.intern_one(author_domains[i]) for i in new_rows),
-                    np.int64,
-                    new_count,
-                )
+                home_codes = domains.intern(list(map(author_domains.__getitem__, new_rows)))
                 accounts = spool.strings("account", start, stop)
-                author_codes = np.fromiter(
-                    (authors.intern_one(accounts[i]) for i in new_rows),
-                    np.int64,
-                    new_count,
-                )
+                author_codes = authors.intern(list(map(accounts.__getitem__, new_rows)))
                 del accounts, author_domains
 
-                # hashtags: decode the chunk's tag range, keep the new rows
+                # hashtags: decode the chunk's tag range, keep the new rows'
                 chunk_ptr = tag_indptr[start : stop + 1]
-                tag_lo, tag_hi = int(chunk_ptr[0]), int(chunk_ptr[-1])
-                tags = spool.strings("hashtag_flat", tag_lo, tag_hi)
-                lengths = np.diff(chunk_ptr)[new_mask]
-                tag_starts = (chunk_ptr[:-1] - tag_lo)[new_mask]
-                flat_codes = np.fromiter(
-                    (
-                        hashtags.intern_one(tags[position])
-                        for row_start, row_length in zip(
-                            tag_starts.tolist(), lengths.tolist()
-                        )
-                        for position in range(row_start, row_start + row_length)
-                    ),
-                    np.int32,
-                    int(lengths.sum()),
-                )
-                del tags
+                tag_lo = int(chunk_ptr[0])
+                tags = spool.strings("hashtag_flat", tag_lo, int(chunk_ptr[-1]))
+                lengths = (chunk_ptr[1:] - chunk_ptr[:-1])[taken]
                 local_indptr = np.zeros(new_count + 1, dtype=np.int64)
                 np.cumsum(lengths, out=local_indptr[1:])
+                positions = np.repeat(
+                    chunk_ptr[:-1][taken] - tag_lo - local_indptr[:-1], lengths
+                ) + np.arange(local_indptr[-1], dtype=np.int64)
+                flat_codes = hashtags.intern(list(map(tags.__getitem__, positions.tolist())))
+                del tags
 
                 home_toots.ensure(len(domains))
                 home_toots.add_at(home_codes)
-                is_boost = value_columns["is_boost"][start:stop][new_mask]
+                is_boost = spool.values("is_boost")[start:stop][taken]
                 boosts += int(is_boost.sum())
 
                 chunks = {
-                    "url": string_array([urls[i] for i in new_rows]),
+                    "url": string_array(list(map(urls.__getitem__, new_rows))),
                     "home_code": home_codes.astype(np.int32),
                     "author_code": author_codes.astype(np.int32),
                     "collected_code": np.full(new_count, collected, dtype=np.int32),
                     "is_boost": is_boost,
-                    "hashtag_codes": flat_codes,
+                    "hashtag_codes": flat_codes.astype(np.int32),
                     "hashtag_indptr": local_indptr,
                 }
                 for name in _SPOOL_VALUE_COLUMNS:
                     if name != "is_boost":
-                        chunks[name] = value_columns[name][start:stop][new_mask]
+                        chunks[name] = spool.values(name)[start:stop][taken]
                 del urls
                 sink.add(new_count, chunks)
             observations[domain] = (home_observed, n_rows - home_observed)

@@ -565,6 +565,16 @@ class ColumnarScenario:
             self._cache["handles"] = (handles, user_domains)
         return self._cache["handles"]
 
+    def _url_prefixes(self) -> list[str]:
+        """Per-user ``https://<domain>/@user{i}/`` toot-URL prefixes (cached)."""
+        if "url_prefixes" not in self._cache:
+            _, user_domains = self._user_handle_tables()
+            self._cache["url_prefixes"] = [
+                f"https://{domain}/@user{index}/"
+                for index, domain in enumerate(user_domains)
+            ]
+        return self._cache["url_prefixes"]
+
     def _tag_names(self) -> list[str]:
         if "tags" not in self._cache:
             self._cache["tags"] = [
@@ -669,6 +679,7 @@ class ColumnarScenario:
         """
         minute = self.config.window_minutes - 1 if at_minute is None else at_minute
         handles, user_domains = self._user_handle_tables()
+        url_prefixes = self._url_prefixes()
         tag_names = self._tag_names()
         written: dict[str, int] = {}
         for descriptor in sorted(self.descriptors, key=lambda d: d.domain):
@@ -682,21 +693,21 @@ class ColumnarScenario:
             total = int(rows.size)
             for start in range(0, total, chunk_rows):
                 chunk = rows[start : start + chunk_rows]
-                authors = self.toot_author[chunk].astype(np.int64)
+                authors = self.toot_author[chunk].tolist()
                 ids = chunk + 1
                 tags = self.toot_tag[chunk]
                 tagged = tags >= 0
-                urls = [
-                    f"https://{user_domains[author]}/@user{author}/{toot_id}"
-                    for author, toot_id in zip(authors.tolist(), ids.tolist())
-                ]
-                accounts = [handles[author] for author in authors.tolist()]
-                author_domains = [user_domains[author] for author in authors.tolist()]
                 writer.add_columns(
                     domain,
-                    urls=urls,
-                    accounts=accounts,
-                    author_domains=author_domains,
+                    urls=list(
+                        map(
+                            str.__add__,
+                            map(url_prefixes.__getitem__, authors),
+                            map(str, ids.tolist()),
+                        )
+                    ),
+                    accounts=list(map(handles.__getitem__, authors)),
+                    author_domains=list(map(user_domains.__getitem__, authors)),
                     toot_id=ids,
                     created_minute=self.toot_created[chunk],
                     is_boost=self.toot_boost_of[chunk] > 0,
@@ -752,17 +763,22 @@ class ColumnarScenario:
             lo, hi = int(seg[index]), int(seg[index + 1])
             tooting = [u for u in range(lo, hi) if toot_counts[u] > 0]
             tooting.sort(key=lambda u: f"user{u}")  # directory string order
-            added = 0
-            for account in tooting:
-                followers = ordered_src[indptr[account] : indptr[account + 1]]
-                if not followers.size:
-                    continue
-                account_handle = handles[account]
-                added += writer.add_edges(
+            # the instance's edges in one add_edges call (one journal line)
+            accounts = np.asarray(tooting, dtype=np.int64)
+            counts = indptr[accounts + 1] - indptr[accounts]
+            added = int(counts.sum())
+            if added:
+                followers = np.concatenate(
+                    [ordered_src[indptr[a] : indptr[a + 1]] for a in tooting]
+                )
+                followed = np.repeat(accounts, counts)
+                writer.add_edges(
                     domain,
-                    (
-                        (handles[int(follower)], account_handle)
-                        for follower in followers
+                    list(
+                        zip(
+                            map(handles.__getitem__, followers.tolist()),
+                            map(handles.__getitem__, followed.tolist()),
+                        )
                     ),
                 )
             writer.end_instance(domain)

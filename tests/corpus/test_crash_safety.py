@@ -19,12 +19,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import DatasetError
 from repro.corpus import CorpusStore, CorpusWriter, CrawlJournal, GraphWriter
 from repro.corpus import sharded
 from repro.corpus.journal import JOURNAL_NAME
+from repro.corpus.sharded import SPOOL_MAGIC, SPOOL_TRAILER
 from repro.crawler import (
     FaultInjector,
     FaultRates,
@@ -112,11 +114,12 @@ class TestCrawlJournal:
 class WriterKind:
     """One store's writer, crawler and file names, for parametrised tests."""
 
-    def __init__(self, writer, crawler, shard_prefix, counts) -> None:
+    def __init__(self, writer, crawler, shard_prefix, counts, first_column) -> None:
         self.writer = writer
         self.crawler = crawler
         self.shard_prefix = shard_prefix
         self.counts = counts  # the crawl result's per-instance row counts
+        self.first_column = first_column  # a string column of the spool
 
     def crawl_one(self, network, writer, domain: str) -> int:
         """Crawl one instance into ``writer`` (sealing it); returns its rows."""
@@ -130,9 +133,49 @@ class WriterKind:
         return self.crawler(SimulatedTransport(network), threads=2).crawl(sink=writer)
 
 
+    def clean_digest(self, network, directory) -> str:
+        """The content digest of a fault-free, uninterrupted crawl."""
+        writer = self.writer(directory, shard_size=40)
+        result = self.crawl(network, writer)
+        return writer.finalise(crawl_minute=result.crawl_minute).content_digest()
+
+
 WRITER_KINDS = {
-    "corpus": WriterKind(CorpusWriter, TootCrawler, "shard", "toot_counts"),
-    "graph": WriterKind(GraphWriter, FollowerGraphCrawler, "edges", "edge_counts"),
+    "corpus": WriterKind(CorpusWriter, TootCrawler, "shard", "toot_counts", "url"),
+    "graph": WriterKind(GraphWriter, FollowerGraphCrawler, "edges", "edge_counts", "follower"),
+}
+
+
+def split_spool(path: Path) -> tuple[bytes, dict]:
+    """A spool file's member bytes and its decoded index."""
+    data = path.read_bytes()
+    index_size, _ = SPOOL_TRAILER.unpack(data[-SPOOL_TRAILER.size :])
+    data_end = len(data) - SPOOL_TRAILER.size - index_size
+    return data[:data_end], json.loads(data[data_end : -SPOOL_TRAILER.size])
+
+
+def truncate_spool(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def corrupt_trailer(path: Path) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[: -len(SPOOL_MAGIC)] + b"NOTSPOOL")
+
+
+def index_past_eof(path: Path) -> None:
+    members, index = split_spool(path)
+    entry = max(index.values(), key=lambda entry: entry["nbytes"])
+    entry["offset"] = 8 * path.stat().st_size  # aligned, and past the end
+    encoded = json.dumps(index).encode("utf-8")
+    path.write_bytes(members + encoded + SPOOL_TRAILER.pack(len(encoded), SPOOL_MAGIC))
+
+
+#: Ways a journal-sealed spool file can be damaged after its seal.
+SPOOL_DAMAGE = {
+    "truncated": truncate_spool,
+    "bad-trailer": corrupt_trailer,
+    "index-past-eof": index_past_eof,
 }
 
 
@@ -176,6 +219,57 @@ class TestWriterRecovery:
             "tables.npz",
         ])
         resumed._journal.close()
+
+    @pytest.mark.parametrize("damage", sorted(SPOOL_DAMAGE))
+    def test_damaged_sealed_spool_is_quarantined_and_recrawled(
+        self, tmp_path, kind, damage
+    ):
+        network = chaos_network()
+        first = kind.writer(tmp_path / "interrupted", shard_size=40)
+        assert kind.crawl_one(network, first, "alpha.example") > 0
+        first._journal.close()  # "crash" before the other instances
+        SPOOL_DAMAGE[damage](tmp_path / "interrupted" / "spool" / "alpha.example.spool")
+
+        resumed = kind.writer(tmp_path / "interrupted", shard_size=40, resume=True)
+        assert resumed.sealed_domains() == set()
+        quarantined = [p.name for p in (tmp_path / "interrupted" / "quarantine").iterdir()]
+        assert quarantined == ["alpha.example.spool"]
+        result = kind.crawl(network, resumed)
+        assert result.resumed == []
+        store = resumed.finalise(crawl_minute=result.crawl_minute)
+        assert store.content_digest() == kind.clean_digest(network, tmp_path / "clean")
+
+    @pytest.mark.parametrize("damage", sorted(SPOOL_DAMAGE))
+    def test_damaged_sealed_spool_fails_finalise_by_name(self, tmp_path, kind, damage):
+        network = chaos_network()
+        writer = kind.writer(tmp_path, shard_size=40)
+        kind.crawl_one(network, writer, "alpha.example")
+        spool = tmp_path / "spool" / "alpha.example.spool"
+        SPOOL_DAMAGE[damage](spool)
+        with pytest.raises(DatasetError) as excinfo:
+            writer.finalise(crawl_minute=0)
+        assert str(spool) in str(excinfo.value)
+
+    def test_old_layout_spool_directory_is_quarantined(self, tmp_path, kind):
+        network = chaos_network()
+        writer = kind.writer(tmp_path / "interrupted", shard_size=40)
+        kind.crawl_one(network, writer, "alpha.example")
+        # a spool sealed by the older one-.npy-per-member layout
+        old = tmp_path / "interrupted" / "spool" / "beta.example"
+        old.mkdir()
+        np.save(old / f"{kind.first_column}_bytes.npy", np.frombuffer(b"x", np.uint8))
+        np.save(old / f"{kind.first_column}_offsets.npy", np.array([0, 2], np.int64))
+        writer._journal.sealed("beta.example")
+        writer._journal.close()
+
+        resumed = kind.writer(tmp_path / "interrupted", shard_size=40, resume=True)
+        assert resumed.sealed_domains() == {"alpha.example"}
+        quarantined = [p.name for p in (tmp_path / "interrupted" / "quarantine").iterdir()]
+        assert quarantined == ["beta.example"]
+        result = kind.crawl(network, resumed)
+        assert result.resumed == ["alpha.example"]
+        store = resumed.finalise(crawl_minute=result.crawl_minute)
+        assert store.content_digest() == kind.clean_digest(network, tmp_path / "clean")
 
     def test_resumed_crawl_skips_sealed_instances(self, tmp_path, kind):
         network = chaos_network()

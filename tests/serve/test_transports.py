@@ -4,29 +4,49 @@ from __future__ import annotations
 
 import io
 import json
+import shutil
 import threading
 import urllib.error
 import urllib.parse
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
-from repro.serve import build_http_server, serve_stdio
+from repro.serve import AvailabilityService, build_http_server, serve_stdio
 from repro.serve.stdio import _parse_line
 from repro.errors import ReproError
 
 
-@pytest.fixture(scope="module")
-def http_base(service):
+@contextmanager
+def live_server(service):
     """A live threaded server on an ephemeral port, torn down after."""
     server = build_http_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=10)
+    try:
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+@pytest.fixture(scope="module")
+def http_base(service):
+    with live_server(service) as base:
+        yield base
+
+
+@pytest.fixture(scope="module")
+def damaged_service(serve_corpus_dir, serve_graph_dir, tmp_path_factory):
+    """A service over a copy of the corpus whose first shard is cut in half."""
+    corpus = tmp_path_factory.mktemp("damaged") / "corpus"
+    shutil.copytree(serve_corpus_dir, corpus)
+    shard = corpus / "shard-00000.npz"
+    shard.write_bytes(shard.read_bytes()[: shard.stat().st_size // 2])
+    return AvailabilityService(corpus, serve_graph_dir, mmap=True)
 
 
 def http_get(base: str, path: str, **params) -> tuple[int, dict]:
@@ -159,3 +179,22 @@ class TestStdio:
         )
         with pytest.raises(ReproError, match="malformed query token"):
             _parse_line("availability =nope")
+
+
+class TestDamagedStore:
+    """A shard that cannot be read is a named error, not a crash or a 500."""
+
+    QUERY = {"strategy": "no-rep", "failure": "instances/by_toots", "k": "3"}
+
+    def test_stdin_answers_inline_and_keeps_serving(self, damaged_service):
+        line = "availability " + " ".join(f"{k}={v}" for k, v in self.QUERY.items())
+        answers = run_stdio(damaged_service, line, "meta")
+        assert len(answers) == 2
+        assert "shard-00000.npz" in answers[0]["error"]
+        assert "error" not in answers[1]
+
+    def test_http_answers_400(self, damaged_service):
+        with live_server(damaged_service) as base:
+            status, payload = http_get(base, "/availability", **self.QUERY)
+        assert status == 400
+        assert "shard-00000.npz" in payload["error"]
