@@ -63,7 +63,7 @@ class _EdgeSpool:
         self.followed: list[str] = []
 
     def add_edges(self, edges: Iterable[tuple[str, str]]) -> int:
-        pairs = edges if isinstance(edges, list) else list(edges)
+        pairs = list(edges)
         self.follower.extend(map(str, map(itemgetter(0), pairs)))
         self.followed.extend(map(str, map(itemgetter(1), pairs)))
         return len(pairs)

@@ -12,9 +12,10 @@ and count key, and column queries.
   instance buffers into its own spool while it is crawled; a clean
   completion seals the spool to disk (temp + atomic rename) and
   journals it.  ``resume=True`` replays the journal of an interrupted
-  run: journal-sealed spools are trusted, partial writes (unsealed
-  spools, ``*.part`` files, shards and tables orphaned by a crash
-  mid-merge) move to ``quarantine/``.  :meth:`ShardedWriter.finalise`
+  run: journal-sealed spools that read back cleanly are trusted, and
+  everything else (unsealed or unreadable spools, ``*.part`` files,
+  shards and tables orphaned by a crash mid-merge) moves to
+  ``quarantine/``.  :meth:`ShardedWriter.finalise`
   merges the spools in sorted-domain order into fixed-size shards,
   writes tables and manifest atomically, and removes spools and journal
   only after the manifest lands.
@@ -23,7 +24,8 @@ and count key, and column queries.
   :class:`DatasetError` naming the directory and key, and every file it
   names must be a plain file inside the store), shard bounds, the tables
   handle, :meth:`~ShardedStore.nbytes`, :attr:`~ShardedStore.coverage`
-  and :meth:`~ShardedStore.content_digest`.
+  and :meth:`~ShardedStore.content_digest`.  A shard or tables file
+  that cannot be read is a :class:`DatasetError` naming it too.
 
 Spools are a private format tuned for the merge: one file per instance,
 ``spool/<domain>.spool``.  The file holds the member arrays back to

@@ -453,21 +453,18 @@ class CorpusWriter(ShardedWriter):
 
                 home_toots.ensure(len(domains))
                 home_toots.add_at(home_codes)
-                is_boost = spool.values("is_boost")[start:stop][taken]
-                boosts += int(is_boost.sum())
 
                 chunks = {
                     "url": string_array(list(map(urls.__getitem__, new_rows))),
                     "home_code": home_codes.astype(np.int32),
                     "author_code": author_codes.astype(np.int32),
                     "collected_code": np.full(new_count, collected, dtype=np.int32),
-                    "is_boost": is_boost,
                     "hashtag_codes": flat_codes.astype(np.int32),
                     "hashtag_indptr": local_indptr,
                 }
                 for name in _SPOOL_VALUE_COLUMNS:
-                    if name != "is_boost":
-                        chunks[name] = spool.values(name)[start:stop][taken]
+                    chunks[name] = spool.values(name)[start:stop][taken]
+                boosts += int(chunks["is_boost"].sum())
                 del urls
                 sink.add(new_count, chunks)
             observations[domain] = (home_observed, n_rows - home_observed)

@@ -774,11 +774,9 @@ class ColumnarScenario:
                 followed = np.repeat(accounts, counts)
                 writer.add_edges(
                     domain,
-                    list(
-                        zip(
-                            map(handles.__getitem__, followers.tolist()),
-                            map(handles.__getitem__, followed.tolist()),
-                        )
+                    zip(
+                        map(handles.__getitem__, followers.tolist()),
+                        map(handles.__getitem__, followed.tolist()),
                     ),
                 )
             writer.end_instance(domain)
