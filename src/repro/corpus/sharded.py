@@ -189,7 +189,10 @@ class SpoolFile:
             self.add(f"{name}_bytes", np.empty(0, dtype=np.uint8))
             self.add(f"{name}_offsets", np.zeros(1, dtype=np.int64))
             return
-        data = np.frombuffer("\n".join(values).encode("utf-8"), dtype=np.uint8)
+        try:
+            data = np.frombuffer("\n".join(values).encode("utf-8"), dtype=np.uint8)
+        except UnicodeEncodeError as exc:
+            raise DatasetError(f"corpus {name} values must be valid Unicode: {exc}") from exc
         separators = np.flatnonzero(data == ord("\n"))
         if separators.size != len(values) - 1:
             raise DatasetError(f"corpus {name} values must not contain newlines")
@@ -793,7 +796,12 @@ class ShardedWriter:
                 spool = self.spool_class(domain)
             target = self._spool_dir / f"{domain}{SPOOL_SUFFIX}"
             self._sealed[domain] = target
-        self._seal(spool, target)
+        try:
+            self._seal(spool, target)
+        except BaseException:
+            with self._lock:  # nothing was sealed: finalise must not look for it
+                del self._sealed[domain]
+            raise
         self._journal.sealed(domain)
 
     def _seal(self, spool: Any, target: Path) -> None:

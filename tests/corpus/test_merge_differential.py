@@ -246,18 +246,23 @@ def test_graph_merge_matches_build_follower_graph(tmp_path_factory, crawl):
     assert [store.domains[c] for c in store.node_domain_codes] == node_domains
 
 
-def test_a_newline_in_a_spooled_string_is_a_dataset_error(tmp_path):
+@pytest.mark.parametrize("bad", ["https://a.example/1\nhttps://a.example/2", "\ud800"])
+def test_a_string_the_spool_cannot_hold_is_a_dataset_error(tmp_path, bad):
+    """A newline or a lone surrogate fails the seal by name, and nothing is sealed."""
     corpus = CorpusWriter(tmp_path / "corpus")
     corpus.add_columns(
-        "a.example", urls=["https://a.example/1\nhttps://a.example/2"],
+        "a.example", urls=[bad],
         accounts=["u@a.example"], author_domains=["a.example"],
         toot_id=np.array([1]), created_minute=np.array([0]), is_boost=np.array([False]),
         sensitive=np.array([False]), media_attachments=np.array([0]),
         favourites=np.array([0]), hashtag_flat=[], hashtag_lengths=np.array([0]),
     )
-    with pytest.raises(DatasetError, match="newlines"):
+    with pytest.raises(DatasetError, match="corpus url values"):
         corpus.end_instance("a.example")
+    assert corpus.sealed_domains() == set()
+    assert corpus.finalise().n_observations == 0
     graph = GraphWriter(tmp_path / "graph")
-    graph.add_edges("a.example", [("u@a.example", "v@a.\nexample")])
-    with pytest.raises(DatasetError, match="newlines"):
+    graph.add_edges("a.example", [("u@a.example", f"v@{bad}")])
+    with pytest.raises(DatasetError, match="corpus followed values"):
         graph.end_instance("a.example")
+    assert graph.finalise().n_edges == 0
