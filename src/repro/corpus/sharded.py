@@ -224,6 +224,7 @@ class SpoolReader:
         values: Mapping[str, Any],
     ) -> None:
         self.path = path
+        strings = tuple(strings)
         expected = {name: np.dtype(dtype) for name, dtype in values.items()}
         for name in strings:
             expected[f"{name}_bytes"] = np.dtype(np.uint8)

@@ -132,7 +132,6 @@ class WriterKind:
     def crawl(self, network, writer):
         return self.crawler(SimulatedTransport(network), threads=2).crawl(sink=writer)
 
-
     def clean_digest(self, network, directory) -> str:
         """The content digest of a fault-free, uninterrupted crawl."""
         writer = self.writer(directory, shard_size=40)
@@ -249,6 +248,7 @@ class TestWriterRecovery:
         with pytest.raises(DatasetError) as excinfo:
             writer.finalise(crawl_minute=0)
         assert str(spool) in str(excinfo.value)
+        writer._journal.close()
 
     def test_old_layout_spool_directory_is_quarantined(self, tmp_path, kind):
         network = chaos_network()
