@@ -114,12 +114,11 @@ class TestCrawlJournal:
 class WriterKind:
     """One store's writer, crawler and file names, for parametrised tests."""
 
-    def __init__(self, writer, crawler, shard_prefix, counts, first_column) -> None:
+    def __init__(self, writer, crawler, shard_prefix, counts) -> None:
         self.writer = writer
         self.crawler = crawler
         self.shard_prefix = shard_prefix
         self.counts = counts  # the crawl result's per-instance row counts
-        self.first_column = first_column  # a string column of the spool
 
     def crawl_one(self, network, writer, domain: str) -> int:
         """Crawl one instance into ``writer`` (sealing it); returns its rows."""
@@ -132,17 +131,21 @@ class WriterKind:
     def crawl(self, network, writer):
         return self.crawler(SimulatedTransport(network), threads=2).crawl(sink=writer)
 
-    def clean_digest(self, network, directory) -> str:
-        """The content digest of a fault-free, uninterrupted crawl."""
-        writer = self.writer(directory, shard_size=40)
-        result = self.crawl(network, writer)
-        return writer.finalise(crawl_minute=result.crawl_minute).content_digest()
-
 
 WRITER_KINDS = {
-    "corpus": WriterKind(CorpusWriter, TootCrawler, "shard", "toot_counts", "url"),
-    "graph": WriterKind(GraphWriter, FollowerGraphCrawler, "edges", "edge_counts", "follower"),
+    "corpus": WriterKind(CorpusWriter, TootCrawler, "shard", "toot_counts"),
+    "graph": WriterKind(GraphWriter, FollowerGraphCrawler, "edges", "edge_counts"),
 }
+
+#: A string column of each writer's spool (for old-layout spool files).
+SPOOL_STRING_COLUMN = {CorpusWriter: "url", GraphWriter: "follower"}
+
+
+def clean_digest(kind: WriterKind, network, directory) -> str:
+    """The content digest of a fault-free, uninterrupted crawl."""
+    writer = kind.writer(directory, shard_size=40)
+    result = kind.crawl(network, writer)
+    return writer.finalise(crawl_minute=result.crawl_minute).content_digest()
 
 
 def split_spool(path: Path) -> tuple[bytes, dict]:
@@ -236,7 +239,7 @@ class TestWriterRecovery:
         result = kind.crawl(network, resumed)
         assert result.resumed == []
         store = resumed.finalise(crawl_minute=result.crawl_minute)
-        assert store.content_digest() == kind.clean_digest(network, tmp_path / "clean")
+        assert store.content_digest() == clean_digest(kind, network, tmp_path / "clean")
 
     @pytest.mark.parametrize("damage", sorted(SPOOL_DAMAGE))
     def test_damaged_sealed_spool_fails_finalise_by_name(self, tmp_path, kind, damage):
@@ -257,8 +260,9 @@ class TestWriterRecovery:
         # a spool sealed by the older one-.npy-per-member layout
         old = tmp_path / "interrupted" / "spool" / "beta.example"
         old.mkdir()
-        np.save(old / f"{kind.first_column}_bytes.npy", np.frombuffer(b"x", np.uint8))
-        np.save(old / f"{kind.first_column}_offsets.npy", np.array([0, 2], np.int64))
+        column = SPOOL_STRING_COLUMN[kind.writer]
+        np.save(old / f"{column}_bytes.npy", np.frombuffer(b"x", np.uint8))
+        np.save(old / f"{column}_offsets.npy", np.array([0, 2], np.int64))
         writer._journal.sealed("beta.example")
         writer._journal.close()
 
@@ -269,7 +273,7 @@ class TestWriterRecovery:
         result = kind.crawl(network, resumed)
         assert result.resumed == ["alpha.example"]
         store = resumed.finalise(crawl_minute=result.crawl_minute)
-        assert store.content_digest() == kind.clean_digest(network, tmp_path / "clean")
+        assert store.content_digest() == clean_digest(kind, network, tmp_path / "clean")
 
     def test_resumed_crawl_skips_sealed_instances(self, tmp_path, kind):
         network = chaos_network()

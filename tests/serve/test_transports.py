@@ -9,7 +9,6 @@ import threading
 import urllib.error
 import urllib.parse
 import urllib.request
-from contextlib import contextmanager
 
 import pytest
 
@@ -18,25 +17,30 @@ from repro.serve.stdio import _parse_line
 from repro.errors import ReproError
 
 
-@contextmanager
-def live_server(service):
+@pytest.fixture(scope="module")
+def http_base(service):
     """A live threaded server on an ephemeral port, torn down after."""
     server = build_http_server(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
-    try:
-        yield f"http://{host}:{port}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
+    yield f"http://{host}:{port}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
 
 
 @pytest.fixture(scope="module")
-def http_base(service):
-    with live_server(service) as base:
-        yield base
+def damaged_http_base(damaged_service):
+    """The same kind of server over the damaged corpus."""
+    server = build_http_server(damaged_service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    yield f"http://{host}:{port}"
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +197,7 @@ class TestDamagedStore:
         assert "shard-00000.npz" in answers[0]["error"]
         assert "error" not in answers[1]
 
-    def test_http_answers_400(self, damaged_service):
-        with live_server(damaged_service) as base:
-            status, payload = http_get(base, "/availability", **self.QUERY)
+    def test_http_answers_400(self, damaged_http_base):
+        status, payload = http_get(damaged_http_base, "/availability", **self.QUERY)
         assert status == 400
         assert "shard-00000.npz" in payload["error"]
