@@ -1,48 +1,41 @@
-"""Columnar corpus vs the record-list path at the `large` preset (the PR 5 gate).
+"""The columnar corpus at the `large` preset: crawl, merge, placements, reads.
 
-The record path holds every *observation* of the crawl as a
-``TootRecord`` (~14M objects at the ``large`` preset before dedup), then
-dedups into ``TootsDataset`` and builds placements from record lists —
-several GiB of Python objects for a ~1M-toot corpus.  The columnar path
-(:mod:`repro.corpus`) encodes pages into integer column spools as they
-arrive, merges them into on-disk ``.npz`` shards, and builds the same
-placements straight from the columns.  This benchmark drives both paths
-over the same scenario in separate subprocesses and gates two claims:
+Every crawl streams into the columnar corpus (:mod:`repro.corpus`):
+pages are encoded into integer column spools as they arrive, merged
+into on-disk ``.npz`` shards, and placements build straight from the
+columns.  This benchmark measures that path at scale:
 
-1. **identity** — the placement backends (no-replication and seeded
-   random replication) hash identically, so every availability curve
-   downstream is bit-identical;
-2. **memory** — peak RSS of the crawl+placement phase (measured via the
-   Linux ``/proc/self/clear_refs`` high-water-mark reset, so the
-   scenario network baseline is excluded) drops by at least 5×.
+* peak RSS of the crawl+placement phase (measured via the Linux
+  ``/proc/self/clear_refs`` high-water-mark reset, so the scenario
+  network baseline is excluded);
+* crawl, merge and placement (no-replication plus seeded random) times;
+* the on-disk size, and write and read throughput.
 
-It also reports corpus write/read throughput.  Run standalone::
+It checks that every observed row reached the corpus and gates nothing
+else.  Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_corpus_scale.py [--preset large]
 
-The default preset is ``large`` (~1M unique toots; the two subprocesses
-take a few minutes each and the record path needs ~7 GiB RAM).  Use
-``--preset medium`` for a quicker, smaller-footprint run of the same
-gates.
+The default preset is ``large`` (~1M unique toots, a few minutes);
+``--preset medium`` is a quicker, smaller run.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import shutil
-import subprocess
-import sys
 import tempfile
 import time
-from pathlib import Path
 
 PRESET = "large"
 SEED = 7
 N_REPLICAS = 3
 PLACEMENT_SEED = 7
-MIN_MEMORY_RATIO = 5.0
+COLUMNS = (
+    "url", "toot_id", "home_code", "author_code", "collected_code",
+    "created_minute", "is_boost", "sensitive", "media_attachments",
+    "favourites", "hashtag_codes", "hashtag_indptr",
+)
 
 
 # -- phase-scoped peak RSS ---------------------------------------------------------
@@ -69,200 +62,94 @@ def _reset_peak_rss() -> bool:
         return False
 
 
-def _placement_digest(arrays) -> str:
-    """One hash over everything that determines downstream curves."""
-    digest = hashlib.sha256()
-    digest.update(arrays.home.astype("int64").tobytes())
-    digest.update(arrays.replica_indices.astype("int64").tobytes())
-    digest.update(arrays.replica_indptr.astype("int64").tobytes())
-    digest.update("\n".join(arrays.domains).encode())
-    return digest.hexdigest()
+# -- the measured run --------------------------------------------------------------
 
 
-# -- the two phases (run in their own subprocesses) --------------------------------
-
-
-def run_phase(phase: str, preset: str) -> dict:
+def measure(preset: str = PRESET) -> dict:
     from repro import build_scenario
+    from repro.corpus import CorpusWriter
     from repro.crawler import SimulatedTransport, TootCrawler
+    from repro.engine.placement import PlacementArrays
 
     network = build_scenario(preset, seed=SEED)
-    transport = SimulatedTransport(network)
-    crawler = TootCrawler(transport, threads=8)
+    crawler = TootCrawler(SimulatedTransport(network), threads=8)
     candidates = network.domains()
 
     peak_scoped = _reset_peak_rss()
     baseline_kib = _vm_kib("VmRSS:") or 0
-    measured: dict = {"phase": phase, "peak_is_phase_scoped": peak_scoped}
-
-    if phase == "legacy":
-        from repro.core.replication import no_replication, random_replication
-        from repro.datasets import TootsDataset
-
-        start = time.perf_counter()
-        toots = TootsDataset.from_crawl(crawler.crawl())
-        measured["crawl_seconds"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        placements = [
-            no_replication(toots).arrays,
-            random_replication(
-                toots, candidates, N_REPLICAS, seed=PLACEMENT_SEED
-            ).arrays,
-        ]
-        measured["placement_seconds"] = time.perf_counter() - start
-    else:
-        from repro.corpus import CorpusStore, CorpusWriter
-        from repro.engine.placement import PlacementArrays
-
-        corpus_dir = Path(tempfile.mkdtemp(prefix="bench-corpus-"))
+    corpus_dir = tempfile.mkdtemp(prefix="bench-corpus-")
+    try:
         writer = CorpusWriter(corpus_dir)
         start = time.perf_counter()
         result = crawler.crawl(sink=writer)
-        measured["crawl_seconds"] = time.perf_counter() - start
+        crawl_seconds = time.perf_counter() - start
         start = time.perf_counter()
         store = writer.finalise(crawl_minute=result.crawl_minute)
-        measured["finalise_seconds"] = time.perf_counter() - start
-        measured["corpus_bytes"] = store.nbytes()
-        measured["n_shards"] = store.n_shards
+        finalise_seconds = time.perf_counter() - start
+        assert store.n_observations == sum(result.toot_counts.values()), (
+            "the corpus lost observed rows"
+        )
 
         start = time.perf_counter()
-        placements = [
-            PlacementArrays.from_corpus(store, "none"),
-            PlacementArrays.from_corpus(
-                store,
-                "random",
-                candidate_domains=candidates,
-                n_replicas=N_REPLICAS,
-                seed=PLACEMENT_SEED,
-            ),
-        ]
-        measured["placement_seconds"] = time.perf_counter() - start
+        PlacementArrays.from_corpus(store, "none")
+        PlacementArrays.from_corpus(
+            store,
+            "random",
+            candidate_domains=candidates,
+            n_replicas=N_REPLICAS,
+            seed=PLACEMENT_SEED,
+        )
+        placement_seconds = time.perf_counter() - start
 
         # read throughput: one full pass over every column of every shard
         start = time.perf_counter()
-        read_bytes = 0
-        for _, columns in store.iter_columns():
-            for name in ("url", "toot_id", "home_code", "author_code",
-                         "collected_code", "created_minute", "is_boost",
-                         "sensitive", "media_attachments", "favourites",
-                         "hashtag_codes", "hashtag_indptr"):
-                read_bytes += getattr(columns, name).nbytes
-        measured["read_seconds"] = time.perf_counter() - start
-        measured["read_bytes"] = read_bytes
-
-    peak_kib = _vm_kib("VmHWM:") or 0
-    measured["phase_peak_bytes"] = max(0, peak_kib - baseline_kib) * 1024
-    measured["n_toots"] = placements[0].n_toots
-    measured["digests"] = [_placement_digest(arrays) for arrays in placements]
-    if phase == "corpus":
-        shutil.rmtree(corpus_dir, ignore_errors=True)
-    return measured
-
-
-# -- driver ------------------------------------------------------------------------
-
-
-def _spawn(phase: str, preset: str) -> dict:
-    command = [
-        sys.executable, __file__, "--phase", phase, "--preset", preset,
-    ]
-    completed = subprocess.run(
-        command, capture_output=True, text=True, check=False
-    )
-    if completed.returncode != 0:
-        raise RuntimeError(
-            f"{phase} phase failed:\n{completed.stdout}\n{completed.stderr}"
+        read_bytes = sum(
+            getattr(columns, name).nbytes
+            for _, columns in store.iter_columns()
+            for name in COLUMNS
         )
-    return json.loads(completed.stdout.splitlines()[-1])
-
-
-def run_comparison(preset: str = PRESET) -> dict:
-    legacy = _spawn("legacy", preset)
-    corpus = _spawn("corpus", preset)
-    assert legacy["n_toots"] == corpus["n_toots"], (
-        f"corpus dedup diverged: {legacy['n_toots']} vs {corpus['n_toots']} toots"
-    )
-    assert legacy["digests"] == corpus["digests"], (
-        "corpus-built placements are not bit-identical to the record path"
-    )
-    ratio = legacy["phase_peak_bytes"] / max(1, corpus["phase_peak_bytes"])
-    return {
-        "preset": preset,
-        "n_toots": legacy["n_toots"],
-        "legacy_peak_bytes": legacy["phase_peak_bytes"],
-        "corpus_peak_bytes": corpus["phase_peak_bytes"],
-        "memory_ratio": ratio,
-        "peak_is_phase_scoped": bool(
-            legacy["peak_is_phase_scoped"] and corpus["peak_is_phase_scoped"]
-        ),
-        "legacy_crawl_seconds": legacy["crawl_seconds"],
-        "legacy_placement_seconds": legacy["placement_seconds"],
-        "corpus_crawl_seconds": corpus["crawl_seconds"],
-        "corpus_finalise_seconds": corpus["finalise_seconds"],
-        "corpus_placement_seconds": corpus["placement_seconds"],
-        "corpus_bytes": corpus["corpus_bytes"],
-        "corpus_shards": corpus["n_shards"],
-        "write_mib_per_second": corpus["corpus_bytes"]
-        / 2**20
-        / (corpus["crawl_seconds"] + corpus["finalise_seconds"]),
-        "read_seconds": corpus["read_seconds"],
-        "read_mib_per_second": corpus["read_bytes"] / 2**20 / corpus["read_seconds"],
-    }
-
-
-def _assert_gates(measured: dict, min_ratio: float = MIN_MEMORY_RATIO) -> None:
-    if not measured["peak_is_phase_scoped"]:
-        print("  memory gate          : SKIPPED (no /proc/self/clear_refs — "
-              "phase-scoped peak RSS unavailable)")
-        return
-    assert measured["memory_ratio"] >= min_ratio, (
-        f"corpus peak-RSS gate: {measured['memory_ratio']:.1f}x < "
-        f"{min_ratio:.0f}x required"
-    )
+        read_seconds = time.perf_counter() - start
+        peak_kib = _vm_kib("VmHWM:") or 0
+        corpus_bytes = store.nbytes()
+        return {
+            "preset": preset,
+            "n_toots": store.n_toots,
+            "peak_is_phase_scoped": peak_scoped,
+            "corpus_peak_bytes": max(0, peak_kib - baseline_kib) * 1024,
+            "corpus_crawl_seconds": crawl_seconds,
+            "corpus_finalise_seconds": finalise_seconds,
+            "corpus_placement_seconds": placement_seconds,
+            "corpus_bytes": corpus_bytes,
+            "corpus_shards": store.n_shards,
+            "write_mib_per_second": corpus_bytes
+            / 2**20
+            / (crawl_seconds + finalise_seconds),
+            "read_seconds": read_seconds,
+            "read_mib_per_second": read_bytes / 2**20 / read_seconds,
+        }
+    finally:
+        shutil.rmtree(corpus_dir, ignore_errors=True)
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", default=PRESET)
-    parser.add_argument("--phase", choices=("legacy", "corpus"), default=None)
-    parser.add_argument(
-        "--min-memory-ratio",
-        type=float,
-        default=MIN_MEMORY_RATIO,
-        help=(
-            "peak-RSS reduction the gate requires (default 5; the ratio is "
-            "baseline-dominated below the large preset, so smaller smoke runs "
-            "may lower it)"
-        ),
-    )
     args = parser.parse_args(argv)
 
-    if args.phase is not None:
-        print(json.dumps(run_phase(args.phase, args.preset)))
-        return
-
-    measured = run_comparison(args.preset)
-    print(f"columnar corpus vs record lists — '{measured['preset']}' preset, "
+    measured = measure(args.preset)
+    scope = "" if measured["peak_is_phase_scoped"] else " (process lifetime: no clear_refs)"
+    print(f"columnar corpus — '{measured['preset']}' preset, "
           f"{measured['n_toots']:,} unique toots")
-    print("  placements           : corpus == records bit-identically "
-          "(no-rep + seeded random)")
-    print(f"  record-path peak     : {measured['legacy_peak_bytes'] / 2**20:8.1f} MiB "
-          f"(crawl+dataset {measured['legacy_crawl_seconds']:.1f}s, "
-          f"placements {measured['legacy_placement_seconds']:.1f}s)")
-    print(f"  corpus-path peak     : {measured['corpus_peak_bytes'] / 2**20:8.1f} MiB "
-          f"(crawl {measured['corpus_crawl_seconds']:.1f}s, "
+    print(f"  crawl+placement peak : {measured['corpus_peak_bytes'] / 2**20:8.1f} MiB{scope}")
+    print(f"  times                : crawl {measured['corpus_crawl_seconds']:.1f}s, "
           f"merge {measured['corpus_finalise_seconds']:.1f}s, "
-          f"placements {measured['corpus_placement_seconds']:.1f}s)")
-    print(f"  memory reduction     : {measured['memory_ratio']:8.1f}x "
-          f"(required >= {args.min_memory_ratio:.0f}x)")
+          f"placements {measured['corpus_placement_seconds']:.1f}s")
     print(f"  corpus on disk       : {measured['corpus_bytes'] / 2**20:8.1f} MiB "
           f"in {measured['corpus_shards']} shard(s)")
     print(f"  write throughput     : {measured['write_mib_per_second']:8.1f} MiB/s "
           "(crawl + merge, end to end)")
     print(f"  read throughput      : {measured['read_mib_per_second']:8.1f} MiB/s "
           f"(full column pass in {measured['read_seconds']:.2f}s)")
-    _assert_gates(measured, args.min_memory_ratio)
 
     try:
         from benchmarks.perf_log import record
@@ -272,9 +159,8 @@ def main(argv: list[str] | None = None) -> None:
     path = record(
         "corpus_scale",
         {
-            "min_memory_ratio": args.min_memory_ratio,
-            **{key: round(value, 4) if isinstance(value, float) else value
-               for key, value in measured.items()},
+            key: round(value, 4) if isinstance(value, float) else value
+            for key, value in measured.items()
         },
     )
     print(f"  recorded             : {path}")

@@ -26,11 +26,13 @@ or through the harness::
 
 from __future__ import annotations
 
+import tempfile
 import time
 
 import numpy as np
 
 from repro.core.replication import _random_replication_python, random_replication
+from repro.corpus import CorpusWriter
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.toots import TootsDataset
 
@@ -42,25 +44,41 @@ MIN_SPEEDUP = 10.0
 
 
 def synthetic_toots(n_toots: int = N_TOOTS, n_domains: int = N_DOMAINS, seed: int = 1):
-    """A 100k-toot catalogue with a Zipf-like home-instance skew."""
+    """A 100k-toot corpus with a Zipf-like home-instance skew.
+
+    Each toot is observed on its home instance only.  The corpus lives
+    in a temporary directory for as long as the returned dataset; its
+    records are materialised up front, so the legacy loop's timings
+    exclude reading them.
+    """
     rng = np.random.default_rng(seed)
     domains = [f"i{j}.example" for j in range(n_domains)]
     popularity = 1.0 / np.arange(1, n_domains + 1)
     popularity /= popularity.sum()
     homes = rng.choice(n_domains, size=n_toots, p=popularity)
-    records = [
-        TootRecord(
-            toot_id=t,
-            url=f"https://{domains[homes[t]]}/toots/{t}",
-            account=f"u{homes[t]}@{domains[homes[t]]}",
-            author_domain=domains[homes[t]],
-            collected_from=domains[homes[t]],
-            created_at=t,
+    observed: dict[str, list[TootRecord]] = {}
+    for t in range(n_toots):
+        home = domains[homes[t]]
+        observed.setdefault(home, []).append(
+            TootRecord(
+                toot_id=t,
+                url=f"https://{home}/toots/{t}",
+                account=f"u{homes[t]}@{home}",
+                author_domain=home,
+                collected_from=home,
+                created_at=t,
+            )
         )
-        for t in range(n_toots)
-    ]
+    writer = CorpusWriter(tempfile.mkdtemp(prefix="bench-placement-"))
+    for domain, records in observed.items():
+        writer.add_records(domain, records)
+        writer.end_instance(domain)
+    store = writer.finalise()
+    store.delete_when_collected()
+    toots = TootsDataset.from_corpus(store)
+    toots.records()
     weights = {domain: float(w) for domain, w in zip(domains, popularity)}
-    return TootsDataset(records=records), domains, weights
+    return toots, domains, weights
 
 
 def _timed(fn, *args, **kwargs):

@@ -10,7 +10,8 @@ The package is organised in layers:
   crawler, follower-graph crawler) speaking to instances over a simulated
   HTTP transport;
 * :mod:`repro.datasets` — the paper's three datasets plus the Twitter
-  baselines, built from crawler output;
+  baselines, read from the columnar stores the crawlers write
+  (:mod:`repro.corpus`);
 * :mod:`repro.core` — the analyses behind every figure and table;
 * :mod:`repro.engine` — the sparse-matrix failure-simulation engine the
   resilience/replication hot paths (Figs. 11-16) dispatch through;
@@ -27,11 +28,13 @@ Quick start::
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.errors import ReproError
+from repro.errors import DatasetError, ReproError
 from repro.fediverse import FediverseNetwork, ScenarioConfig, ScenarioGenerator, build_scenario
 from repro.crawler import (
     CircuitBreaker,
@@ -85,14 +88,11 @@ class CollectedDatasets:
     toots: TootsDataset
     graphs: GraphDataset
     network: FediverseNetwork
-    #: The columnar corpus behind ``toots`` when the crawl streamed to
-    #: disk (``collect_datasets(..., corpus_dir=...)``); ``None`` on the
-    #: in-memory record path.
-    corpus: "CorpusStore | None" = None
-    #: The on-disk edge-shard store behind ``graphs`` when the follower
-    #: crawl streamed to disk (``collect_datasets(..., graph_dir=...)``);
-    #: ``None`` on the in-memory record path.
-    graph_store: "GraphStore | None" = None
+    #: The columnar corpus the toot crawl streamed into (``toots`` reads it).
+    corpus: "CorpusStore"
+    #: The edge-shard store the follower crawl streamed into (``graphs``
+    #: is rebuilt from its edges).
+    graph_store: "GraphStore"
     #: Fetched-versus-attempted accounting of the toot crawl
     #: (:meth:`CrawlCoverage.as_dict
     #: <repro.crawler.toot_crawler.CrawlCoverage.as_dict>`); ``None``
@@ -126,24 +126,21 @@ def collect_datasets(
     five minutes over fifteen months; the analyses only need the relative
     resolution, and daily probing keeps the default pipeline fast).
 
-    With ``corpus_dir``, the toot crawl streams page by page into a
-    columnar corpus at that directory (:mod:`repro.corpus`) instead of
-    building ``TootRecord`` lists: the returned ``toots`` dataset is
-    corpus-backed (aggregates from columns, records only on demand) and
-    ``corpus`` carries the opened store, so placement construction and
-    availability sweeps run straight from the on-disk columns.  A
-    directory that already holds a corpus manifest (a previous
-    ``collect``) is **reused** instead of re-crawled, after checking its
-    crawled instances belong to this scenario — collect once, run many.
-    ``corpus_shard_size`` overrides the default toots-per-shard split.
-
-    ``graph_dir`` gives the follower crawl the same treatment: edges
-    stream into integer-coded shards (:mod:`repro.corpus.graph`) as each
-    ego network is paged, ``graph_store`` carries the opened store, and
-    the networkx-backed ``graphs`` dataset is rebuilt from the store's
-    decoded edges (identical graph, since the store preserves crawl
-    order).  An existing graph manifest is reused the same way a corpus
-    one is.
+    The toot crawl streams page by page into a columnar corpus
+    (:mod:`repro.corpus`) at ``corpus_dir``, and the follower crawl
+    streams each ego network into an edge-shard store
+    (:mod:`repro.corpus.graph`) at ``graph_dir``; ``corpus`` and
+    ``graph_store`` carry the opened stores.  The ``toots`` dataset
+    answers from the corpus columns, placements and availability sweeps
+    build from them directly, and the networkx-backed ``graphs`` dataset
+    is rebuilt from the store's decoded edges (identical graph, since the
+    store preserves crawl order).  Without a directory, a store is written
+    to a temporary directory that is removed once the store object is
+    garbage-collected, or at interpreter exit.  A directory that already
+    holds a manifest (a previous ``collect``) is **reused** instead of
+    re-crawled, after checking its crawled instances belong to this
+    scenario — collect once, run many.  ``corpus_shard_size`` overrides
+    the default toots-per-shard split.
 
     Resilience knobs: ``fault_rates`` (a
     :class:`~repro.crawler.faults.FaultRates`, or a float total rate
@@ -157,6 +154,8 @@ def collect_datasets(
     instances are never re-crawled; ``politeness_delay`` spaces
     per-instance requests (useful to widen the crash window in tests).
     """
+    from repro.corpus import DEFAULT_CORPUS_SHARD_SIZE, CorpusWriter, GraphWriter
+
     transport = SimulatedTransport(network)
     if fault_rates is not None:
         rates = (
@@ -173,84 +172,74 @@ def collect_datasets(
         )
         transport = ResilientTransport(transport, policy=policy, breaker=breaker)
     monitor = InstanceMonitor(transport, network.domains(), monitor_interval_minutes)
-    log = monitor.run()
-    instances = InstancesDataset.build(network, log)
+    instances = InstancesDataset.build(network, monitor.run())
 
-    toot_crawler = TootCrawler(
-        transport, threads=CRAWL_THREADS, politeness_delay=politeness_delay
+    crawl_options = dict(threads=CRAWL_THREADS, politeness_delay=politeness_delay)
+    corpus, coverage = _collect_store(
+        TootCrawler(transport, **crawl_options),
+        CorpusWriter,
+        corpus_dir,
+        network,
+        resume=resume,
+        shard_size=corpus_shard_size or DEFAULT_CORPUS_SHARD_SIZE,
     )
-    corpus = None
-    coverage = None
-    if corpus_dir is None:
-        crawl = toot_crawler.crawl()
-        toots = TootsDataset.from_crawl(crawl)
-        coverage = crawl.coverage().as_dict()
-    else:
-        from repro.corpus import DEFAULT_CORPUS_SHARD_SIZE, CorpusStore, CorpusWriter
-
-        if (Path(corpus_dir) / "manifest.json").exists():
-            corpus = CorpusStore(corpus_dir)
-            unknown = set(corpus.observations) - set(network.domains())
-            if unknown:
-                from repro.errors import DatasetError
-
-                raise DatasetError(
-                    f"the corpus at {corpus_dir} was crawled from a different "
-                    f"scenario ({len(unknown)} unknown instance domain(s), e.g. "
-                    f"{sorted(unknown)[0]!r}); point --corpus at a fresh directory"
-                )
-            coverage = corpus.coverage
-        else:
-            writer = CorpusWriter(
-                corpus_dir,
-                shard_size=corpus_shard_size or DEFAULT_CORPUS_SHARD_SIZE,
-                resume=resume,
-            )
-            crawl = toot_crawler.crawl(sink=writer)
-            coverage = crawl.coverage().as_dict()
-            corpus = writer.finalise(crawl_minute=crawl.crawl_minute, coverage=coverage)
-        toots = TootsDataset.from_corpus(corpus)
-
-    graph_crawler = FollowerGraphCrawler(
-        transport, threads=CRAWL_THREADS, politeness_delay=politeness_delay
+    graph_store, graph_coverage = _collect_store(
+        FollowerGraphCrawler(transport, **crawl_options),
+        GraphWriter,
+        graph_dir,
+        network,
+        resume=resume,
     )
-    graph_store = None
-    graph_coverage = None
-    if graph_dir is None:
-        graph_crawl = graph_crawler.crawl()
-        graphs = GraphDataset.from_crawl(graph_crawl)
-        graph_coverage = graph_crawl.coverage().as_dict()
-    else:
-        from repro.corpus import GraphStore, GraphWriter
-
-        if (Path(graph_dir) / "manifest.json").exists():
-            graph_store = GraphStore(graph_dir)
-            unknown = set(graph_store.edges_collected) - set(network.domains())
-            if unknown:
-                from repro.errors import DatasetError
-
-                raise DatasetError(
-                    f"the graph store at {graph_dir} was crawled from a different "
-                    f"scenario ({len(unknown)} unknown instance domain(s), e.g. "
-                    f"{sorted(unknown)[0]!r}); point --graph at a fresh directory"
-                )
-            graph_coverage = graph_store.coverage
-        else:
-            writer = GraphWriter(graph_dir, resume=resume)
-            graph_crawl = graph_crawler.crawl(sink=writer)
-            graph_coverage = graph_crawl.coverage().as_dict()
-            graph_store = writer.finalise(
-                crawl_minute=graph_crawl.crawl_minute, coverage=graph_coverage
-            )
-        graphs = GraphDataset.from_edges(graph_store.iter_edge_handles())
-
     return CollectedDatasets(
         instances=instances,
-        toots=toots,
-        graphs=graphs,
+        toots=TootsDataset.from_corpus(corpus),
+        graphs=GraphDataset.from_edges(graph_store.iter_edge_handles()),
         network=network,
         corpus=corpus,
         graph_store=graph_store,
         coverage=coverage,
         graph_coverage=graph_coverage,
     )
+
+
+def _collect_store(
+    crawler: "TootCrawler | FollowerGraphCrawler",
+    writer_class: type,
+    directory: "str | Path | None",
+    network: FediverseNetwork,
+    **writer_options: object,
+) -> "tuple[CorpusStore | GraphStore, dict | None]":
+    """Crawl into a store at ``directory``; returns ``(store, coverage)``.
+
+    A directory that already holds a manifest is opened instead of
+    crawled, once its crawled instances are checked against
+    ``network``.  With no directory, the crawl goes to a temporary one
+    that lives as long as the returned store object (and is removed at
+    once if the crawl or the merge fails).
+    """
+    store_class = writer_class.store_class
+    kind = store_class.kind
+    if directory and (Path(directory) / "manifest.json").exists():
+        store = store_class(directory)
+        crawled = store.observations if kind == "corpus" else store.edges_collected
+        unknown = set(crawled) - set(network.domains())
+        if unknown:
+            raise DatasetError(
+                f"the {kind} store at {directory} was crawled from a different "
+                f"scenario ({len(unknown)} unknown instance domain(s), e.g. "
+                f"{sorted(unknown)[0]!r}); point --{kind} at a fresh directory"
+            )
+        return store, store.coverage
+    path = directory or tempfile.mkdtemp(prefix=f"repro-{kind}-")
+    try:
+        writer = writer_class(path, **writer_options)
+        crawl = crawler.crawl(sink=writer)
+        coverage = crawl.coverage().as_dict()
+        store = writer.finalise(crawl_minute=crawl.crawl_minute, coverage=coverage)
+    except BaseException:
+        if not directory:
+            shutil.rmtree(path, ignore_errors=True)
+        raise
+    if not directory:
+        store.delete_when_collected()
+    return store, coverage

@@ -16,13 +16,13 @@ The CLI is a thin wrapper over the public API: ``run`` dispatches
 through :func:`repro.experiments.run_experiments` (one shared, memoised
 pipeline for any subset of the paper's experiments), ``report`` is a
 view over the same runners' headline scalars, and anything printed here
-can also be produced programmatically.  ``collect --corpus`` and ``run
---corpus`` stream the toot crawl into the columnar corpus store
-(:mod:`repro.corpus`): same curves bit for bit, O(shard) instead of
-O(corpus) Python objects.  ``--graph`` gives the follower crawl the
-same treatment (on-disk edge shards), and ``collect --columnar``
-generates the scenario as numpy columns and streams them straight to
-disk — the only route to the 10M-toot ``xlarge`` preset.
+can also be produced programmatically.  Every crawl streams into the
+columnar corpus store (:mod:`repro.corpus`) and the follower crawl into
+on-disk edge shards, in temporary directories unless ``--corpus DIR`` /
+``--graph DIR`` name them; ``run`` reuses a store that ``collect``
+wrote.  ``collect --columnar`` generates the scenario as numpy columns
+and streams them straight to disk — the only route to the 10M-toot
+``xlarge`` preset.
 
 Resilience: ``--retries`` routes every crawl request through retrying
 transports with per-instance circuit breakers, ``--fault-rate`` injects
@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 import time
 from pathlib import Path
 from typing import Sequence
 
 from repro import build_scenario, collect_datasets, obs
-from repro.crawler import FollowerGraphCrawler, SimulatedTransport, TootCrawler
+from repro.crawler import FollowerGraphCrawler, InstanceMonitor, SimulatedTransport, TootCrawler
 from repro.datasets import Anonymiser, save_edges, save_snapshots, save_toot_records
 from repro.errors import AnalysisError, ConfigurationError, DatasetError
 from repro.experiments import ExperimentContext, has_runner, run_experiments
@@ -325,29 +324,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--corpus",
-        nargs="?",
-        const="",
         default=None,
         metavar="DIR",
         dest="corpus_dir",
         help=(
-            "stream the toot crawl into a columnar corpus and build placements "
-            "from its columns (bit-identical curves, O(shard) memory); with no "
-            "DIR the corpus lives in a temporary directory for the run"
+            "the columnar corpus directory: reused if it holds a corpus (from "
+            "'collect'), else the toot crawl is written there (default: a "
+            "temporary directory)"
         ),
     )
     run.add_argument(
         "--graph",
-        nargs="?",
-        const="",
         default=None,
         metavar="DIR",
         dest="graph_dir",
         help=(
-            "stream the follower crawl into an on-disk edge-shard store and "
-            "read subscription follower sets from it (no networkx on the "
-            "placement path); with no DIR the store lives in a temporary "
-            "directory for the run"
+            "the follower-graph store directory: reused if it holds a store, "
+            "else the follower crawl is written there (default: a temporary "
+            "directory)"
         ),
     )
     run.add_argument(
@@ -483,13 +477,13 @@ def _command_report(args: argparse.Namespace) -> int:
 def _command_export(args: argparse.Namespace) -> int:
     output = Path(args.output_dir)
     network = build_scenario(args.preset, seed=args.seed)
-    data = collect_datasets(network, monitor_interval_minutes=args.monitor_interval)
     transport = SimulatedTransport(network)
+    log = InstanceMonitor(transport, network.domains(), args.monitor_interval).run()
     toot_crawl = TootCrawler(transport, threads=4).crawl()
     graph_crawl = FollowerGraphCrawler(transport, threads=4).crawl()
 
     anonymiser = Anonymiser(salt=args.salt)
-    snapshots = save_snapshots(output / "instance_snapshots.jsonl", data.instances.log)
+    snapshots = save_snapshots(output / "instance_snapshots.jsonl", log)
     toots = save_toot_records(
         output / "toots.jsonl", anonymiser.anonymise_toots(toot_crawl.all_records())
     )
@@ -572,8 +566,9 @@ def _command_collect(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 politeness_delay=args.politeness,
             )
-            store, graph_store = data.corpus, data.graph_store
-            coverage = data.coverage
+            store, coverage = data.corpus, data.coverage
+            # without --graph the graph store was temporary: nothing to report
+            graph_store = data.graph_store if args.graph_dir is not None else None
     except (ConfigurationError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -657,19 +652,6 @@ def _command_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    corpus_dir = args.corpus_dir
-    scratch_corpus = None
-    if corpus_dir == "":
-        scratch_corpus = tempfile.TemporaryDirectory(prefix="repro-corpus-")
-        corpus_dir = scratch_corpus.name
-        print(f"streaming the crawl to a temporary corpus at {corpus_dir}/")
-    graph_dir = args.graph_dir
-    scratch_graph = None
-    if graph_dir == "":
-        scratch_graph = tempfile.TemporaryDirectory(prefix="repro-graph-")
-        graph_dir = scratch_graph.name
-        print(f"streaming the follower crawl to a temporary graph store at {graph_dir}/")
-
     churn_kwargs: dict[str, object] = {}
     if args.churn_ticks is not None:
         churn_kwargs["churn_ticks"] = args.churn_ticks
@@ -680,8 +662,8 @@ def _command_run(args: argparse.Namespace) -> int:
         seed=args.seed,
         monitor_interval_minutes=args.monitor_interval,
         shard_size=args.shard_size,
-        corpus_dir=corpus_dir,
-        graph_dir=graph_dir,
+        corpus_dir=args.corpus_dir,
+        graph_dir=args.graph_dir,
         fault_rate=args.fault_rate,
         fault_seed=args.fault_seed,
         retries=_retry_policy(args),
@@ -692,11 +674,6 @@ def _command_run(args: argparse.Namespace) -> int:
     except (AnalysisError, ConfigurationError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if scratch_corpus is not None:
-            scratch_corpus.cleanup()
-        if scratch_graph is not None:
-            scratch_graph.cleanup()
 
     for result in results.values():
         print(result.render_text())

@@ -29,9 +29,6 @@ class HomeRemotePoint:
 
 def home_remote_series(toots: TootsDataset) -> list[HomeRemotePoint]:
     """Per-instance home/remote toot shares, ordered by home share (Fig. 14)."""
-    compositions = toots.timeline_compositions()
-    if not compositions:
-        raise AnalysisError("the toots dataset has no per-instance observations")
     points = [
         HomeRemotePoint(
             domain=c.domain,
@@ -39,7 +36,7 @@ def home_remote_series(toots: TootsDataset) -> list[HomeRemotePoint]:
             remote_share=c.remote_fraction,
             total_toots=c.total,
         )
-        for c in compositions
+        for c in toots.timeline_compositions()
         if c.total > 0
     ]
     points.sort(key=lambda p: p.home_share)
@@ -59,14 +56,8 @@ def feeder_summary(toots: TootsDataset) -> dict[str, float]:
     under_10 = sum(1 for p in points if p.home_share < 0.10) / len(points)
     fully_remote = sum(1 for p in points if p.home_share == 0.0) / len(points)
 
-    replication = toots.replication_counts()
-    produced: dict[str, int] = {}
-    replicated: dict[str, int] = {}
-    for record in toots.records():
-        produced[record.author_domain] = produced.get(record.author_domain, 0) + 1
-        replicated[record.author_domain] = (
-            replicated.get(record.author_domain, 0) + replication.get(record.url, 0)
-        )
+    produced = toots.toots_per_instance()
+    replicated = toots.replication_per_instance()
     domains = sorted(produced)
     correlation = 0.0
     if len(domains) >= 2:

@@ -14,11 +14,13 @@ copy is still up (the paper assumes a global index such as a DHT to find
 replicas).
 
 Placement construction and availability curves are both computed by the
-sparse-matrix failure-simulation engine: the vectorised builders in
-:mod:`repro.engine.placement` produce an integer-coded
-:class:`~repro.engine.placement.PlacementArrays` backend (one batched
-draw for every toot instead of one ``rng.choice`` per toot), the
-placement map becomes a toot×instance CSR incidence matrix — memoised
+sparse-matrix failure-simulation engine: the strategies below build an
+integer-coded :class:`~repro.engine.placement.PlacementArrays` backend
+from the toots dataset's corpus columns
+(:meth:`PlacementArrays.from_corpus
+<repro.engine.placement.PlacementArrays.from_corpus>`; one batched draw
+for every toot instead of one ``rng.choice`` per toot), the placement
+map becomes a toot×instance CSR incidence matrix — memoised
 per map, see :meth:`repro.engine.incidence.TootIncidence.from_placements`
 — and each removal schedule is one batched reduction.  The pure-Python
 loops are kept as the ``_*_python`` reference implementations the
@@ -119,26 +121,28 @@ class PlacementMap:
         }
 
 
+def _from_corpus(toots: TootsDataset, kind: str, **options) -> PlacementMap:
+    """The placement map of one strategy ``kind``, built from the corpus columns."""
+    from repro.engine.placement import PlacementArrays
+
+    arrays = PlacementArrays.from_corpus(toots.corpus, kind, **options)
+    return PlacementMap(strategy=arrays.strategy, arrays=arrays)
+
+
 def no_replication(toots: TootsDataset) -> PlacementMap:
     """Each toot is stored only on its author's home instance."""
-    from repro.engine.placement import build_no_replication
-
-    arrays = build_no_replication(toots)
-    return PlacementMap(strategy=arrays.strategy, arrays=arrays)
+    return _from_corpus(toots, "none")
 
 
 def subscription_replication(toots: TootsDataset, graphs: GraphDataset) -> PlacementMap:
     """Each toot is replicated to the instances hosting the author's followers.
 
-    Dispatches to the vectorised builder (one pass over the follower
-    graph, array expansion per toot); the original per-record loop is
-    retained as :func:`_subscription_replication_python` and the
-    differential suite holds the two to identical placements.
+    Built in one pass over the follower graph plus array expansion per
+    toot; the original per-record loop is retained as
+    :func:`_subscription_replication_python` and the differential suite
+    holds the two to identical placements.
     """
-    from repro.engine.placement import build_subscription_replication
-
-    arrays = build_subscription_replication(toots, graphs)
-    return PlacementMap(strategy=arrays.strategy, arrays=arrays)
+    return _from_corpus(toots, "subscription", graphs=graphs)
 
 
 def random_replication(
@@ -154,17 +158,19 @@ def random_replication(
     instances with more storage capacity) — the resource-weighted variant
     discussed at the end of Section 5.2.  Placement is one batched draw
     for all toots (Gumbel top-k for the weighted case); see
-    :func:`repro.engine.placement.build_random_replication`.  Seeded
+    :func:`repro.engine.placement.random_arrays_from_columns`.  Seeded
     output is deterministic but differs from the retained
     :func:`_random_replication_python` loop, which consumes the RNG
     stream one toot at a time.
     """
-    from repro.engine.placement import build_random_replication
-
-    arrays = build_random_replication(
-        toots, candidate_domains, n_replicas, seed=seed, weights=weights
+    return _from_corpus(
+        toots,
+        "random",
+        candidate_domains=candidate_domains,
+        n_replicas=n_replicas,
+        seed=seed,
+        weights=weights,
     )
-    return PlacementMap(strategy=arrays.strategy, arrays=arrays)
 
 
 # -- retained pure-Python reference implementations ------------------------------

@@ -45,10 +45,10 @@ the corpus columnar from the first crawled page onward:
   so the sweep streams over exactly the shards the crawl wrote.
 
 The merge order (instances sorted by domain, pages in crawl order,
-first-seen URL wins) reproduces the legacy
-``TootCrawlResult.unique_toots()`` ordering exactly, which is what makes
-corpus-built placements — and every availability curve derived from
-them — bit-identical to the record-list path.
+first-seen URL wins) reproduces ``TootCrawlResult.unique_toots()`` of
+the crawler's record mode exactly; the corpus tests hold the store to
+that reference.  Every dataset, placement and availability curve of the
+pipeline is built from these stores.
 """
 
 from repro.corpus.columns import COLUMN_NAMES, CORPUS_SCHEMA, TootColumns

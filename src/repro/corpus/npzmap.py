@@ -116,7 +116,18 @@ class MappedNpz:
 
 
 def open_npz(path: str | Path, *, mmap: bool = False) -> Any:
-    """Open an ``.npz`` archive eagerly (``np.load``) or memory-mapped."""
+    """Open an ``.npz`` archive eagerly (an ``NpzFile``) or memory-mapped.
+
+    The eager handle owns its file and closes it on ``close()`` or
+    collection, as ``np.load`` arranges; an archive that fails to parse
+    closes the file before the error propagates (``np.load`` would hand
+    it to the garbage collector).
+    """
     if mmap:
         return MappedNpz(path)
-    return np.load(path)
+    handle = open(path, "rb")
+    try:
+        return np.lib.npyio.NpzFile(handle, own_fid=True)
+    except BaseException:
+        handle.close()
+        raise

@@ -1,17 +1,16 @@
 """Placement construction straight from corpus columns.
 
-The record-list builders in :mod:`repro.engine.placement` start from
-``TootsDataset.records()`` — one Python object per toot.  The builders
-here start from a :class:`~repro.corpus.store.CorpusStore` instead: the
-per-toot inputs are the interned ``home_code`` / ``author_code``
-columns, loaded **shard by shard** and remapped into the sorted domain
-universe with one gather per shard, then handed to the exact batched
-cores the record path uses (:func:`random_arrays_from_columns`,
-:func:`subscription_arrays_from_columns`).  Because the corpus preserves
-the legacy de-dup ordering and the cores are shared, the resulting
+Every placement map starts here.  The per-toot inputs are the interned
+``home_code`` / ``author_code`` columns of a
+:class:`~repro.corpus.store.CorpusStore`, loaded **shard by shard** and
+remapped into the sorted domain universe with one gather per shard, then
+handed to the batched cores of :mod:`repro.engine.placement`
+(:func:`random_arrays_from_columns`,
+:func:`subscription_arrays_from_columns`).  No ``TootRecord`` is ever
+built.  Because the corpus keeps the crawl's de-dup order (instances
+sorted by domain, first-seen URL wins), the resulting
 :class:`~repro.engine.placement.PlacementArrays` — seeded draws
-included — are bit-identical to building from records, without a single
-``TootRecord`` ever existing.
+included — are a pure function of the crawl and the strategy.
 
 Every builder stamps the corpus shard boundaries into
 ``PlacementArrays.source_bounds``, so the sweep's auto-sharding
@@ -46,10 +45,9 @@ def _remapped_homes(
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Per-toot home codes in the sorted domain universe, plus the universe.
 
-    The universe is ``sorted(home domains in use ∪ extra_domains)`` —
-    exactly what the record-list builders compute from
-    ``record.author_domain`` — and the per-shard remap is one gather
-    through an intern-code → universe-code table.
+    The universe is ``sorted(home domains in use ∪ extra_domains)``, and
+    the per-shard remap is one gather through an intern-code →
+    universe-code table.
     """
     table = store.domains
     used = np.zeros(table.shape[0], dtype=bool)
@@ -91,8 +89,8 @@ def build_random_replication_from_corpus(
 ) -> PlacementArrays:
     """Each toot is replicated onto ``n_replicas`` random instances.
 
-    One batched Gumbel top-k draw, shared with the record path — same
-    seed, same corpus, same placements, bit for bit.
+    One batched Gumbel top-k draw — same seed, same corpus, same
+    placements, bit for bit.
     """
     candidates = validated_candidates(candidate_domains, n_replicas)
     _require_toots(store)
@@ -115,9 +113,8 @@ def build_subscription_replication_from_corpus(
     """Each toot is replicated to the instances hosting the author's followers.
 
     The corpus ``author_code`` column already encodes authors in
-    first-appearance order — the same coding the record-list builder
-    derives from its accounts pass — so the per-author follower table
-    expands over it directly.  ``graphs`` may be the networkx-backed
+    first-appearance order, so the per-author follower table expands
+    over it directly.  ``graphs`` may be the networkx-backed
     dataset or an on-disk :class:`~repro.corpus.graph.GraphStore`;
     :func:`follower_domain_sets` dispatches and both produce the same
     table, so the placements are identical either way.

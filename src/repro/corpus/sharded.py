@@ -53,6 +53,7 @@ import shutil
 import struct
 import threading
 import time
+import weakref
 import zipfile
 from itertools import repeat
 from pathlib import Path
@@ -190,9 +191,14 @@ class SpoolFile:
             self.add(f"{name}_offsets", np.zeros(1, dtype=np.int64))
             return
         try:
-            data = np.frombuffer("\n".join(values).encode("utf-8"), dtype=np.uint8)
+            encoded = "\n".join(values).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise DatasetError(f"corpus {name} values must be valid Unicode: {exc}") from exc
+        # shards and tables hold fixed-width unicode, which strips trailing
+        # NULs: "x\0" would read back as "x" and collide with it
+        if b"\0" in encoded:
+            raise DatasetError(f"corpus {name} values must not contain NUL characters")
+        data = np.frombuffer(encoded, dtype=np.uint8)
         separators = np.flatnonzero(data == ord("\n"))
         if separators.size != len(values) - 1:
             raise DatasetError(f"corpus {name} values must not contain newlines")
@@ -201,7 +207,7 @@ class SpoolFile:
         offsets[0] = 0
         offsets[1:-1] = separators + 1
         offsets[-1] = data.size + 1
-        del data, separators
+        del encoded, data, separators
         self.add(f"{name}_offsets", offsets)
 
 
@@ -609,6 +615,15 @@ class ShardedStore:
     def _shard_arrays(self, index: int) -> Iterable[np.ndarray]:
         """Shard ``index``'s columns in :attr:`columns` order (for digests)."""
         raise NotImplementedError
+
+    def delete_when_collected(self) -> None:
+        """Remove the store directory once this object is garbage-collected.
+
+        For a store written to a temporary directory: the files live as
+        long as this handle (or anything holding it) does, and are
+        removed at interpreter exit at the latest.
+        """
+        weakref.finalize(self, shutil.rmtree, self.path, ignore_errors=True)
 
     # -- files -------------------------------------------------------------------
 

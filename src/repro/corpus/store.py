@@ -5,9 +5,9 @@
 hands out columns on demand.  Shard ``.npz`` members load lazily — a
 request for one column of one shard reads exactly that member — so the
 working set of any shard-by-shard consumer is O(shard column), never
-O(corpus).  ``TootRecord`` objects are only ever materialised by the
-explicit compatibility iterators (:meth:`CorpusStore.iter_records`),
-which the scale paths never call.
+O(corpus).  ``TootRecord`` objects are only ever materialised by
+:meth:`CorpusStore.iter_records`, behind the record-level accessors of
+:class:`~repro.datasets.toots.TootsDataset`; the analyses never call it.
 """
 
 from __future__ import annotations
@@ -159,9 +159,10 @@ class CorpusStore(ShardedStore):
     def iter_records(self) -> Iterator["TootRecord"]:
         """Materialise ``TootRecord`` objects, streaming shard by shard.
 
-        The compatibility escape hatch for the legacy record API
-        (:meth:`TootsDataset.from_corpus`); the scale paths never call
-        it.  Records reproduce every crawled field, hashtags included.
+        Backs the record-level accessors of
+        :class:`~repro.datasets.toots.TootsDataset` (``records()``,
+        ``toots_by_author`` …); the analyses never call it.  Records
+        reproduce every crawled field, hashtags included.
         """
         from repro.crawler.toot_crawler import TootRecord
 

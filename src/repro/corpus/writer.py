@@ -7,10 +7,9 @@ encoded into per-instance column buffers the moment it arrives (no
 disk when its crawl completes, and :meth:`CorpusWriter.finalise` merges
 the spools — instances in sorted-domain order, pages in crawl order,
 first-seen URL wins — into fixed-size ``.npz`` shards plus intern
-tables and a JSON manifest.  That merge order reproduces the legacy
-``TootCrawlResult.unique_toots()`` ordering exactly, so everything built
-from the corpus (placements, curves) is bit-identical to the
-record-list path.
+tables and a JSON manifest.  That merge order reproduces
+``TootCrawlResult.unique_toots()`` of the crawler's record mode exactly,
+which is the reference the corpus tests check the store against.
 
 Memory model: while crawling, only the pages of in-flight instances are
 buffered (sealed spools live on disk); the merge streams each spool in

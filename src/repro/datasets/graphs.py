@@ -16,12 +16,12 @@ resilience analysis relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import networkx as nx
 
 from repro.errors import DatasetError
-from repro.crawler.graph_crawler import FollowEdgeRecord, GraphCrawlResult
+from repro.crawler.graph_crawler import FollowEdgeRecord
 
 
 def _domain_of(handle: str) -> str:
@@ -97,11 +97,6 @@ class GraphDataset:
             follower_graph=follower_graph,
             federation_graph=build_federation_graph(follower_graph),
         )
-
-    @classmethod
-    def from_crawl(cls, result: GraphCrawlResult) -> "GraphDataset":
-        """Build both graphs from a follower-graph crawl."""
-        return cls.from_edges(result.edges)
 
     # -- user-level views -----------------------------------------------------
 

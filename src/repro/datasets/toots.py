@@ -1,32 +1,24 @@
 """The toots dataset: the de-duplicated catalogue of crawled toots.
 
-Wraps the output of :class:`~repro.crawler.toot_crawler.TootCrawler` with
-the indexes used in Sections 4 and 5: per-author and per-home-instance
-toot counts, boost counts, and the home/remote composition of each
-instance's federated timeline (Fig. 14).
-
-Two backends share this API:
-
-* **records** — the legacy in-memory path (:meth:`TootsDataset.from_crawl`),
-  which dedups and indexes ``TootRecord`` objects eagerly;
-* **corpus** — :meth:`TootsDataset.from_corpus` over a columnar
-  :class:`~repro.corpus.store.CorpusStore`.  Aggregate accessors
-  (counts, compositions, per-instance/per-author totals) answer straight
-  from the corpus manifest and columns; only the record-level accessors
-  (``records()``, ``toots_by_author`` …) materialise ``TootRecord``
-  objects, lazily and once, which keeps the scale paths object-free
-  while the record API keeps working for small presets.
+Reads the columnar :class:`~repro.corpus.store.CorpusStore` the toot
+crawl streamed into and serves the indexes used in Sections 4 and 5:
+per-author and per-home-instance toot counts, boost counts, the
+home/remote composition of each instance's federated timeline and the
+replication counts behind Fig. 14.  Aggregates answer straight from the
+corpus manifest and columns.  Only the record-level accessors
+(``records()``, ``toots_by_author`` …) materialise ``TootRecord``
+objects, lazily and once, so the analyses never build them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.crawler.toot_crawler import TootCrawlResult, TootRecord
+from repro.crawler.toot_crawler import TootRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.corpus.store import CorpusStore
@@ -63,86 +55,34 @@ class TimelineComposition:
 class TootsDataset:
     """The de-duplicated toot catalogue plus per-instance observations."""
 
-    def __init__(
-        self,
-        records: Iterable[TootRecord] | None = None,
-        observed_by_instance: Mapping[str, Iterable[TootRecord]] | None = None,
-        crawl_minute: int = 0,
-        *,
-        corpus: "CorpusStore | None" = None,
-    ) -> None:
-        self.crawl_minute = crawl_minute
-        self.corpus = corpus
-        self._records: dict[str, TootRecord] | None = None
-        self._by_author: dict[str, list[TootRecord]] | None = None
-        self._by_home_instance: dict[str, list[TootRecord]] | None = None
-        self._observed_by_instance: dict[str, list[TootRecord]] = {}
-        if corpus is not None:
-            if records is not None or observed_by_instance is not None:
-                raise DatasetError("pass records or a corpus backend, not both")
-            if corpus.n_toots == 0:
-                raise DatasetError("cannot build a toots dataset with no records")
-            return
-        if records is None:
-            raise DatasetError("a toots dataset needs records or a corpus backend")
-        self._observed_by_instance = {
-            domain: list(observations)
-            for domain, observations in (observed_by_instance or {}).items()
-        }
-        self._index(records)
-
-    def _index(self, records: Iterable[TootRecord]) -> None:
-        unique: dict[str, TootRecord] = {}
-        for record in records:
-            unique.setdefault(record.url, record)
-        if not unique:
+    def __init__(self, corpus: "CorpusStore") -> None:
+        if corpus.n_toots == 0:
             raise DatasetError("cannot build a toots dataset with no records")
-        self._records = unique
-        self._by_author = {}
-        self._by_home_instance = {}
-        for record in unique.values():
-            self._by_author.setdefault(record.account, []).append(record)
-            self._by_home_instance.setdefault(record.author_domain, []).append(record)
-
-    def _materialise(self) -> None:
-        """Build the record-level indexes from the corpus (lazily, once)."""
-        if self._records is None:
-            self._index(self.corpus.iter_records())
-
-    # -- construction -----------------------------------------------------------
-
-    @classmethod
-    def from_crawl(cls, result: TootCrawlResult) -> "TootsDataset":
-        """Build the dataset from a :class:`TootCrawlResult`.
-
-        Consumes :meth:`TootCrawlResult.iter_records` — the records
-        stream straight into the dedup index without first being copied
-        into one corpus-sized ``all_records()`` list.
-        """
-        return cls(
-            records=result.iter_records(),
-            observed_by_instance=result.records_by_instance,
-            crawl_minute=result.crawl_minute,
-        )
+        self.corpus = corpus
+        self.crawl_minute = corpus.crawl_minute
+        self._records: dict[str, TootRecord] | None = None
+        self._by_author: dict[str, list[TootRecord]] = {}
+        self._by_home_instance: dict[str, list[TootRecord]] = {}
 
     @classmethod
     def from_corpus(cls, store: "CorpusStore") -> "TootsDataset":
-        """Wrap a columnar corpus without materialising any records.
+        """Wrap a columnar corpus without materialising any records."""
+        return cls(store)
 
-        Aggregates answer from the corpus columns/manifest; record-level
-        accessors materialise lazily.  Note the columnar format stores
-        every crawled field, so materialised records are identical to
-        the ones :meth:`from_crawl` would have produced — only the
-        per-instance *observation lists* (duplicate copies) are reduced
-        to their home/remote counts.
-        """
-        return cls(corpus=store, crawl_minute=store.crawl_minute)
+    def _materialise(self) -> None:
+        """Build the record-level indexes from the corpus (lazily, once)."""
+        if self._records is not None:
+            return
+        records: dict[str, TootRecord] = {}
+        for record in self.corpus.iter_records():
+            records[record.url] = record
+            self._by_author.setdefault(record.account, []).append(record)
+            self._by_home_instance.setdefault(record.author_domain, []).append(record)
+        self._records = records
 
     # -- basic accessors -----------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._records is not None:
-            return len(self._records)
         return self.corpus.n_toots
 
     def records(self) -> list[TootRecord]:
@@ -152,21 +92,15 @@ class TootsDataset:
 
     def authors(self) -> list[str]:
         """Every distinct author handle."""
-        if self._by_author is None:
-            return sorted(self.corpus.authors.tolist())
-        return sorted(self._by_author)
+        return sorted(self.corpus.authors.tolist())
 
     def author_count(self) -> int:
         """Number of distinct authors in the catalogue."""
-        if self._by_author is None:
-            return int(self.corpus.authors.shape[0])
-        return len(self._by_author)
+        return int(self.corpus.authors.shape[0])
 
     def home_instances(self) -> list[str]:
         """Every instance that authored at least one crawled toot."""
-        if self._by_home_instance is None:
-            return sorted(self.corpus.home_toot_counts)
-        return sorted(self._by_home_instance)
+        return sorted(self.corpus.home_toot_counts)
 
     def toots_by_author(self, account: str) -> list[TootRecord]:
         """Toots authored by ``account``."""
@@ -180,25 +114,19 @@ class TootsDataset:
 
     def toots_per_instance(self) -> dict[str, int]:
         """Home-toot count per instance."""
-        if self._by_home_instance is None:
-            return self.corpus.home_toot_counts
-        return {domain: len(records) for domain, records in self._by_home_instance.items()}
+        return self.corpus.home_toot_counts
 
     def toots_per_author(self) -> dict[str, int]:
         """Toot count per author handle."""
-        if self._by_author is None:
-            counts = np.zeros(self.corpus.authors.shape[0], dtype=np.int64)
-            for index in range(self.corpus.n_shards):
-                codes = self.corpus.shard_column(index, "author_code")
-                counts += np.bincount(codes, minlength=counts.size)
-            return dict(zip(self.corpus.authors.tolist(), counts.tolist()))
-        return {account: len(records) for account, records in self._by_author.items()}
+        counts = np.zeros(self.corpus.authors.shape[0], dtype=np.int64)
+        for index in range(self.corpus.n_shards):
+            codes = self.corpus.shard_column(index, "author_code")
+            counts += np.bincount(codes, minlength=counts.size)
+        return dict(zip(self.corpus.authors.tolist(), counts.tolist()))
 
     def boost_count(self) -> int:
         """Number of boosts in the catalogue."""
-        if self._records is None:
-            return self.corpus.n_boosts
-        return sum(1 for record in self._records.values() if record.is_boost)
+        return self.corpus.n_boosts
 
     def original_toots(self) -> list[TootRecord]:
         """Toots that are not boosts."""
@@ -219,29 +147,14 @@ class TootsDataset:
 
     def observed_instances(self) -> list[str]:
         """Instances whose federated timeline was crawled."""
-        if self.corpus is not None:
-            return sorted(self.corpus.observations)
-        return sorted(self._observed_by_instance)
+        return sorted(self.corpus.observations)
 
     def timeline_composition(self, domain: str) -> TimelineComposition:
         """Home/remote composition of one instance's federated timeline."""
-        if self.corpus is not None:
-            counts = self.corpus.observations.get(domain)
-            if counts is None:
-                raise DatasetError(f"no federated-timeline observations for {domain!r}")
-            return TimelineComposition(
-                domain=domain, home_toots=counts[0], remote_toots=counts[1]
-            )
-        observations = self._observed_by_instance.get(domain)
-        if observations is None:
+        counts = self.corpus.observations.get(domain)
+        if counts is None:
             raise DatasetError(f"no federated-timeline observations for {domain!r}")
-        composition = TimelineComposition(domain=domain)
-        for record in observations:
-            if record.author_domain == domain:
-                composition.home_toots += 1
-            else:
-                composition.remote_toots += 1
-        return composition
+        return TimelineComposition(domain=domain, home_toots=counts[0], remote_toots=counts[1])
 
     def timeline_compositions(self) -> list[TimelineComposition]:
         """Home/remote composition for every observed instance."""
@@ -252,15 +165,22 @@ class TootsDataset:
 
         This quantifies how widely each toot was already replicated onto
         federated timelines at crawl time (used to motivate Section 5.2).
-        The corpus backend answers from the counters accumulated at
-        write time (URL strings stream shard by shard).
+        The counters were accumulated at write time; the URL strings
+        stream shard by shard.
         """
-        if self.corpus is not None:
-            counts = self.corpus.replication_counts().tolist()
-            return dict(zip(self.corpus.urls(), counts))
-        counts = {url: 0 for url in self._records}
-        for domain, observations in self._observed_by_instance.items():
-            for record in observations:
-                if record.author_domain != domain and record.url in counts:
-                    counts[record.url] += 1
-        return counts
+        counts = self.corpus.replication_counts().tolist()
+        return dict(zip(self.corpus.urls(), counts))
+
+    def replication_per_instance(self) -> dict[str, int]:
+        """Per home instance: the remote copies of its toots, summed.
+
+        One gather of the ``replication_counts`` table through each
+        shard's ``home_code`` column; keyed like :meth:`toots_per_instance`.
+        """
+        corpus = self.corpus
+        replication = corpus.replication_counts()
+        totals = np.zeros(corpus.domains.shape[0], dtype=np.int64)
+        for index, (start, stop) in enumerate(corpus.shard_bounds()):
+            np.add.at(totals, corpus.shard_column(index, "home_code"), replication[start:stop])
+        by_domain = dict(zip(corpus.domains.tolist(), totals.tolist()))
+        return {domain: by_domain[domain] for domain in corpus.home_toot_counts}

@@ -4,9 +4,10 @@ The engine is the vectorised substrate under :mod:`repro.core.replication`
 and :mod:`repro.core.resilience`.  It models the expensive objects once —
 
 * :class:`PlacementArrays` — integer-coded placements (per-toot home
-  codes plus replica CSR arrays) produced by the vectorised builders in
-  :mod:`repro.engine.placement`: batched random draws (Gumbel top-k for
-  the weighted case) and a one-pass subscription builder;
+  codes plus replica CSR arrays) built from a columnar corpus by
+  :meth:`PlacementArrays.from_corpus` (:mod:`repro.engine.placement`):
+  batched random draws (Gumbel top-k for the weighted case) and a
+  one-pass subscription expansion;
 * :class:`TootIncidence` — a toot×instance CSR incidence matrix built
   from a :class:`~repro.core.replication.PlacementMap` (plus an
   instance→AS assignment vector), assembled directly from the arrays
@@ -50,12 +51,7 @@ from repro.engine.sharding import (
     sharded_availability_curves,
     streaming_losses,
 )
-from repro.engine.placement import (
-    PlacementArrays,
-    build_no_replication,
-    build_random_replication,
-    build_subscription_replication,
-)
+from repro.engine.placement import PlacementArrays
 from repro.engine.kernels import (
     availability_curve_array,
     availability_curves_batch,
@@ -64,7 +60,6 @@ from repro.engine.kernels import (
     kill_steps_batch,
     losses_per_step,
     losses_per_step_batch,
-    losses_per_step_rows,
     temporal_availability_from_counts,
     temporal_removal_matrix,
 )
@@ -110,14 +105,10 @@ __all__ = [
     "availability_curves",
     "availability_curves_batch",
     "availability_from_losses",
-    "build_no_replication",
-    "build_random_replication",
-    "build_subscription_replication",
     "kill_steps",
     "kill_steps_batch",
     "losses_per_step",
     "losses_per_step_batch",
-    "losses_per_step_rows",
     "random_strategy_grid",
     "ranked_removal_sweep_matrix",
     "run_availability_sweep",

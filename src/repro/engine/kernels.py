@@ -170,41 +170,6 @@ def losses_per_step_batch(
     return losses
 
 
-def losses_per_step_rows(
-    matrix: sparse.csr_matrix,
-    rows: np.ndarray,
-    removal_matrix: np.ndarray,
-    steps_per_schedule: np.ndarray,
-) -> np.ndarray:
-    """:func:`losses_per_step_batch` restricted to a subset of rows.
-
-    The per-query kernel of the serving layer: a single user or instance
-    holds a sliver of the corpus, so the gather/reduceat pass runs over a
-    CSR view of just those rows — O(subset nnz) per schedule instead of
-    O(corpus nnz).  Rows may repeat and appear in any order; the loss
-    counts match slicing the full matrix to the same rows exactly.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 1 or rows.size == 0:
-        raise AnalysisError("rows must be a non-empty 1-D index array")
-    if rows.min() < 0 or rows.max() >= matrix.shape[0]:
-        raise AnalysisError("row indices fall outside the incidence matrix")
-    indptr = matrix.indptr
-    lengths = (indptr[rows + 1] - indptr[rows]).astype(np.int64)
-    sub_indptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=sub_indptr[1:])
-    total = int(sub_indptr[-1])
-    positions = (
-        np.repeat(indptr[rows].astype(np.int64) - sub_indptr[:-1], lengths)
-        + np.arange(total, dtype=np.int64)
-    )
-    subset = sparse.csr_matrix(
-        (np.ones(total, dtype=np.int8), matrix.indices[positions], sub_indptr),
-        shape=(rows.size, matrix.shape[1]),
-    )
-    return losses_per_step_batch(subset, removal_matrix, steps_per_schedule)
-
-
 def temporal_removal_matrix(down: np.ndarray) -> np.ndarray:
     """Encode a per-tick down matrix as single-step schedule columns.
 

@@ -1,20 +1,22 @@
 """Vectorised placement builders: integer-coded placements for the engine.
 
 The Figs. 15-16 experiments build a placement map per strategy before any
-failure is simulated; with the availability kernels batched (PR 1), that
-construction was the remaining per-toot Python loop in the pipeline.
-This module replaces it with whole-array operations:
+failure is simulated.  This module builds them with whole-array
+operations over integer columns, never one Python object per toot:
 
 * :class:`PlacementArrays` — the integer-coded placement backend: one
   home-domain code per toot plus a CSR-style ``(replica_indices,
   replica_indptr)`` pair of replica codes.  The engine's
   :class:`~repro.engine.incidence.TootIncidence` consumes it directly,
-  with no dict-of-frozensets round trip;
-* :func:`build_no_replication` — the home array, nothing else;
-* :func:`build_subscription_replication` — one pass over the follower
-  graph to precompute the author→follower-domain table, then pure array
-  expansion per toot;
-* :func:`build_random_replication` — one batched draw for every toot,
+  with no dict-of-frozensets round trip.
+  :meth:`PlacementArrays.from_corpus` is the one way to build it: the
+  per-toot home and author codes come from a columnar corpus, shard by
+  shard (:mod:`repro.corpus.placement`), and the replica arrays from
+  the two cores below;
+* :func:`subscription_arrays_from_columns` — the author→follower-domain
+  table (:func:`follower_domain_sets`, one pass over the follower
+  graph's edges), then pure array expansion per toot;
+* :func:`random_arrays_from_columns` — one batched draw for every toot,
   built on Gumbel top-k sampling: perturbing the log-weights with i.i.d.
   Gumbel noise and keeping the k largest keys per row samples without
   replacement with probabilities proportional to the weights — exactly
@@ -36,13 +38,13 @@ row's home code, so ``holders(t) = {home[t]} ∪ replicas[t]`` has
 
 The pure-Python reference loops live on in
 :mod:`repro.core.replication` as ``_*_python`` functions; the
-differential suite (``tests/engine/test_placement.py``) holds these
-builders to exact equality where the strategy is deterministic and to
-equivalent replica-count distributions for the random draws.  Note the
-batched draw consumes the RNG stream in a different order than the
-legacy one-``rng.choice``-per-toot loop, so seeded *random* placements
-legitimately differ from the legacy loop toot-by-toot while remaining
-deterministic per seed.
+differential suite (``tests/engine/test_placement.py``) holds the
+corpus-built placements to exact equality where the strategy is
+deterministic and to equivalent replica-count distributions for the
+random draws.  Note the batched draw consumes the RNG stream in a
+different order than the legacy one-``rng.choice``-per-toot loop, so
+seeded *random* placements legitimately differ from the legacy loop
+toot-by-toot while remaining deterministic per seed.
 """
 
 from __future__ import annotations
@@ -74,13 +76,12 @@ class PlacementArrays:
     ``replica_indices[replica_indptr[t]:replica_indptr[t + 1]]`` are the
     codes of toot ``t``'s replicas beyond its home instance.
 
-    ``toot_urls`` is any sequence — a tuple for the record-built
-    backends, or the lazy :class:`~repro.corpus.store.CorpusUrls` view
-    for corpus-built ones, so the scale paths (which only ever read
-    codes) never materialise the URL strings.  ``source_bounds`` carries
-    the corpus shard boundaries when the backend was built from a
-    columnar store; the sweep's auto-sharding streams over exactly those
-    shards (:func:`repro.engine.sweep._resolve_sharding`).
+    ``toot_urls`` is any sequence; corpus-built backends hold the lazy
+    :class:`~repro.corpus.store.CorpusUrls` view, so the scale paths
+    (which only ever read codes) never materialise the URL strings.
+    ``source_bounds`` carries the corpus shard boundaries; the sweep's
+    auto-sharding streams over exactly those shards
+    (:func:`repro.engine.sweep._resolve_sharding`).
     """
 
     strategy: str
@@ -217,10 +218,9 @@ class PlacementArrays:
         ``kind`` selects the strategy (``"none"`` / ``"subscription"`` /
         ``"random"``, mirroring :class:`~repro.engine.sweep.StrategySpec`).
         Home codes come from remapping the store's interned home column
-        shard by shard; the random/subscription replica construction
-        shares the exact batched cores of the record-list builders, so
-        the output — draws included — is bit-identical to building from
-        ``TootsDataset`` records.
+        shard by shard into the sorted domain universe; the replica
+        arrays come from :func:`subscription_arrays_from_columns` and
+        :func:`random_arrays_from_columns`.
         """
         from repro.corpus.placement import (
             build_no_replication_from_corpus,
@@ -252,41 +252,14 @@ def _encode(values: Sequence[str], code: Mapping[str, int]) -> np.ndarray:
     )
 
 
-def _toot_columns(toots: "TootsDataset") -> tuple[tuple[str, ...], list[str], list[str]]:
-    """One pass over the records: urls, author handles, home domains."""
-    records = toots.records()
-    urls = tuple(record.url for record in records)
-    accounts = [record.account for record in records]
-    homes = [record.author_domain for record in records]
-    return urls, accounts, homes
-
-
-# -- builders --------------------------------------------------------------------
-
-
-def build_no_replication(toots: "TootsDataset") -> PlacementArrays:
-    """Each toot lives only on its author's home instance."""
-    urls, _, homes = _toot_columns(toots)
-    domains = tuple(sorted(set(homes)))
-    code = {domain: j for j, domain in enumerate(domains)}
-    return PlacementArrays(
-        strategy="no-replication",
-        toot_urls=urls,
-        domains=domains,
-        home=_encode(homes, code),
-        replica_indices=np.empty(0, dtype=np.int64),
-        replica_indptr=np.zeros(len(urls) + 1, dtype=np.int64),
-    )
-
-
 def follower_domain_sets(
     authors: "Iterable[str]", graphs: "GraphDataset | GraphStore"
 ) -> dict[str, set[str]]:
     """Author → follower-domain sets in **one pass over the graph's edges**.
 
-    ``authors`` may contain duplicates (per-toot account columns); keys
-    keep first-appearance order, which both the record and corpus
-    subscription builders rely on for identical author coding.
+    ``authors`` may contain duplicates; keys keep first-appearance
+    order, which is the corpus ``author_code`` order the subscription
+    builder expands over.
 
     ``graphs`` is either the networkx-backed
     :class:`~repro.datasets.graphs.GraphDataset` or an on-disk
@@ -309,30 +282,6 @@ def follower_domain_sets(
     return follower_domains
 
 
-def build_subscription_replication(
-    toots: "TootsDataset", graphs: "GraphDataset"
-) -> PlacementArrays:
-    """Each toot is replicated to the instances hosting the author's followers.
-
-    The author→follower-domain table is built in one pass over the
-    follower graph's edges (the legacy loop re-walked ``in_edges`` per
-    author); everything per-toot after that is array expansion, shared
-    with the corpus path via :func:`subscription_arrays_from_columns`.
-    """
-    urls, accounts, homes = _toot_columns(toots)
-    follower_domains = follower_domain_sets(accounts, graphs)
-    domains = tuple(sorted(set(homes).union(*follower_domains.values())))
-    code = {domain: j for j, domain in enumerate(domains)}
-    author_code = {author: i for i, author in enumerate(follower_domains)}
-    return subscription_arrays_from_columns(
-        urls,
-        _encode(homes, code),
-        domains,
-        _encode(accounts, author_code),
-        follower_domains,
-    )
-
-
 def subscription_arrays_from_columns(
     urls: Sequence[str],
     home: np.ndarray,
@@ -345,8 +294,8 @@ def subscription_arrays_from_columns(
 
     ``home`` indexes ``domains`` (the sorted universe of homes plus
     every follower domain); ``toot_author`` indexes the keys of
-    ``follower_domains`` in iteration order.  Shared by the record-list
-    builder and :func:`repro.corpus.placement.build_subscription_replication_from_corpus`.
+    ``follower_domains`` in iteration order (see
+    :func:`repro.corpus.placement.build_subscription_replication_from_corpus`).
     """
     code = {domain: j for j, domain in enumerate(domains)}
 
@@ -579,32 +528,6 @@ def validated_candidates(
     return candidates
 
 
-def build_random_replication(
-    toots: "TootsDataset",
-    candidate_domains: Sequence[str],
-    n_replicas: int,
-    seed: int = 0,
-    weights: Mapping[str, float] | None = None,
-) -> PlacementArrays:
-    """Each toot is replicated onto ``n_replicas`` random instances.
-
-    All toots are drawn in one batched pass (chunked to bound memory)
-    via Gumbel top-k sampling — see :func:`_batch_distinct_draws` for
-    the lazy race formulation and :func:`_dense_gumbel_top_k` for the
-    dense keys.  The draw is deterministic per seed but consumes the RNG
-    stream in a different order than the legacy per-toot loop, so seeded
-    placements differ toot-by-toot while following the same
-    distribution.
-    """
-    candidates = validated_candidates(candidate_domains, n_replicas)
-    urls, _, homes = _toot_columns(toots)
-    domains = tuple(sorted(set(homes).union(candidates)))
-    home = _encode(homes, {domain: j for j, domain in enumerate(domains)})
-    return random_arrays_from_columns(
-        urls, home, domains, candidates, n_replicas, seed, weights
-    )
-
-
 def random_arrays_from_columns(
     urls: Sequence[str],
     home: np.ndarray,
@@ -619,9 +542,8 @@ def random_arrays_from_columns(
 
     ``home`` indexes ``domains`` (the sorted universe of homes plus
     ``candidates``); the draw depends only on ``(n, len(candidates),
-    n_replicas, seed, weights)`` plus the home sequence, so any caller
-    supplying the same columns — record lists or a columnar corpus —
-    gets bit-identical placements.
+    n_replicas, seed, weights)`` plus the home sequence, so the same
+    columns always give bit-identical placements.
     """
     code = {domain: j for j, domain in enumerate(domains)}
     n, m = len(urls), len(candidates)

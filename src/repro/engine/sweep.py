@@ -5,10 +5,11 @@ incidence matrix; every failure schedule after that is a cheap batched
 reduction.  ``run_availability_sweep`` exploits exactly that: one
 :class:`~repro.engine.incidence.TootIncidence` per placement strategy,
 then one :func:`~repro.engine.kernels.kill_steps_batch` pass covering
-every failure model.  Seeds are just more strategies
-(:meth:`StrategySpec.random` embeds the seed in the spec), so a
-(strategy × ranking × seed) grid is a single call that returns every
-curve, ready for :mod:`repro.reporting`.
+every failure model.  Every strategy builds from the columns of the
+toot corpus (:meth:`StrategySpec.build_from_corpus`).  Seeds are just
+more strategies (:meth:`StrategySpec.random` embeds the seed in the
+spec), so a (strategy × ranking × seed) grid is a single call that
+returns every curve, ready for :mod:`repro.reporting`.
 
 Incidence matrices are memoised per placement map
 (:meth:`TootIncidence.from_placements`), so repeated
@@ -20,9 +21,9 @@ memory ceiling, so :func:`availability_curves` and
 :func:`run_availability_sweep` take a ``shard_size`` knob:
 arrays-backed placements are then evaluated shard by shard through
 :mod:`repro.engine.sharding` (bit-identical curves, O(shard) peak
-memory).  Corpora at or above
-:data:`~repro.engine.sharding.AUTO_SHARD_THRESHOLD` toots shard
-automatically; ``shard_size=0`` forces the monolithic path.
+memory), over the corpus's own shard boundaries when automatic.
+Corpora at or above :data:`~repro.engine.sharding.AUTO_SHARD_THRESHOLD`
+toots shard automatically; ``shard_size=0`` forces the monolithic path.
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ import numpy as np
 
 from repro import obs
 from repro.errors import AnalysisError
-from repro.core.replication import (
-    AvailabilityPoint,
-    PlacementMap,
-    no_replication,
-    random_replication,
-    subscription_replication,
-)
+from repro.core.replication import AvailabilityPoint, PlacementMap
 from repro.engine.failures import FailureModel
 from repro.engine.incidence import TootIncidence
 from repro.engine.kernels import (
@@ -233,42 +228,19 @@ class StrategySpec:
             name=name, kind="random", n_replicas=n_replicas, seed=seed, weights=frozen_weights
         )
 
-    def build(
-        self,
-        toots: "TootsDataset",
-        graphs: "GraphDataset | None" = None,
-        candidate_domains: Sequence[str] | None = None,
-    ) -> PlacementMap:
-        if self.kind == "none":
-            return no_replication(toots)
-        if self.kind == "subscription":
-            if graphs is None:
-                raise AnalysisError("subscription replication needs the graphs dataset")
-            return subscription_replication(toots, graphs)
-        if self.kind == "random":
-            if candidate_domains is None:
-                raise AnalysisError("random replication needs candidate domains")
-            return random_replication(
-                toots,
-                candidate_domains,
-                self.n_replicas,
-                seed=self.seed,
-                weights=dict(self.weights) if self.weights is not None else None,
-            )
-        raise AnalysisError(f"unknown placement strategy kind: {self.kind!r}")
-
     def build_from_corpus(
         self,
         store: "CorpusStore",
         graphs: "GraphDataset | GraphStore | None" = None,
         candidate_domains: Sequence[str] | None = None,
     ) -> PlacementMap:
-        """Build the same placement map straight from a columnar corpus.
+        """Build this strategy's placement map from a columnar corpus.
 
         Dispatches through :meth:`PlacementArrays.from_corpus
-        <repro.engine.placement.PlacementArrays.from_corpus>`; the
-        resulting map is bit-identical to :meth:`build` on the
-        equivalent record-backed dataset, without materialising records.
+        <repro.engine.placement.PlacementArrays.from_corpus>`, so no
+        record is materialised.  ``graphs`` (the networkx-backed dataset
+        or the on-disk graph store) is needed by the subscription
+        strategy, ``candidate_domains`` by the random ones.
         """
         from repro.engine.placement import PlacementArrays
 
@@ -340,15 +312,16 @@ def run_availability_sweep(
     strategies: Sequence[StrategySpec],
     failures: Sequence[FailureModel],
     *,
-    graphs: "GraphDataset | None" = None,
+    graphs: "GraphDataset | GraphStore | None" = None,
     candidate_domains: Sequence[str] | None = None,
     keep_placements: bool = False,
     shard_size: int | None = None,
 ) -> SweepResult:
     """Evaluate every (strategy, failure) combination in one call.
 
-    Builds each strategy's placement map and incidence matrix once, then
-    batch-evaluates all failure schedules against it.  Random strategies
+    Builds each strategy's placement map (from the columns of
+    ``toots.corpus``) and incidence matrix once, then batch-evaluates
+    all failure schedules against it.  Random strategies
     carry their own seeds, so a seed sweep is just more
     :class:`StrategySpec` entries.  ``shard_size`` streams
     each strategy's evaluation through the sharded engine (automatic at
@@ -363,7 +336,9 @@ def run_availability_sweep(
     curves: dict[tuple[str, str], list[AvailabilityPoint]] = {}
     placements_by_name: dict[str, PlacementMap] = {}
     for spec in strategies:
-        placements = spec.build(toots, graphs=graphs, candidate_domains=candidate_domains)
+        placements = spec.build_from_corpus(
+            toots.corpus, graphs=graphs, candidate_domains=candidate_domains
+        )
         if keep_placements:
             placements_by_name[spec.name] = placements
         strategy_curves = availability_curves(placements, failures, shard_size=shard_size)

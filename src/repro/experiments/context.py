@@ -85,15 +85,11 @@ class ExperimentContext:
         #: Streaming-evaluation knob forwarded to every sweep (None =
         #: automatic: shard past the engine's corpus-size threshold).
         self.shard_size = shard_size
-        #: When set, the toot crawl streams into a columnar corpus at
-        #: this directory (:mod:`repro.corpus`) and placement maps build
-        #: straight from its columns — no ``TootRecord`` lists anywhere
-        #: on the fig15/16 path.
+        #: Where the toot crawl's columnar corpus (:mod:`repro.corpus`)
+        #: and the follower crawl's edge store (:mod:`repro.corpus.graph`)
+        #: live; ``None`` writes them to temporary directories.  An
+        #: existing store is reused instead of re-crawled.
         self.corpus_dir = corpus_dir
-        #: When set, the follower crawl streams into an on-disk edge
-        #: store (:mod:`repro.corpus.graph`) and subscription placements
-        #: read follower-domain sets from its integer shards — no
-        #: networkx pass on the placement path.
         self.graph_dir = graph_dir
         #: Temporal-churn sweep shape: probe ticks across the window and
         #: one sampled outage process per bootstrap seed.
@@ -401,36 +397,21 @@ class ExperimentContext:
     def placements_for(self, spec: StrategySpec) -> PlacementMap:
         """The placement map for ``spec``, built once per distinct spec.
 
-        When the pipeline streamed to a columnar corpus, maps build
-        straight from the corpus columns (:meth:`StrategySpec.build_from_corpus`)
-        — bit-identical placements, no record materialisation.  When the
-        follower crawl streamed to an on-disk graph store too, the
-        subscription strategy reads follower-domain sets from its edge
-        shards instead of walking the networkx graph.
+        Maps build straight from the corpus columns
+        (:meth:`StrategySpec.build_from_corpus`), and the subscription
+        strategy reads follower-domain sets from the graph store's edge
+        shards — no records and no networkx pass on the placement path.
         """
         if spec not in self._placements:
             data = self.data  # collect in its own phase, not under placement
-
-            def build() -> PlacementMap:
-                if data.corpus is not None:
-                    graphs = (
-                        data.graph_store
-                        if data.graph_store is not None
-                        else data.graphs
-                    )
-                    return spec.build_from_corpus(
-                        data.corpus,
-                        graphs=graphs,
-                        candidate_domains=self.domains,
-                    )
-                return spec.build(
-                    data.toots,
-                    graphs=data.graphs,
-                    candidate_domains=self.domains,
-                )
-
             self._placements[spec] = self._phase(
-                "placement", build, strategy=spec.name
+                "placement",
+                lambda: spec.build_from_corpus(
+                    data.corpus,
+                    graphs=data.graph_store,
+                    candidate_domains=self.domains,
+                ),
+                strategy=spec.name,
             )
             self.counters["placements_built"] += 1
         return self._placements[spec]

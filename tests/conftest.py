@@ -7,10 +7,16 @@ mutate state build their own small networks instead.
 
 from __future__ import annotations
 
+import tempfile
+from typing import Iterable
+
 import pytest
 
 from repro import CollectedDatasets, build_scenario, collect_datasets
+from repro.corpus import CorpusWriter
 from repro.crawler import SimulatedTransport
+from repro.crawler.toot_crawler import TootRecord
+from repro.datasets import TootsDataset
 from repro.fediverse import FediverseNetwork, InstanceDescriptor, RegistrationPolicy
 from repro.fediverse.entities import UserRef
 from repro.simtime import SimClock
@@ -79,3 +85,27 @@ def mini_network() -> FediverseNetwork:
 def ref(handle: str) -> UserRef:
     """Shorthand to build a UserRef from ``user@domain`` in tests."""
     return UserRef.parse(handle)
+
+
+def corpus_toots(
+    records: Iterable[TootRecord],
+    *,
+    empty_instances: Iterable[str] = (),
+    crawl_minute: int = 0,
+) -> TootsDataset:
+    """The toots dataset of hand-built records, through a temporary corpus.
+
+    Each record is an observation on its ``collected_from`` instance;
+    ``empty_instances`` were crawled and showed nothing.  The corpus
+    directory is removed once the dataset is garbage-collected.
+    """
+    observed: dict[str, list[TootRecord]] = {domain: [] for domain in empty_instances}
+    for record in records:
+        observed.setdefault(record.collected_from, []).append(record)
+    writer = CorpusWriter(tempfile.mkdtemp(prefix="repro-test-corpus-"))
+    for domain, rows in observed.items():
+        writer.add_records(domain, rows)
+        writer.end_instance(domain)
+    store = writer.finalise(crawl_minute=crawl_minute)
+    store.delete_when_collected()
+    return TootsDataset.from_corpus(store)

@@ -10,6 +10,8 @@ from repro.datasets.graphs import GraphDataset
 from repro.datasets.toots import TootsDataset
 from repro.errors import AnalysisError
 
+from tests.conftest import corpus_toots
+
 
 def record(toot_id: int, author: str, home: str, collected_from: str) -> TootRecord:
     return TootRecord(
@@ -29,12 +31,7 @@ def make_toots() -> TootsDataset:
     leech_observed = leech_own + [
         record(i, "star", "feeder.example", "leech.example") for i in range(1, 16)
     ]
-    observations = {
-        "feeder.example": feeder_toots,
-        "leech.example": leech_observed,
-    }
-    records = feeder_toots + leech_observed
-    return TootsDataset(records=records, observed_by_instance=observations)
+    return corpus_toots(feeder_toots + leech_observed)
 
 
 def make_graphs() -> GraphDataset:
@@ -52,11 +49,6 @@ class TestHomeRemoteSeries:
         assert [p.domain for p in points] == ["leech.example", "feeder.example"]
         assert points[0].home_share == pytest.approx(1 / 16)
         assert points[1].home_share == 1.0
-
-    def test_empty_observations_rejected(self):
-        dataset = TootsDataset(records=[record(1, "a", "x.example", "x.example")])
-        with pytest.raises(AnalysisError):
-            federation_analysis.home_remote_series(dataset)
 
     def test_feeder_summary(self):
         summary = federation_analysis.feeder_summary(make_toots())

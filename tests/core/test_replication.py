@@ -10,6 +10,8 @@ from repro.datasets.graphs import GraphDataset
 from repro.datasets.toots import TootsDataset
 from repro.errors import AnalysisError
 
+from tests.conftest import corpus_toots
+
 
 def record(toot_id: int, author: str, home: str) -> TootRecord:
     return TootRecord(
@@ -31,7 +33,7 @@ def make_toots() -> TootsDataset:
         + [record(i, "mid", "mid.example") for i in range(11, 16)]
         + [record(16, "tiny", "small.example")]
     )
-    return TootsDataset(records=records)
+    return corpus_toots(records)
 
 
 def make_graphs() -> GraphDataset:

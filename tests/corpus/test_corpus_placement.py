@@ -1,9 +1,10 @@
-"""Differential suite: corpus-built placements vs the record-list builders.
+"""Differential suite: corpus-built placements vs the crawl's own records.
 
-`PlacementArrays.from_corpus` must reproduce the record-path builders
-bit for bit — same domain universe, same home codes, same replica CSR,
-same seeded draws — and the corpus shard boundaries must flow through
-the sweep without changing a single curve.
+`PlacementArrays.from_corpus` must match placements encoded by plain
+Python from the record-mode crawl of the same network — same domain
+universe, same home codes, same replica CSR, same seeded draws — and
+the corpus shard boundaries must flow through the sweep without
+changing a single curve.
 """
 
 from __future__ import annotations
@@ -22,22 +23,40 @@ from repro.engine import (
 )
 from repro.engine import sweep
 from repro.engine.placement import (
-    build_no_replication,
-    build_random_replication,
-    build_subscription_replication,
+    follower_domain_sets,
+    random_arrays_from_columns,
+    subscription_arrays_from_columns,
 )
 from repro.errors import AnalysisError, DatasetError
 from repro.experiments import ExperimentContext
 
 
 @pytest.fixture(scope="module")
-def record_toots(tiny_crawl):
-    return TootsDataset.from_crawl(tiny_crawl)
+def crawl_records(tiny_crawl):
+    """The de-duplicated catalogue of the record-mode crawl."""
+    return list(tiny_crawl.unique_toots().values())
 
 
 @pytest.fixture(scope="module")
 def candidate_domains(tiny_network):
     return tiny_network.domains()
+
+
+def encoded_homes(records, extra_domains=()):
+    """``(urls, home codes, domain universe)`` encoded record by record."""
+    homes = [record.author_domain for record in records]
+    domains = tuple(sorted(set(homes).union(extra_domains)))
+    code = {domain: j for j, domain in enumerate(domains)}
+    home = np.asarray([code[h] for h in homes], dtype=np.int64)
+    return tuple(record.url for record in records), home, domains
+
+
+def reference_random(records, candidate_domains, n_replicas, seed, weights=None):
+    candidates = sorted(set(candidate_domains))
+    urls, home, domains = encoded_homes(records, candidates)
+    return random_arrays_from_columns(
+        urls, home, domains, candidates, n_replicas, seed, weights
+    )
 
 
 def assert_arrays_equal(expected: PlacementArrays, got: PlacementArrays) -> None:
@@ -51,19 +70,25 @@ def assert_arrays_equal(expected: PlacementArrays, got: PlacementArrays) -> None
 
 
 class TestBuilderEquivalence:
-    def test_no_replication(self, record_toots, tiny_store):
-        expected = build_no_replication(record_toots)
+    def test_no_replication(self, crawl_records, tiny_store):
+        urls, home, domains = encoded_homes(crawl_records)
+        expected = PlacementArrays(
+            strategy="no-replication",
+            toot_urls=urls,
+            domains=domains,
+            home=home,
+            replica_indices=np.empty(0, dtype=np.int64),
+            replica_indptr=np.zeros(len(urls) + 1, dtype=np.int64),
+        )
         got = PlacementArrays.from_corpus(tiny_store, "none")
         assert_arrays_equal(expected, got)
         assert got.source_bounds == tuple(tiny_store.shard_bounds())
 
     def test_random_replication_same_seeded_draw(
-        self, record_toots, tiny_store, candidate_domains
+        self, crawl_records, tiny_store, candidate_domains
     ):
         for seed in (0, 7):
-            expected = build_random_replication(
-                record_toots, candidate_domains, 3, seed=seed
-            )
+            expected = reference_random(crawl_records, candidate_domains, 3, seed)
             got = PlacementArrays.from_corpus(
                 tiny_store, "random", candidate_domains=candidate_domains,
                 n_replicas=3, seed=seed,
@@ -71,7 +96,7 @@ class TestBuilderEquivalence:
             assert_arrays_equal(expected, got)
 
     def test_weighted_random_replication(
-        self, record_toots, tiny_store, candidate_domains
+        self, crawl_records, tiny_store, candidate_domains
     ):
         rng = np.random.default_rng(5)
         weights = {
@@ -80,17 +105,27 @@ class TestBuilderEquivalence:
                 candidate_domains, rng.random(len(candidate_domains)) + 0.05
             )
         }
-        expected = build_random_replication(
-            record_toots, candidate_domains, 2, seed=11, weights=weights
-        )
+        expected = reference_random(crawl_records, candidate_domains, 2, 11, weights)
         got = PlacementArrays.from_corpus(
             tiny_store, "random", candidate_domains=candidate_domains,
             n_replicas=2, seed=11, weights=weights,
         )
         assert_arrays_equal(expected, got)
 
-    def test_subscription_replication(self, record_toots, tiny_store, datasets):
-        expected = build_subscription_replication(record_toots, datasets.graphs)
+    def test_subscription_replication(self, crawl_records, tiny_store, datasets):
+        accounts = [record.account for record in crawl_records]
+        follower_domains = follower_domain_sets(accounts, datasets.graphs)
+        urls, home, domains = encoded_homes(
+            crawl_records, set().union(*follower_domains.values())
+        )
+        author_code = {author: i for i, author in enumerate(follower_domains)}
+        expected = subscription_arrays_from_columns(
+            urls,
+            home,
+            domains,
+            np.asarray([author_code[a] for a in accounts], dtype=np.int64),
+            follower_domains,
+        )
         got = PlacementArrays.from_corpus(
             tiny_store, "subscription", graphs=datasets.graphs
         )
@@ -122,9 +157,10 @@ class TestSweepIdentity:
         return InstanceRemoval(candidate_domains, steps=20, name="rank")
 
     def test_curves_identical_monolithic_and_corpus_sharded(
-        self, record_toots, tiny_store, candidate_domains, failure, monkeypatch
+        self, crawl_records, tiny_store, candidate_domains, failure, monkeypatch
     ):
-        legacy = replication.random_replication(record_toots, candidate_domains, 3, seed=2)
+        reference = reference_random(crawl_records, candidate_domains, 3, seed=2)
+        legacy = replication.PlacementMap(reference.strategy, arrays=reference)
         corpus_arrays = PlacementArrays.from_corpus(
             tiny_store, "random", candidate_domains=candidate_domains,
             n_replicas=3, seed=2,
@@ -171,26 +207,29 @@ class TestSweepIdentity:
 
 
 class TestContextIntegration:
-    def test_corpus_context_matches_record_context(
+    def test_sharded_corpus_context_matches_pipeline_context(
         self, tiny_network, datasets, tiny_store
     ):
         from repro import CollectedDatasets
 
-        record_ctx = ExperimentContext.from_datasets(datasets, network=tiny_network)
+        pipeline_ctx = ExperimentContext.from_datasets(datasets, network=tiny_network)
         corpus_data = CollectedDatasets(
             instances=datasets.instances,
             toots=TootsDataset.from_corpus(tiny_store),
             graphs=datasets.graphs,
             network=tiny_network,
             corpus=tiny_store,
+            graph_store=datasets.graph_store,
         )
         corpus_ctx = ExperimentContext.from_datasets(corpus_data, network=tiny_network)
+        assert tiny_store.n_shards > datasets.corpus.n_shards
 
         specs = [StrategySpec.none(), StrategySpec.subscription(), StrategySpec.random(2, seed=3)]
-        failures = record_ctx.standard_failures()
-        expected = record_ctx.sweep(specs, failures)
+        failures = pipeline_ctx.standard_failures()
+        expected = pipeline_ctx.sweep(specs, failures)
         got = corpus_ctx.sweep(specs, failures)
         assert got.curves == expected.curves
-        # the corpus context built its placements from columns, not records
         for spec in specs:
-            assert corpus_ctx.placements_for(spec).arrays.source_bounds is not None
+            assert corpus_ctx.placements_for(spec).arrays.source_bounds == tuple(
+                tiny_store.shard_bounds()
+            )

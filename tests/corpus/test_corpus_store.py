@@ -10,6 +10,7 @@ broken corpora with :class:`DatasetError` instead of surfacing numpy
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from repro.corpus import COLUMN_NAMES, CorpusStore, CorpusWriter, TootColumns
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets import TootsDataset
+from repro.datasets.toots import TimelineComposition
 from repro.errors import DatasetError
 
 N_SYNTH = 97
@@ -122,44 +124,60 @@ class TestCrawlRoundTrip:
 
 
 class TestDatasetEquivalence:
-    """`TootsDataset.from_corpus` answers exactly like `from_crawl`."""
+    """`TootsDataset.from_corpus` answers like plain loops over the crawl's records."""
 
     @pytest.fixture(scope="class")
-    def record_toots(self, tiny_crawl):
-        return TootsDataset.from_crawl(tiny_crawl)
+    def unique(self, tiny_crawl):
+        return list(tiny_crawl.unique_toots().values())
 
     @pytest.fixture(scope="class")
     def corpus_toots(self, tiny_store):
         return TootsDataset.from_corpus(tiny_store)
 
-    def test_aggregates_without_materialising(self, record_toots, corpus_toots):
-        assert len(corpus_toots) == len(record_toots)
-        assert corpus_toots.boost_count() == record_toots.boost_count()
-        assert corpus_toots.author_count() == record_toots.author_count()
-        assert corpus_toots.authors() == record_toots.authors()
-        assert corpus_toots.home_instances() == record_toots.home_instances()
-        assert corpus_toots.toots_per_instance() == record_toots.toots_per_instance()
-        assert corpus_toots.toots_per_author() == record_toots.toots_per_author()
-        assert corpus_toots.coverage(10**6) == record_toots.coverage(10**6)
+    def test_aggregates_without_materialising(self, unique, corpus_toots):
+        assert len(corpus_toots) == len(unique)
+        assert corpus_toots.boost_count() == sum(r.is_boost for r in unique)
+        authors = Counter(r.account for r in unique)
+        assert corpus_toots.author_count() == len(authors)
+        assert corpus_toots.authors() == sorted(authors)
+        homes = Counter(r.author_domain for r in unique)
+        assert corpus_toots.home_instances() == sorted(homes)
+        assert corpus_toots.toots_per_instance() == dict(homes)
+        assert corpus_toots.toots_per_author() == dict(authors)
+        assert corpus_toots.coverage(10**6) == len(unique) / 10**6
         # none of the above touched a record
         assert corpus_toots._records is None
 
-    def test_compositions_and_replication(self, record_toots, corpus_toots):
-        assert corpus_toots.observed_instances() == record_toots.observed_instances()
-        assert corpus_toots.timeline_compositions() == record_toots.timeline_compositions()
-        assert corpus_toots.replication_counts() == record_toots.replication_counts()
+    def test_compositions_and_replication(self, tiny_crawl, unique, corpus_toots):
+        observed = tiny_crawl.records_by_instance
+        assert corpus_toots.observed_instances() == sorted(observed)
+        compositions = []
+        for domain in sorted(observed):
+            home = sum(1 for r in observed[domain] if r.author_domain == domain)
+            compositions.append(
+                TimelineComposition(domain, home, len(observed[domain]) - home)
+            )
+        assert corpus_toots.timeline_compositions() == compositions
+        replication = {r.url: 0 for r in unique}
+        for domain, records in observed.items():
+            for record in records:
+                if record.author_domain != domain:
+                    replication[record.url] += 1
+        assert corpus_toots.replication_counts() == replication
+        per_instance = Counter()
+        for record in unique:
+            per_instance[record.author_domain] += replication[record.url]
+        assert corpus_toots.replication_per_instance() == dict(per_instance)
         with pytest.raises(DatasetError):
             corpus_toots.timeline_composition("nowhere.example")
 
-    def test_record_api_materialises_lazily_and_identically(
-        self, record_toots, corpus_toots
-    ):
-        assert corpus_toots.records() == record_toots.records()
+    def test_record_api_materialises_lazily_and_identically(self, unique, corpus_toots):
+        assert corpus_toots.records() == unique
         assert corpus_toots._records is not None
-        some_author = record_toots.authors()[0]
-        assert corpus_toots.toots_by_author(some_author) == record_toots.toots_by_author(
-            some_author
-        )
+        some_author = unique[0].account
+        assert corpus_toots.toots_by_author(some_author) == [
+            r for r in unique if r.account == some_author
+        ]
 
 
 # -- shard geometry ----------------------------------------------------------------

@@ -12,6 +12,8 @@ the CRC, and catching it needs per-member checksums in the manifest.
 
 from __future__ import annotations
 
+import gc
+import warnings
 import zipfile
 
 import pytest
@@ -76,6 +78,19 @@ def test_non_zip_shard(store, mmap):
     name = first_shard(store)
     (store.path / name).write_bytes(b"these bytes are not a zip archive\n" * 8)
     assert_named_error(store, mmap, name)
+
+
+@pytest.mark.parametrize("damaged", ["shard", "tables"])
+def test_failed_eager_open_closes_its_file(store, damaged):
+    name = first_shard(store) if damaged == "shard" else "tables.npz"
+    truncate(store.path / name)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DatasetError):
+            type(store)(store.path, mmap=False).content_digest()
+        gc.collect()
+    leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks, [str(w.message) for w in leaks]
 
 
 def test_eager_read_fails_the_member_crc(store):

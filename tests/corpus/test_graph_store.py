@@ -34,7 +34,7 @@ def graph_store(tiny_network, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def graph_dataset(graph_crawl):
-    return GraphDataset.from_crawl(graph_crawl)
+    return GraphDataset.from_edges(graph_crawl.edges)
 
 
 class TestRoundtrip:

@@ -29,8 +29,8 @@ DOMAINS = ("a.example", "b.example", "c.example", "dé.example", "e.example")
 
 #: Any text a crawl may carry, except the spool's row separator and NUL:
 #: shard and table strings are numpy fixed-width unicode, which drops
-#: trailing NULs (``"a\x00"`` reads back as ``"a"``) in every version of
-#: the store format, so NUL is outside what the format can hold.
+#: trailing NULs (``"a\x00"`` reads back as ``"a"``), so the spool seal
+#: rejects both (see the test at the end of this module).
 ALPHABET = st.characters(codec="utf-8", blacklist_characters="\n\x00")
 texts = st.text(ALPHABET, max_size=12)
 
@@ -246,9 +246,16 @@ def test_graph_merge_matches_build_follower_graph(tmp_path_factory, crawl):
     assert [store.domains[c] for c in store.node_domain_codes] == node_domains
 
 
-@pytest.mark.parametrize("bad", ["https://a.example/1\nhttps://a.example/2", "\ud800"])
+@pytest.mark.parametrize(
+    "bad", ["https://a.example/1\nhttps://a.example/2", "\ud800", "https://a.example/1\x00"]
+)
 def test_a_string_the_spool_cannot_hold_is_a_dataset_error(tmp_path, bad):
-    """A newline or a lone surrogate fails the seal by name, and nothing is sealed."""
+    """A newline, a lone surrogate or a NUL fails the seal by name, and nothing is sealed.
+
+    A NUL would not survive the store: ``https://a.example/1\x00`` would
+    read back as ``https://a.example/1``, a second toot with the URL of
+    the first.
+    """
     corpus = CorpusWriter(tmp_path / "corpus")
     corpus.add_columns(
         "a.example", urls=[bad],

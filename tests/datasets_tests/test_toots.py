@@ -8,6 +8,8 @@ from repro.errors import DatasetError
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.toots import TootsDataset
 
+from tests.conftest import corpus_toots
+
 
 def record(
     toot_id: int,
@@ -40,8 +42,9 @@ def make_dataset() -> TootsDataset:
             record(4, "bob", "beta.example", is_boost=True),
         ],
     }
-    records = [r for observed in observations.values() for r in observed]
-    return TootsDataset(records=records, observed_by_instance=observations, crawl_minute=99)
+    return corpus_toots(
+        (r for observed in observations.values() for r in observed), crawl_minute=99
+    )
 
 
 class TestCatalogue:
@@ -53,7 +56,7 @@ class TestCatalogue:
 
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):
-            TootsDataset(records=[])
+            corpus_toots([], empty_instances=["alpha.example"])
 
     def test_per_author_and_per_instance_counts(self):
         dataset = make_dataset()
@@ -97,9 +100,8 @@ class TestTimelineComposition:
         assert compositions["beta.example"].home_toots == 2
 
     def test_empty_composition_fractions(self):
-        dataset = TootsDataset(
-            records=[record(1, "alice", "alpha.example")],
-            observed_by_instance={"empty.example": []},
+        dataset = corpus_toots(
+            [record(1, "alice", "alpha.example")], empty_instances=["empty.example"]
         )
         composition = dataset.timeline_composition("empty.example")
         assert composition.total == 0

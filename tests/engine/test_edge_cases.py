@@ -21,6 +21,8 @@ from repro.engine import (
 from repro.engine.kernels import kill_steps, losses_per_step
 from repro.errors import AnalysisError
 
+from tests.conftest import corpus_toots
+
 
 def record(toot_id: int, author: str, home: str) -> TootRecord:
     return TootRecord(
@@ -34,7 +36,7 @@ def record(toot_id: int, author: str, home: str) -> TootRecord:
 
 
 def make_toots(n: int = 6) -> TootsDataset:
-    return TootsDataset(records=[record(i, "a", "home.example") for i in range(n)])
+    return corpus_toots(record(i, "a", "home.example") for i in range(n))
 
 
 DOMAINS = ["one.example", "two.example", "three.example"]

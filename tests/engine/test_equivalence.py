@@ -15,7 +15,6 @@ import pytest
 from repro.core import replication, resilience
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.graphs import GraphDataset
-from repro.datasets.toots import TootsDataset
 from repro.engine import (
     ASRemoval,
     InstanceRemoval,
@@ -23,6 +22,8 @@ from repro.engine import (
     availability_curve,
     availability_curves,
 )
+
+from tests.conftest import corpus_toots
 
 FAST_SEEDS = (0, 1, 2)
 SLOW_SEEDS = tuple(range(3, 11))
@@ -63,7 +64,7 @@ def random_scenario(seed: int, scale: int = 1):
                 created_at=i,
             )
         )
-    toots = TootsDataset(records=records)
+    toots = corpus_toots(records)
     asn_of = {d: int(rng.integers(1, 5)) for d in domains}
     return toots, graphs, domains, asn_of
 

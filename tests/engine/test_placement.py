@@ -18,14 +18,10 @@ from repro.core import replication
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.toots import TootsDataset
 from repro.engine import InstanceRemoval, TootIncidence, availability_curves
-from repro.engine.placement import (
-    PlacementArrays,
-    build_no_replication,
-    build_random_replication,
-    build_subscription_replication,
-)
+from repro.engine.placement import PlacementArrays
 from repro.errors import AnalysisError
 
+from tests.conftest import corpus_toots
 from tests.engine.test_equivalence import random_scenario
 
 SEEDS = (0, 1, 2)
@@ -35,18 +31,16 @@ def flat_toots(n: int, domains: list[str], seed: int = 0) -> TootsDataset:
     """``n`` toots spread over ``domains`` — bulk input for the statistics."""
     rng = np.random.default_rng(seed)
     homes = rng.integers(0, len(domains), size=n)
-    return TootsDataset(
-        records=[
-            TootRecord(
-                toot_id=i,
-                url=f"https://{domains[homes[i]]}/toots/{i}",
-                account=f"u{homes[i]}@{domains[homes[i]]}",
-                author_domain=domains[homes[i]],
-                collected_from=domains[homes[i]],
-                created_at=i,
-            )
-            for i in range(n)
-        ]
+    return corpus_toots(
+        TootRecord(
+            toot_id=i,
+            url=f"https://{domains[homes[i]]}/toots/{i}",
+            account=f"u{homes[i]}@{domains[homes[i]]}",
+            author_domain=domains[homes[i]],
+            collected_from=domains[homes[i]],
+            created_at=i,
+        )
+        for i in range(n)
     )
 
 
@@ -93,12 +87,20 @@ class TestDeterministicBuilders:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_arrays_invariants_hold(self, seed):
         toots, graphs, domains, _ = random_scenario(seed)
+        store = toots.corpus
         for arrays in (
-            build_no_replication(toots),
-            build_subscription_replication(toots, graphs),
-            build_random_replication(toots, domains, 2, seed=seed),
-            build_random_replication(
-                toots, domains, 3, seed=seed, weights={d: 1.0 for d in domains}
+            PlacementArrays.from_corpus(store, "none"),
+            PlacementArrays.from_corpus(store, "subscription", graphs=graphs),
+            PlacementArrays.from_corpus(
+                store, "random", candidate_domains=domains, n_replicas=2, seed=seed
+            ),
+            PlacementArrays.from_corpus(
+                store,
+                "random",
+                candidate_domains=domains,
+                n_replicas=3,
+                seed=seed,
+                weights={d: 1.0 for d in domains},
             ),
         ):
             assert isinstance(arrays, PlacementArrays)

@@ -1,10 +1,9 @@
 """Row-subset query kernels: exact equality with slicing the full matrix.
 
 These are the per-query primitives the serving layer composes —
-``losses_per_step_rows``, ``PlacementArrays.rows_incidence``,
-``TootIncidence.rows_holding`` / ``ShardedIncidence.rows_holding`` —
-each checked against the brute-force equivalent over the monolithic
-incidence matrix.
+``PlacementArrays.rows_incidence``, ``TootIncidence.rows_holding`` /
+``ShardedIncidence.rows_holding`` — each checked against the
+brute-force equivalent over the monolithic incidence matrix.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ import pytest
 
 from repro.core import replication
 from repro.engine.incidence import TootIncidence
-from repro.engine.kernels import losses_per_step_batch, losses_per_step_rows
 from repro.engine.sharding import ShardedIncidence
-from repro.errors import AnalysisError
 
 from tests.engine.test_equivalence import random_scenario
 
@@ -28,55 +25,6 @@ def scenario_incidences(seed: int):
     incidence = TootIncidence.from_placements(placements)
     sharded = ShardedIncidence.from_arrays(placements.arrays, 17)
     return placements.arrays, incidence, sharded
-
-
-def removal_schedule(incidence: TootIncidence, seed: int, steps: int = 6):
-    """A removal column over a shuffled slice of the domain universe."""
-    rng = np.random.default_rng(seed)
-    domains = list(incidence.domains)
-    rng.shuffle(domains)
-    index = {domain: i + 1 for i, domain in enumerate(domains[:steps])}
-    column = incidence.lookup.removal_vector(index, steps)[:, None]
-    return column, np.asarray([steps], dtype=np.int64)
-
-
-class TestLossesPerStepRows:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_slicing_the_full_matrix(self, seed):
-        _, incidence, _ = scenario_incidences(seed)
-        column, steps = removal_schedule(incidence, seed)
-        rng = np.random.default_rng(seed + 100)
-        n = incidence.matrix.shape[0]
-        for size in (1, 3, n // 2, n):
-            rows = rng.integers(0, n, size=size).astype(np.int64)
-            got = losses_per_step_rows(incidence.matrix, rows, column, steps)
-            want = losses_per_step_batch(incidence.matrix[rows], column, steps)
-            assert np.array_equal(got, want)
-
-    def test_repeated_and_unordered_rows(self, ):
-        _, incidence, _ = scenario_incidences(0)
-        column, steps = removal_schedule(incidence, 0)
-        rows = np.asarray([5, 5, 2, 9, 2, 0], dtype=np.int64)
-        got = losses_per_step_rows(incidence.matrix, rows, column, steps)
-        want = losses_per_step_batch(incidence.matrix[rows], column, steps)
-        assert np.array_equal(got, want)
-
-    def test_rejects_empty_and_out_of_range(self):
-        _, incidence, _ = scenario_incidences(1)
-        column, steps = removal_schedule(incidence, 1)
-        with pytest.raises(AnalysisError, match="non-empty"):
-            losses_per_step_rows(
-                incidence.matrix, np.empty(0, dtype=np.int64), column, steps
-            )
-        with pytest.raises(AnalysisError, match="outside"):
-            losses_per_step_rows(
-                incidence.matrix,
-                np.asarray([incidence.matrix.shape[0]]),
-                column,
-                steps,
-            )
-        with pytest.raises(AnalysisError, match="outside"):
-            losses_per_step_rows(incidence.matrix, np.asarray([-1]), column, steps)
 
 
 class TestRowsIncidence:

@@ -45,8 +45,8 @@ class TestParser:
     def test_run_graph_flag_variants(self):
         args = build_parser().parse_args(["run", "fig15"])
         assert args.graph_dir is None
-        args = build_parser().parse_args(["run", "fig15", "--graph"])
-        assert args.graph_dir == ""  # temporary-directory sentinel
+        with pytest.raises(SystemExit):  # the flag only names a directory
+            build_parser().parse_args(["run", "fig15", "--graph"])
         args = build_parser().parse_args(["run", "fig15", "--graph", "g"])
         assert args.graph_dir == "g"
 
@@ -99,8 +99,8 @@ class TestParser:
     def test_run_corpus_flag_variants(self):
         args = build_parser().parse_args(["run", "fig15"])
         assert args.corpus_dir is None
-        args = build_parser().parse_args(["run", "fig15", "--corpus"])
-        assert args.corpus_dir == ""  # temporary-directory sentinel
+        with pytest.raises(SystemExit):  # the flag only names a directory
+            build_parser().parse_args(["run", "fig15", "--corpus"])
         args = build_parser().parse_args(["run", "fig15", "--corpus", "corp"])
         assert args.corpus_dir == "corp"
 
@@ -200,7 +200,7 @@ class TestRunCommand:
         assert payload["scalars"]["churn_ticks"] == 12
 
     def test_collect_then_run_corpus_matches_in_memory_run(self, tmp_path, capsys):
-        """collect --corpus + run --corpus reproduce the record path bit for bit."""
+        """collect --corpus + run --corpus reproduce a run on temporary stores."""
         legacy_dir = tmp_path / "legacy"
         corpus_dir = tmp_path / "corp"
         corpus_out = tmp_path / "from-corpus"
@@ -209,6 +209,9 @@ class TestRunCommand:
         assert main(["collect", "--corpus", str(corpus_dir), "--preset", "tiny",
                      "--seed", "3", "--shard-toots", "701"]) == 0
         assert (corpus_dir / "manifest.json").exists()
+        # no --graph: the follower crawl's store was temporary and is not named
+        out = capsys.readouterr().out
+        assert "graph edges" not in out and "--graph" not in out
         # re-collecting into the same directory is refused
         assert main(["collect", "--corpus", str(corpus_dir), "--preset", "tiny",
                      "--seed", "3"]) == 2
@@ -246,7 +249,7 @@ class TestRunCommand:
         assert store.n_edges > 0
 
     def test_run_graph_store_matches_networkx_run(self, tmp_path, capsys):
-        """run --corpus --graph reproduces the record-path curves bit for bit."""
+        """run --corpus --graph DIRs reproduce a run on temporary stores."""
         legacy_dir = tmp_path / "legacy"
         stored_dir = tmp_path / "stored"
         assert main(["run", "fig15", "--preset", "tiny", "--seed", "3",

@@ -7,6 +7,9 @@ paper's qualitative findings hold on the synthetic fediverse.
 
 from __future__ import annotations
 
+import gc
+import tempfile
+
 import pytest
 
 from repro import build_scenario, collect_datasets
@@ -35,6 +38,38 @@ class TestPipeline:
     def test_federation_graph_smaller_than_follower_graph(self, datasets):
         assert datasets.graphs.instance_count() < datasets.graphs.user_count()
         assert datasets.graphs.federation_edge_count() < datasets.graphs.follow_edge_count()
+
+
+class TestTemporaryStores:
+    def test_collect_without_directories_leaves_nothing_behind(
+        self, tiny_network, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        data = collect_datasets(tiny_network, monitor_interval_minutes=12 * 60)
+        assert {data.corpus.path, data.graph_store.path} == set(tmp_path.iterdir())
+        toots = data.toots
+        del data
+        gc.collect()
+        # the graph store went with the datasets; the corpus lives as long
+        # as the toots dataset that reads it
+        assert list(tmp_path.iterdir()) == [toots.corpus.path]
+        assert len(toots.records()) == len(toots) > 0
+        del toots
+        gc.collect()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_crawl_leaves_nothing_behind(self, tiny_network, tmp_path, monkeypatch):
+        from repro.crawler import FollowerGraphCrawler
+
+        def fail(self, sink=None):
+            raise RuntimeError("crawl interrupted")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(FollowerGraphCrawler, "crawl", fail)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            collect_datasets(tiny_network, monitor_interval_minutes=12 * 60)
+        gc.collect()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPaperFindings:
