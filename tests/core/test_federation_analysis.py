@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core import federation_analysis
@@ -9,6 +11,7 @@ from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.graphs import GraphDataset
 from repro.datasets.toots import TootsDataset
 from repro.errors import AnalysisError
+from repro.stats.summary import pearson_correlation
 
 from tests.conftest import corpus_toots
 
@@ -65,6 +68,22 @@ class TestHomeRemoteSeries:
         points = federation_analysis.home_remote_series(datasets.toots)
         median_home_share = sorted(p.home_share for p in points)[len(points) // 2]
         assert median_home_share < 0.7
+
+    def test_feeder_correlation_matches_the_record_level_sums(self, datasets):
+        """The summary reads columns only, and agrees with a walk over every record."""
+        toots = TootsDataset.from_corpus(datasets.corpus)
+        summary = federation_analysis.feeder_summary(toots)
+        assert toots._records is None
+        replication = toots.replication_counts()
+        produced: Counter[str] = Counter()
+        replicated: Counter[str] = Counter()
+        for rec in toots.records():
+            produced[rec.author_domain] += 1
+            replicated[rec.author_domain] += replication[rec.url]
+        domains = sorted(produced)
+        assert summary["toots_vs_replication_correlation"] == pearson_correlation(
+            [produced[d] for d in domains], [replicated[d] for d in domains]
+        )
 
 
 class TestTopInstances:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,14 @@ import pytest
 from repro import obs
 from repro.cli import build_parser, main
 from repro.experiments import ExperimentResult
+
+#: SHA-256 of each file of ``export OUT --preset tiny --seed 7 --salt fixedsalt``.
+#: A pin that moves means the exported data changed, not that the pin is stale.
+EXPORT_PINS = {
+    "follower_edges.jsonl": "aeaee8bde54ae87aa4742207b68f96281ff9fc1b3eef5a4c10d4873969a0247e",
+    "instance_snapshots.jsonl": "0f1e599078c149405e29858a2a1806e8fbe684010f06e4fd259e3c456f882729",
+    "toots.jsonl": "4ff647abfdbd75c8089af41de6c781db825f76ed6675de032fe6bd37a17d84b0",
+}
 
 
 class TestParser:
@@ -148,6 +157,22 @@ class TestCommands:
         assert (tmp_path / "dump" / "instance_snapshots.jsonl").exists()
         assert (tmp_path / "dump" / "toots.jsonl").exists()
         assert (tmp_path / "dump" / "follower_edges.jsonl").exists()
+
+    def test_export_is_pinned_and_runs_no_dataset_collect(self, tmp_path, monkeypatch, capsys):
+        """The monitor log comes from ``InstanceMonitor`` itself: export runs
+        no ``collect_datasets`` whose crawls it would throw away."""
+
+        def no_collect(*args, **kwargs):
+            raise AssertionError("export ran collect_datasets")
+
+        monkeypatch.setattr("repro.cli.collect_datasets", no_collect)
+        out = tmp_path / "dump"
+        assert main(["export", str(out), "--preset", "tiny", "--seed", "7",
+                     "--salt", "fixedsalt"]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in EXPORT_PINS
+        }
+        assert digests == EXPORT_PINS
 
 
 class TestRunCommand:
