@@ -48,6 +48,7 @@ from repro.engine.sharding import (
     DEFAULT_SHARD_SIZE,
     IncidenceShard,
     ShardedIncidence,
+    kill_vector,
     sharded_availability_curves,
     streaming_losses,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "availability_from_losses",
     "kill_steps",
     "kill_steps_batch",
+    "kill_vector",
     "losses_per_step",
     "losses_per_step_batch",
     "random_strategy_grid",

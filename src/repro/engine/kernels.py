@@ -111,10 +111,22 @@ def kill_steps_batch(matrix: sparse.csr_matrix, removal_matrix: np.ndarray) -> n
     return kill
 
 
-def losses_per_step(kill: np.ndarray, steps: int) -> np.ndarray:
-    """Count the toots dying at each step (index 0 is always zero)."""
-    finite = np.isfinite(kill)
-    killed = kill[finite].astype(np.int64)
+def losses_per_step(
+    kill: np.ndarray, steps: int, sentinel: int | None = None
+) -> np.ndarray:
+    """Count the toots dying at each step (index 0 is always zero).
+
+    ``kill`` is either a float vector with ``np.inf`` survivors
+    (``sentinel`` None) or an int32 vector whose survivors hold
+    ``sentinel`` — the two shapes
+    :func:`~repro.engine.sharding.kill_vector` returns.  Any subset of a
+    kill vector is again a kill vector, so one gather plus this count
+    answers the losses of any row subset.
+    """
+    if sentinel is None:
+        killed = kill[np.isfinite(kill)].astype(np.int64)
+    else:
+        killed = kill[kill != sentinel]
     if killed.size and (killed.min() < 1 or killed.max() > steps):
         raise AnalysisError("kill steps fall outside the removal schedule")
     return np.bincount(killed, minlength=steps + 1)[: steps + 1]
@@ -159,14 +171,7 @@ def losses_per_step_batch(
         killed, sentinel = _kill_column(
             matrix, removal_matrix[:, j], bool(safe[j]), values, buffer
         )
-        if sentinel is None:
-            dead = killed[np.isfinite(killed)].astype(np.int64)
-        else:
-            dead = killed[killed != sentinel].astype(np.int64)
-        if dead.size and (dead.min() < 1 or dead.max() > schedule_steps):
-            raise AnalysisError("kill steps fall outside the removal schedule")
-        counts = np.bincount(dead, minlength=schedule_steps + 1)
-        losses[j, : schedule_steps + 1] = counts[: schedule_steps + 1]
+        losses[j, : schedule_steps + 1] = losses_per_step(killed, schedule_steps, sentinel)
     return losses
 
 

@@ -19,7 +19,10 @@ incidence memory is O(shard), not O(corpus)); for placements that only
 exist as a built :class:`~repro.engine.incidence.TootIncidence`,
 :meth:`ShardedIncidence.from_incidence` shards the existing matrix by
 row range instead.  :func:`streaming_losses` folds the shards, in shard
-order, into one small ``(k, max_steps + 1)`` loss table.
+order, into one small ``(k, max_steps + 1)`` loss table;
+:func:`kill_vector` keeps one schedule's per-toot kill steps instead, so
+the losses of any toot subset are a gather and one count (the serving
+layer's per-query path).
 
 ``availability_curves`` / ``run_availability_sweep``
 (:mod:`repro.engine.sweep`) expose this via a ``shard_size`` knob with
@@ -40,7 +43,13 @@ from scipy import sparse
 from repro import obs
 from repro.errors import AnalysisError
 from repro.engine.incidence import DomainLookup, TootIncidence
-from repro.engine.kernels import curves_from_loss_table, losses_per_step_batch
+from repro.engine.kernels import (
+    _check_rows,
+    _int32_safe_columns,
+    _kill_column,
+    curves_from_loss_table,
+    losses_per_step_batch,
+)
 
 #: Corpora at or above this many toots are sharded automatically when the
 #: integer-coded arrays backend is available (see ``_resolve_sharding``
@@ -339,6 +348,36 @@ def streaming_losses(
         obs.count("repro_engine_shard_folds_total", len(bounds))
         obs.count("repro_engine_toots_folded_total", sharded.n_toots)
     return losses
+
+
+def kill_vector(
+    sharded: ShardedIncidence, removal_column: np.ndarray
+) -> tuple[np.ndarray, int | None]:
+    """Every toot's kill step under one removal column, shard by shard.
+
+    Returns ``(kill, sentinel)`` in the shapes of
+    :func:`~repro.engine.kernels.losses_per_step`: an int32 vector with
+    ``sentinel`` marking survivors, or — when a removal step does not fit
+    under the int32 sentinel — a float64 vector with ``np.inf``
+    survivors and ``sentinel`` None.  Each shard runs the same gather +
+    ``reduceat`` pass as :func:`streaming_losses`, so
+    ``losses_per_step(kill[rows], steps, sentinel)`` equals the loss
+    table of any row subset, the whole corpus included.  Memory is one
+    value per toot: 4 bytes on the int32 path.
+    """
+    column = np.asarray(removal_column, dtype=np.float64).reshape(-1)
+    if column.shape != (sharded.n_domains,):
+        raise AnalysisError("the removal column needs one step per domain")
+    safe = bool(_int32_safe_columns(column[:, None])[0])
+    kill = np.empty(sharded.n_toots, dtype=np.int32 if safe else np.float64)
+    sentinel = None
+    bounds = sharded.shard_bounds()
+    with obs.span("engine/kill_vector", shards=len(bounds)):
+        for start, stop in bounds:
+            matrix = sharded.shard(start, stop).matrix
+            _check_rows(matrix)
+            kill[start:stop], sentinel = _kill_column(matrix, column, safe)
+    return kill, sentinel
 
 
 def sharded_availability_curves(

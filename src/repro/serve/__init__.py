@@ -8,15 +8,16 @@ follower-graph store) read-only via memory-mapped shards, performs the
 expensive one-time build exactly once (intern tables, per-strategy
 :class:`~repro.engine.placement.PlacementArrays`, per-(strategy ×
 failure) loss tables through the same streaming reduction the batch
-sweeps use), and then answers per-user / per-instance availability
-queries at interactive latency — bit-identical to the equivalent batch
-sweep.
+sweeps use, kept as one kill step per toot), and then answers
+per-user / per-instance / timeline availability queries at interactive
+latency — bit-identical to the equivalent batch sweep.
 
 Three exposures share one service object:
 
 * the Python API (:class:`AvailabilityService`);
-* a stdlib :class:`~http.server.ThreadingHTTPServer` JSON endpoint
-  (:func:`serve_http`, behind ``repro-mastodon serve``);
+* a JSON-over-HTTP endpoint on the stdlib request handler, answered by
+  a fixed pool of worker threads (:func:`serve_http`, behind
+  ``repro-mastodon serve``);
 * a line-oriented stdin/stdout query mode for scripts
   (:func:`serve_stdio`).
 """

@@ -3,22 +3,25 @@
 :class:`AvailabilityService` splits the batch pipeline's cost cleanly in
 two.  The **one-time build** (per strategy: integer-coded placements
 from the corpus columns, a :class:`~repro.engine.sharding.ShardedIncidence`
-over the crawl's own shard bounds; per (strategy × failure): the dense
-removal column and the full-corpus loss table via
-:func:`~repro.engine.sharding.streaming_losses`) runs exactly once, on
-first use or eagerly via :meth:`AvailabilityService.warm`.  **Per-query
-cost** is then O(answer): full-corpus availability is a table lookup,
-and per-user / per-instance queries assemble only the subset's CSR rows
-(:meth:`~repro.engine.placement.PlacementArrays.rows_incidence`) before
-one batched reduction over them.
+over the crawl's own shard bounds; per (strategy × failure): every
+toot's kill step via :func:`~repro.engine.sharding.kill_vector`, and
+the full-corpus curve counted from it) runs exactly once, on first use
+or eagerly via :meth:`AvailabilityService.warm`.  **Per-query cost** is
+then O(answer): under cumulative removal a toot's fate is one number,
+its kill step, so the curve of any toot subset — one user's toots, one
+instance's, a home timeline — is a gather of the subset's kill steps and
+one :func:`~repro.engine.kernels.losses_per_step` count over them.
 
 Every number the service returns is bit-identical to the equivalent
 batch sweep: the removal vectors come from the same
 :class:`~repro.engine.incidence.DomainLookup` over the same per-strategy
-domain universe, the loss fold is the same additive integer reduction,
-and the curves are the same ``1 - cumsum(losses) / total``.  The
-differential suite in ``tests/serve/`` holds the service to exact
-equality against :func:`~repro.engine.sweep.availability_curves`.
+domain universe, the kill steps from the same per-shard pass, the losses
+are the same integer counts, and the curves are the same
+``1 - cumsum(losses) / total``.  Whole-corpus and subset answers count
+the same kill vector, so they agree by construction.  The differential
+suite in ``tests/serve/`` holds the service to exact equality against
+:func:`~repro.engine.sweep.availability_curves` and against slicing the
+full incidence matrix.
 
 Failure rankings are derived from the stores alone, mirroring the batch
 pipeline's :func:`~repro.core.resilience.rank_instances` over the
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -51,11 +55,17 @@ from repro import obs
 from repro.corpus import CorpusStore, GraphStore
 from repro.engine.failures import FailureModel, InstanceRemoval
 from repro.engine.incidence import DomainLookup
-from repro.engine.kernels import availability_from_losses, losses_per_step_batch
+from repro.engine.kernels import availability_from_losses, losses_per_step
 from repro.engine.placement import PlacementArrays
-from repro.engine.sharding import DEFAULT_SHARD_SIZE, ShardedIncidence, streaming_losses
+from repro.engine.sharding import DEFAULT_SHARD_SIZE, ShardedIncidence, kill_vector
 from repro.engine.sweep import StrategySpec
 from repro.errors import AnalysisError
+
+# No query folds an incidence matrix any more, but perfbench's layer
+# split wraps these two names in this module; they stay importable here
+# and their serve spans read about 0.
+from repro.engine.kernels import losses_per_step_batch  # noqa: F401
+from repro.engine.sharding import streaming_losses  # noqa: F401
 
 #: Default removal-schedule length, matching the batch experiments'
 #: ``INSTANCE_REMOVAL_STEPS`` (fig13/15/16 family).
@@ -91,6 +101,34 @@ def parse_strategy(text: str) -> StrategySpec:
     raise AnalysisError(f"unknown placement strategy: {text!r}")
 
 
+@dataclass(frozen=True)
+class _Kills:
+    """One (strategy, failure) pair: every toot's kill step and the curve."""
+
+    failure: FailureModel
+    kill: np.ndarray
+    #: The survivors' value in ``kill`` (None: a float vector, ``inf``).
+    sentinel: int | None
+    steps: int
+    curve: np.ndarray
+
+    def subset_curve(self, rows: np.ndarray) -> np.ndarray:
+        """The availability curve of a row subset: a gather and a count."""
+        losses = losses_per_step(self.kill[rows], self.steps, self.sentinel)
+        return availability_from_losses(losses, rows.size)
+
+
+@dataclass(frozen=True)
+class _Ranking:
+    """One failure's replica candidates, best first (``best_placement``)."""
+
+    failure: FailureModel
+    #: Corpus domain codes: survivors by name, then latest-removed first.
+    codes: np.ndarray
+    #: Removal step per domain code; ``inf`` for survivors.
+    steps: np.ndarray
+
+
 class _StrategyState:
     """Everything built once per placement strategy."""
 
@@ -100,12 +138,18 @@ class _StrategyState:
         self.spec = spec
         self.arrays = arrays
         self.sharded = sharded
-        #: failure name -> (failure object, dense removal column, steps).
-        self.removals: dict[str, tuple[FailureModel, np.ndarray, int]] = {}
-        #: failure name -> (failure object, full-corpus availability curve).
-        self.curves: dict[str, tuple[FailureModel, np.ndarray]] = {}
+        #: failure name -> kill vector and full-corpus curve.
+        self.kills: dict[str, _Kills] = {}
         #: instance domain -> rows holding a copy (one corpus pass each).
         self.holder_rows: dict[str, np.ndarray] = {}
+
+
+def _group_rows(order: np.ndarray, indptr: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """``order[indptr[g] : indptr[g + 1]]`` for every ``g``, concatenated."""
+    starts = indptr[groups]
+    lengths = indptr[groups + 1] - starts
+    before = np.cumsum(lengths) - lengths
+    return order[np.repeat(starts - before, lengths) + np.arange(int(lengths.sum()))]
 
 
 class AvailabilityService:
@@ -153,9 +197,12 @@ class AvailabilityService:
         self._states: dict[str, _StrategyState] = {}
         self._author_lookup: DomainLookup | None = None
         self._author_rows: tuple[np.ndarray, np.ndarray] | None = None
+        self._home_domains: list[str] = []
         self._home_lookup: DomainLookup | None = None
         self._home_rows: tuple[np.ndarray, np.ndarray] | None = None
+        self._author_of_node: np.ndarray | None = None
         self._follow_index: tuple[np.ndarray, np.ndarray] | None = None
+        self._rankings: dict[str, _Ranking] = {}
 
     # -- the failure registry --------------------------------------------------
 
@@ -216,7 +263,7 @@ class AvailabilityService:
 
         Temporal models answer a different question (a time series, not
         a removal curve) and are rejected; replacing a name drops any
-        loss tables cached for it.
+        kill vectors and ranking cached for it.
         """
         if getattr(model, "temporal", False):
             raise AnalysisError(
@@ -267,56 +314,46 @@ class AvailabilityService:
                 )
             return state
 
-    def _removal_for(
-        self, state: _StrategyState, failure: FailureModel
-    ) -> tuple[np.ndarray, int]:
-        """The dense ``(n_domains, 1)`` removal column of one failure.
+    def _kills_for(self, strategy: str | StrategySpec, failure_name: str) -> _Kills:
+        """The kill vector and curve of one (strategy, failure) pair.
 
-        Cached per (strategy, failure *object*) — the domain universe is
-        per-strategy, so the same schedule maps to different columns
-        under different strategies.
-        """
-        with self._lock:
-            entry = state.removals.get(failure.name)
-            if entry is None or entry[0] is not failure:
-                steps = failure.effective_steps()
-                column = state.sharded.lookup.removal_vector(
-                    failure.removal_index(), steps
-                )[:, None]
-                entry = (failure, column, steps)
-                state.removals[failure.name] = entry
-            return entry[1], entry[2]
-
-    def curve(self, strategy: str | StrategySpec, failure_name: str) -> np.ndarray:
-        """The full-corpus availability curve (built once per pair).
-
-        Index ``k`` is the availability after ``k`` removals — the same
-        floats :func:`~repro.engine.sweep.availability_curves` returns as
-        :class:`AvailabilityPoint` lists, computed by the same streaming
-        loss fold.
+        Built once per pair — per failure *object*, since the domain
+        universe is per-strategy and a replaced failure name must not
+        answer from the old schedule.
         """
         state = self.state_for(strategy)
         failure = self.failure(failure_name)
         with self._lock:
-            entry = state.curves.get(failure.name)
-            if entry is None or entry[0] is not failure:
+            entry = state.kills.get(failure.name)
+            if entry is None or entry.failure is not failure:
                 build_started = time.perf_counter()
-                column, steps = self._removal_for(state, failure)
-                losses = streaming_losses(
-                    state.sharded, column, np.asarray([steps], dtype=np.int64)
+                steps = failure.effective_steps()
+                column = state.sharded.lookup.removal_vector(
+                    failure.removal_index(), steps
                 )
+                kill, sentinel = kill_vector(state.sharded, column)
                 curve = availability_from_losses(
-                    losses[0, : steps + 1], state.sharded.n_toots
+                    losses_per_step(kill, steps, sentinel), state.sharded.n_toots
                 )
-                entry = (failure, curve)
-                state.curves[failure.name] = entry
+                entry = _Kills(failure, kill, sentinel, steps, curve)
+                state.kills[failure.name] = entry
                 self.build_counters["loss_tables_built"] += 1
                 obs.metrics().observe(
                     "repro_serve_build_seconds",
                     time.perf_counter() - build_started,
                     kind="loss_table",
                 )
-            return entry[1]
+            return entry
+
+    def curve(self, strategy: str | StrategySpec, failure_name: str) -> np.ndarray:
+        """The full-corpus availability curve (built once per pair).
+
+        Index ``k`` is the availability after ``k`` removals — the same
+        floats :func:`~repro.engine.sweep.availability_curves` returns as
+        :class:`AvailabilityPoint` lists: the losses counted from the
+        pair's kill vector equal the batch fold's loss table.
+        """
+        return self._kills_for(strategy, failure_name).curve
 
     def warm(self, strategies: Sequence[str] | None = None) -> None:
         """Run every one-time build eagerly (default: all no-arg strategies)."""
@@ -329,6 +366,8 @@ class AvailabilityService:
         self._rows_by_home()
         if self.graph is not None:
             self._followed_index()
+        for model in list(self.failures().values()):
+            self._ranking(model)
 
     # -- row indexes (who authored / is homed where) ---------------------------
 
@@ -360,9 +399,8 @@ class AvailabilityService:
     def _rows_by_home(self) -> tuple[np.ndarray, np.ndarray]:
         with self._lock:
             if self._home_rows is None:
-                self._home_lookup = DomainLookup(
-                    [str(d) for d in self.corpus.domains.tolist()]
-                )
+                self._home_domains = [str(d) for d in self.corpus.domains.tolist()]
+                self._home_lookup = DomainLookup(self._home_domains)
                 self._home_rows = self._grouped_rows(
                     "home_code", self._home_lookup.n_domains
                 )
@@ -370,7 +408,12 @@ class AvailabilityService:
             return self._home_rows
 
     def _followed_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(order-sorted followed codes, per-follower indptr)`` (built once)."""
+        """``(followed node codes grouped by follower, per-follower indptr)``.
+
+        Built once, together with the map from graph node code to corpus
+        author code (``-1`` for accounts with no crawled toots) that
+        keeps timeline queries integer-only.
+        """
         if self.graph is None:
             raise AnalysisError("timeline queries need a graph store (--graph)")
         with self._lock:
@@ -390,9 +433,30 @@ class AvailabilityService:
                 counts = np.bincount(src_all, minlength=self.graph.n_nodes)
                 indptr = np.zeros(self.graph.n_nodes + 1, dtype=np.int64)
                 np.cumsum(counts, out=indptr[1:])
+                self._rows_by_author()
+                self._author_of_node = self._author_lookup.codes(
+                    self.graph.handles.astype(np.str_)
+                )
+                self.graph.node_index()
                 self._follow_index = (dst_all[order], indptr)
                 self.build_counters["row_indexes_built"] += 1
             return self._follow_index
+
+    def _ranking(self, model: FailureModel) -> _Ranking:
+        """Replica candidates for ``best_placement`` under one failure (cached)."""
+        with self._lock:
+            ranking = self._rankings.get(model.name)
+            if ranking is None or ranking.failure is not model:
+                self._rows_by_home()
+                steps = self._home_lookup.removal_vector(
+                    model.removal_index(), model.effective_steps()
+                )
+                names = np.asarray(self._home_domains, dtype=np.str_)
+                # survivors (inf) first, then latest-removed; names break ties
+                codes = np.lexsort((names, -steps)).astype(np.int64)
+                ranking = _Ranking(model, codes, steps)
+                self._rankings[model.name] = ranking
+            return ranking
 
     def rows_authored_by(self, user: str) -> np.ndarray:
         """Corpus rows of the toots ``user`` authored (ascending)."""
@@ -424,24 +488,19 @@ class AvailabilityService:
         """Rows of ``user``'s timeline: own toots plus followed authors'."""
         if self.graph is None:
             raise AnalysisError("timeline queries need a graph store (--graph)")
-        followed_codes, indptr = self._followed_index()
-        node = self.graph.node_index().get(user)
-        authors = [user]
-        if node is not None:
-            codes = np.unique(followed_codes[indptr[node] : indptr[node + 1]])
-            if codes.size:
-                authors.extend(str(h) for h in self.graph.handles[codes].tolist())
+        followed, indptr = self._followed_index()
         order, author_indptr = self._rows_by_author()
-        author_codes = self._author_lookup.codes(authors)
-        parts = [
-            order[author_indptr[code] : author_indptr[code + 1]]
-            for code in author_codes.tolist()
-            if code >= 0
-        ]
-        if not parts:
+        authors = self._author_lookup.codes([user])
+        node = self.graph.node_index().get(user)
+        if node is not None:
+            authors = np.concatenate(
+                (authors, self._author_of_node[followed[indptr[node] : indptr[node + 1]]])
+            )
+        authors = np.unique(authors[authors >= 0])
+        if authors.size == 0:
             raise AnalysisError(f"no toots in the timeline of {user!r}")
-        rows = np.unique(np.concatenate(parts))
-        return rows
+        # distinct authors' rows are disjoint, so sorting leaves them unique
+        return np.sort(_group_rows(order, author_indptr, authors))
 
     # -- queries ---------------------------------------------------------------
 
@@ -453,19 +512,6 @@ class AvailabilityService:
                 f"the number of removed entities cannot be negative (got {k})"
             )
         return float(curve[min(k, curve.size - 1)])
-
-    def _subset_curve(
-        self, strategy: str | StrategySpec, rows: np.ndarray, failure_name: str
-    ) -> np.ndarray:
-        """The availability curve of a row subset (one batched reduction)."""
-        state = self.state_for(strategy)
-        failure = self.failure(failure_name)
-        column, steps = self._removal_for(state, failure)
-        subset = state.arrays.rows_incidence(rows)
-        losses = losses_per_step_batch(
-            subset, column, np.asarray([steps], dtype=np.int64)
-        )
-        return availability_from_losses(losses[0, : steps + 1], rows.size)
 
     def availability(
         self,
@@ -493,6 +539,8 @@ class AvailabilityService:
             subject: dict[str, object] = {"user": user}
         elif instance is not None:
             rows = self.rows_homed_on(instance)
+            if rows.size == 0:
+                raise AnalysisError(f"no toot is homed on {instance!r}")
             subject = {"instance": instance}
         elif held_on is not None:
             rows = self.rows_held_on(spec, held_on)
@@ -504,11 +552,12 @@ class AvailabilityService:
         else:
             rows = None
             subject = {"scope": "corpus"}
+        kills = self._kills_for(spec, failure)
         if rows is None:
-            value = self._at(self.curve(spec, failure), k)
+            value = self._at(kills.curve, k)
             n_toots = self.corpus.n_toots
         else:
-            value = self._at(self._subset_curve(spec, rows, failure), k)
+            value = self._at(kills.subset_curve(rows), k)
             n_toots = int(rows.size)
         return {
             **subject,
@@ -530,7 +579,7 @@ class AvailabilityService:
         """Availability of ``user``'s home timeline after ``k`` removals."""
         spec = parse_strategy(strategy) if isinstance(strategy, str) else strategy
         rows = self.timeline_rows(user)
-        value = self._at(self._subset_curve(spec, rows, failure), k)
+        value = self._at(self._kills_for(spec, failure).subset_curve(rows), k)
         return {
             "user": user,
             "strategy": spec.name,
@@ -557,35 +606,22 @@ class AvailabilityService:
             raise AnalysisError(
                 f"the number of replicas cannot be negative (got {n_replicas})"
             )
-        universe = sorted(str(d) for d in self.corpus.domains.tolist())
-        if home not in set(universe):
+        self._rows_by_home()
+        home_code = int(self._home_lookup.codes([home])[0])
+        if home_code < 0:
             raise AnalysisError(f"unknown instance {home!r}")
-        model = self.failure(failure)
-        steps = model.effective_steps()
-        removal = {
-            domain: step
-            for domain, step in model.removal_index().items()
-            if step <= steps
-        }
-
-        def key(domain: str) -> tuple[int, int, str]:
-            step = removal.get(domain)
-            if step is None:
-                return (0, 0, domain)
-            return (1, -step, domain)
-
-        replicas = sorted(
-            (d for d in universe if d != home), key=key
-        )[:n_replicas]
-        holder_steps = [removal.get(d) for d in [home, *replicas]]
-        if any(step is None for step in holder_steps):
+        ranking = self._ranking(self.failure(failure))
+        replicas = ranking.codes[: n_replicas + 1]
+        replicas = replicas[replicas != home_code][:n_replicas]
+        holder_steps = ranking.steps[np.append(replicas, home_code)]
+        if np.isinf(holder_steps).any():
             kill_step: int | None = None
         else:
-            kill_step = max(holder_steps)
+            kill_step = int(holder_steps.max())
         return {
             "home": home,
             "failure": failure,
-            "replicas": replicas,
+            "replicas": [self._home_domains[code] for code in replicas.tolist()],
             "kill_step": kill_step,
         }
 

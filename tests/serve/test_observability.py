@@ -21,6 +21,7 @@ import pytest
 
 from repro import obs
 from repro.serve import AvailabilityService, build_http_server, handle_query, serve_stdio
+from repro.serve.http import POOL_SIZE
 
 
 @pytest.fixture()
@@ -115,6 +116,22 @@ class TestCountedBeforeReply:
                     break
         finally:
             sys.setswitchinterval(switch_interval)
+
+
+class TestMetricsShards:
+    """Requests record into the pool's shards, not one new shard each."""
+
+    REQUESTS = 300
+
+    def test_shards_grow_by_at_most_the_pool(self, http_base):
+        registry = obs.metrics()
+        before = len(registry._shards)
+        for _ in range(self.REQUESTS):
+            assert get_raw(http_base, "/health")[0] == 200
+        assert len(registry._shards) - before <= POOL_SIZE
+        assert registry.counter_value(
+            "repro_serve_requests_total", endpoint="/health", status="200"
+        ) >= self.REQUESTS
 
 
 class TestStatsVerb:

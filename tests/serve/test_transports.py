@@ -4,17 +4,30 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import re
 import shutil
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.serve import AvailabilityService, build_http_server, serve_stdio
+from repro.serve import http as serve_http_module
+from repro.serve.http import POOL_SIZE, READ_TIMEOUT_S
 from repro.serve.stdio import _parse_line
 from repro.errors import ReproError
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +147,162 @@ class TestHttp:
         status, payload = http_get(http_base, "/availability", k=1, surprise="yes")
         assert status == 400
         assert "unknown parameters" in payload["error"]
+
+
+class TestPool:
+    """A fixed worker pool: idle clients are bounded, shutdown never waits."""
+
+    TIMEOUT_S = 0.5
+
+    @pytest.fixture()
+    def pooled(self, service, monkeypatch):
+        """A fresh server whose read timeout is ``TIMEOUT_S``, and a list of
+        connections to close after it."""
+        monkeypatch.setattr(serve_http_module, "READ_TIMEOUT_S", self.TIMEOUT_S)
+        server = build_http_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        idle: list[socket.socket] = []
+        yield server, idle
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        for connection in idle:
+            connection.close()
+
+    @staticmethod
+    def open_idle(server, idle: list, count: int) -> None:
+        """``count`` connections that send nothing, each taken by a worker."""
+        address = server.server_address[:2]
+        idle.extend(socket.create_connection(address) for _ in range(count))
+        time.sleep(0.1)  # let the workers pick them up
+
+    @staticmethod
+    def health_seconds(server) -> float:
+        host, port = server.server_address[:2]
+        started = time.perf_counter()
+        status, payload = http_get(f"http://{host}:{port}", "/health")
+        assert (status, payload) == (200, {"status": "ok"})
+        return time.perf_counter() - started
+
+    @staticmethod
+    def raw_reply(server, request: bytes) -> bytes:
+        with socket.create_connection(server.server_address[:2], timeout=10) as client:
+            client.sendall(request)
+            chunks = []
+            while chunk := client.recv(65536):
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    def test_a_free_worker_answers_at_once(self, pooled):
+        server, idle = pooled
+        self.open_idle(server, idle, POOL_SIZE - 1)
+        assert self.health_seconds(server) < self.TIMEOUT_S
+
+    def test_idle_clients_hold_workers_no_longer_than_the_timeout(self, pooled):
+        server, idle = pooled
+        self.open_idle(server, idle, POOL_SIZE)
+        assert self.health_seconds(server) < self.TIMEOUT_S + 1.0
+
+    def test_shutdown_does_not_wait_for_idle_clients(self, service):
+        # the default timeout: closing must not wait for the idle reads
+        server = build_http_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        idle: list[socket.socket] = []
+        try:
+            self.open_idle(server, idle, POOL_SIZE + 1)
+            started = time.perf_counter()
+            server.shutdown()
+            server.server_close()
+            assert time.perf_counter() - started < 1.0
+            thread.join(timeout=1.0)
+            assert not thread.is_alive()
+        finally:
+            for connection in idle:
+                connection.close()
+
+    def test_more_clients_than_workers_get_the_serial_answers(self, service, pooled):
+        server, _ = pooled
+        base = "http://%s:%d" % server.server_address[:2]
+        users = [str(a) for a in service.corpus.authors.tolist()[:4]]
+        homes = list(service.corpus.home_toot_counts)[:2]
+        queries = [("/availability", {"user": u, "strategy": "s-rep", "k": "7"}) for u in users]
+        queries += [("/timeline", {"user": u, "k": "3"}) for u in users]
+        queries += [("/best_placement", {"home": h, "n_replicas": "2"}) for h in homes]
+        queries += [("/availability", {"instance": h, "k": "2"}) for h in homes]
+        serial = [http_get(base, path, **params) for path, params in queries]
+        registry = obs.metrics()
+        endpoints = sorted({path for path, _ in queries})
+
+        def counted() -> float:
+            return sum(
+                registry.counter_value("repro_serve_requests_total", endpoint=e, status="200")
+                for e in endpoints
+            )
+
+        before = counted()
+        clients = 3 * POOL_SIZE
+        results: list[list | None] = [None] * clients
+        errors: list[BaseException] = []
+
+        def client(slot: int) -> None:
+            try:
+                order = queries[slot:] + queries[:slot]
+                answers = [http_get(base, path, **params) for path, params in order]
+                results[slot] = answers[-slot:] + answers[:-slot] if slot else answers
+            except BaseException as exc:  # surfaced after join
+                errors.append(exc)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert all(answers == serial for answers in results)
+        assert counted() - before == clients * len(queries)
+
+    def test_oversized_requests_are_refused_and_workers_keep_serving(self, pooled):
+        server, _ = pooled
+        too_long = b"GET /" + b"a" * 70_000 + b" HTTP/1.0\r\n\r\n"
+        headers = b"".join(b"X-Header-%d: x\r\n" % i for i in range(101))
+        too_many = b"GET /health HTTP/1.0\r\n" + headers + b"\r\n"
+        for _ in range(POOL_SIZE + 1):
+            assert self.raw_reply(server, too_long).startswith(b"HTTP/1.0 414 ")
+            assert self.raw_reply(server, too_many).startswith(b"HTTP/1.0 431 ")
+        assert self.health_seconds(server) < self.TIMEOUT_S
+
+    def test_serve_exits_zero_on_sigint_with_an_idle_client(self, serve_corpus_dir):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", str(serve_corpus_dir), "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            line = process.stdout.readline()
+            match = re.search(r"http://([^:]+):(\d+)", line)
+            assert match, line + process.stderr.read()
+            with socket.create_connection((match.group(1), int(match.group(2)))):
+                time.sleep(0.2)
+                process.send_signal(signal.SIGINT)
+                # a worker still waits on the idle client: exiting must not
+                assert process.wait(timeout=READ_TIMEOUT_S - 1.0) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+            process.stderr.close()
 
 
 class TestStdio:
