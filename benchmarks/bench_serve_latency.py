@@ -12,7 +12,8 @@ three claims:
 2. **latency** — every subset verb the service answers (per-user and
    per-instance availability, home timelines) answers from the warm
    service at ``p50 <= 10 ms`` and ``p99 <= 100 ms``;
-3. **throughput** — each verb sustains ``>= 200`` queries/sec.
+3. **throughput** — the mixed stream sustains ``>= 200`` queries/sec of
+   wall-clock time, and so does each verb over the time spent on it.
 
 The query stream is the served mix: users and instances are drawn in
 proportion to their toot counts, as the ``serve-medium`` load generator
@@ -234,6 +235,9 @@ def _assert_gates(measured: dict[str, object]) -> None:
         assert stats["qps"] >= measured["gate_min_qps"], (
             f"{verb}: {stats['qps']:.0f} qps under the {measured['gate_min_qps']} floor"
         )
+    assert measured["qps"] >= measured["gate_min_qps"], (
+        f"mixed stream: {measured['qps']:.0f} qps under the {measured['gate_min_qps']} floor"
+    )
 
 
 def main() -> None:
@@ -268,8 +272,9 @@ def main() -> None:
     print("  identity            : warm curve == batch sweep (bit-identical)")
     print(f"  one-time build      : collect {measured['collect_seconds']}s, "
           f"service {measured['service_build_seconds']}s")
-    print(f"  gates per verb      : p50 <= {measured['gate_p50_ms']} ms, "
-          f"p99 <= {measured['gate_p99_ms']} ms, >= {measured['gate_min_qps']} qps")
+    print(f"  gates               : p50 <= {measured['gate_p50_ms']} ms and "
+          f"p99 <= {measured['gate_p99_ms']} ms per verb, >= {measured['gate_min_qps']} qps "
+          "per verb and mixed")
     for verb, stats in measured["verbs"].items():
         print(f"  {verb:<19} : {stats['queries']:>5} queries, p50 {stats['p50_ms']:.2f} ms, "
               f"p99 {stats['p99_ms']:.2f} ms, {stats['qps']:,.0f} qps")

@@ -6,7 +6,10 @@ owning thread mutates without taking any lock — CPython dict operations
 are atomic under the GIL), so threads never contend on the write path.
 Shards are registered in a central list the first time a thread records
 anything, and **merged on read**: after writer threads are joined, a
-merge is exact to the last increment.  Gauges are last-write-wins and go
+merge is exact to the last increment.  The shards of finished threads
+are folded into one retired shard when the list has doubled, so a
+process that starts a thread per task (a server with a thread per
+connection) keeps a bounded list.  Gauges are last-write-wins and go
 through a single lock (they are set rarely — once per batch, not once
 per item).
 
@@ -32,6 +35,9 @@ __all__ = ["HISTOGRAM_BUCKETS", "MetricsRegistry"]
 #: Fixed histogram bucket upper bounds: 2**-20 s (~1 µs) .. 2**10 s.
 HISTOGRAM_BUCKETS: tuple[float, ...] = tuple(2.0**e for e in range(-20, 11))
 
+# the fewest shards at which finished threads' shards are folded
+_FOLD_AT_LEAST = 16
+
 # a metric key is (name, ((label, value), ...)) with labels sorted
 _Key = tuple[str, tuple[tuple[str, str], ...]]
 
@@ -56,11 +62,25 @@ class _Histogram:
 class _Shard:
     """One thread's private counters and histograms (no lock needed)."""
 
-    __slots__ = ("counters", "histograms")
+    __slots__ = ("counters", "histograms", "owner")
 
-    def __init__(self) -> None:
+    def __init__(self, owner: threading.Thread | None) -> None:
         self.counters: dict[_Key, float] = {}
         self.histograms: dict[_Key, _Histogram] = {}
+        # the recording thread; None for the retired shard
+        self.owner = owner
+
+    def add(self, other: _Shard) -> None:
+        """Add ``other``'s values, which no thread still records into."""
+        for key, value in other.counters.items():
+            self.counters[key] = self.counters.get(key, 0.0) + value
+        for key, hist in other.histograms.items():
+            mine = self.histograms.get(key)
+            if mine is None:
+                mine = self.histograms[key] = _Histogram(len(hist.counts) - 1)
+            for i, count in enumerate(hist.counts):
+                mine.counts[i] += count
+            mine.total += hist.total
 
 
 class MetricsRegistry:
@@ -72,7 +92,9 @@ class MetricsRegistry:
             raise ValueError("histogram buckets cannot be empty")
         self._lock = threading.Lock()
         self._local = threading.local()
-        self._shards: list[_Shard] = []
+        # the retired shard first, then one per recording thread
+        self._shards: list[_Shard] = [_Shard(None)]
+        self._fold_at = _FOLD_AT_LEAST
         self._gauges: dict[_Key, float] = {}
         self._help: dict[str, str] = {}
 
@@ -81,11 +103,30 @@ class MetricsRegistry:
     def _shard(self) -> _Shard:
         shard = getattr(self._local, "shard", None)
         if shard is None:
-            shard = _Shard()
+            shard = _Shard(threading.current_thread())
             with self._lock:
+                if len(self._shards) >= self._fold_at:
+                    self._retire_finished()
                 self._shards.append(shard)
             self._local.shard = shard
         return shard
+
+    def _retire_finished(self) -> None:
+        """Fold the shards of finished threads into the retired shard.
+
+        Called under the lock.  The retired shard and the list are
+        replaced, not updated, so a reader that copied the old list
+        still counts every value once.
+        """
+        retired, live = _Shard(None), []
+        retired.add(self._shards[0])
+        for shard in self._shards[1:]:
+            if shard.owner.is_alive():
+                live.append(shard)
+            else:
+                retired.add(shard)
+        self._shards = [retired] + live
+        self._fold_at = max(_FOLD_AT_LEAST, 2 * len(self._shards))
 
     def inc(self, name: str, value: float = 1.0, **labels: Any) -> None:
         """Add ``value`` to the counter ``name`` (monotonic by contract)."""

@@ -15,9 +15,8 @@ latency — bit-identical to the equivalent batch sweep.
 Three exposures share one service object:
 
 * the Python API (:class:`AvailabilityService`);
-* a JSON-over-HTTP endpoint on the stdlib request handler, answered by
-  a fixed pool of worker threads (:func:`serve_http`, behind
-  ``repro-mastodon serve``);
+* a stdlib :class:`~http.server.ThreadingHTTPServer` JSON endpoint
+  (:func:`serve_http`, behind ``repro-mastodon serve``);
 * a line-oriented stdin/stdout query mode for scripts
   (:func:`serve_stdio`).
 """

@@ -1,4 +1,4 @@
-"""The JSON-over-HTTP transport: stdlib request handling, a fixed worker pool.
+"""The JSON-over-HTTP transport: a stdlib ``ThreadingHTTPServer``.
 
 Endpoints map one-to-one onto :func:`~repro.serve.service.handle_query`
 verbs — ``/availability``, ``/timeline``, ``/best_placement``, ``/meta``,
@@ -17,18 +17,12 @@ recorded before the reply is written, so the latency runs from request
 parse to the start of the reply, and a client that has its answer
 always finds its request counted.
 
-Requests are parsed by :class:`~http.server.BaseHTTPRequestHandler`
-(an over-long request line is a 414, too many headers a 431).  The
-accepting thread hands each connection to one of :data:`POOL_SIZE`
-worker threads started with the server, instead of starting a thread
-per connection: a warm answer takes well under a millisecond, so thread
-start-up was a large share of each request, and every new thread also
-registered a metrics shard that was never dropped.  A fixed pool can be
-starved by clients that connect and send nothing, so each connection
-gets a :data:`READ_TIMEOUT_S` read timeout, and the workers are daemon
-threads: a worker still waiting on such a client never holds up
-``server_close()`` or interpreter exit.  All workers call into one
-shared :class:`~repro.serve.service.AvailabilityService`, whose one-time
+Threading matters here: each connection gets a thread of its own, so a
+slow client or a query waiting on a one-time build never holds up
+another request, ``/health`` included.  A connection that sends nothing
+for :data:`READ_TIMEOUT_S` is dropped, so silent clients do not pile up
+threads.  The handler threads all call into one shared
+:class:`~repro.serve.service.AvailabilityService`, whose one-time
 builds are lock-serialised and whose queries are read-only afterwards —
 concurrent requests get bit-identical answers to serial ones.
 """
@@ -36,20 +30,15 @@ concurrent requests get bit-identical answers to serial ones.
 from __future__ import annotations
 
 import json
-import queue
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qsl, urlsplit
 
 from repro import obs
 from repro.errors import ReproError
 from repro.serve.service import AvailabilityService, handle_query
 
-#: Worker threads answering connections, started with the server.
-POOL_SIZE = 4
-
-#: Seconds a connection may stay silent before its worker drops it.
+#: Seconds a connection may stay silent before its thread drops it.
 READ_TIMEOUT_S = 5.0
 
 #: URL path -> query verb.
@@ -86,43 +75,16 @@ def _answer(
     return status, body, "application/json"
 
 
-class PooledHTTPServer(HTTPServer):
-    """An :class:`HTTPServer` whose connections go to a fixed thread pool."""
-
-    def __init__(self, address, handler) -> None:
-        super().__init__(address, handler)
-        self._connections: queue.SimpleQueue = queue.SimpleQueue()
-        for index in range(POOL_SIZE):
-            threading.Thread(
-                target=self._work, name=f"serve-worker-{index}", daemon=True
-            ).start()
-
-    def process_request(self, request, client_address) -> None:
-        self._connections.put((request, client_address))
-
-    def _work(self) -> None:
-        while True:
-            item = self._connections.get()
-            if item is None:
-                return
-            request, client_address = item
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                self.shutdown_request(request)
-
-    def server_close(self) -> None:
-        """Close the socket and release the workers; waits for none of them."""
-        super().server_close()
-        for _ in range(POOL_SIZE):
-            self._connections.put(None)
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+    # the stdlib's backlog of 5 drops the handshakes of a burst of
+    # connects, and each dropped client waits out a 1 s SYN retransmit
+    request_queue_size = 128
 
 
 def build_http_server(
     service: AvailabilityService, host: str = "127.0.0.1", port: int = 8015
-) -> PooledHTTPServer:
+) -> ThreadingHTTPServer:
     """A ready-to-``serve_forever`` HTTP server bound to ``host:port``.
 
     Split from :func:`serve_http` so tests (and embedders) can bind port
@@ -156,7 +118,7 @@ def build_http_server(
         def log_message(self, *args) -> None:  # silence per-request stderr noise
             pass
 
-    return PooledHTTPServer((host, port), Handler)
+    return _Server((host, port), Handler)
 
 
 def serve_http(

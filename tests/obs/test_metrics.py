@@ -106,6 +106,41 @@ def test_merged_reads_are_safe_while_writers_run():
             thread.join()
 
 
+def test_finished_threads_shards_are_folded_and_still_counted():
+    registry = MetricsRegistry(buckets=(0.1, 1.0))
+
+    def worker():
+        registry.inc("hits_total")
+        registry.observe("work_seconds", 0.5)
+
+    for _ in range(200):
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+    assert len(registry._shards) <= 16
+    assert registry.counter_value("hits_total") == 200
+    assert registry.histogram_stats("work_seconds") == (200, 100.0)
+    assert 'work_seconds_bucket{le="1.0"} 200' in registry.render_prometheus()
+
+
+def test_a_fold_does_not_change_a_shard_list_a_reader_copied():
+    registry = MetricsRegistry()
+
+    def worker():
+        registry.inc("hits_total")
+
+    for _ in range(10):
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join()
+    copied = list(registry._shards)  # what a merge in progress holds
+    with registry._lock:
+        registry._retire_finished()
+    assert len(registry._shards) == 1
+    for shards in (copied, registry._shards):
+        assert sum(shard.counters.get(("hits_total", ()), 0.0) for shard in shards) == 10
+
+
 def test_prometheus_rendering_types_labels_and_escaping():
     registry = MetricsRegistry()
     registry.describe("requests_total", "Requests served.")

@@ -23,7 +23,7 @@ import pytest
 from repro import obs
 from repro.serve import AvailabilityService, build_http_server, serve_stdio
 from repro.serve import http as serve_http_module
-from repro.serve.http import POOL_SIZE, READ_TIMEOUT_S
+from repro.serve.http import READ_TIMEOUT_S
 from repro.serve.stdio import _parse_line
 from repro.errors import ReproError
 
@@ -149,39 +149,44 @@ class TestHttp:
         assert "unknown parameters" in payload["error"]
 
 
-class TestPool:
-    """A fixed worker pool: idle clients are bounded, shutdown never waits."""
+class TestConnections:
+    """A thread per connection: no client holds up another, silent clients
+    are dropped after the read timeout, and shutdown never waits."""
 
     TIMEOUT_S = 0.5
+    CLIENTS = 8
 
     @pytest.fixture()
-    def pooled(self, service, monkeypatch):
+    def live(self, service, monkeypatch):
         """A fresh server whose read timeout is ``TIMEOUT_S``, and a list of
         connections to close after it."""
         monkeypatch.setattr(serve_http_module, "READ_TIMEOUT_S", self.TIMEOUT_S)
         server = build_http_server(service, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        idle: list[socket.socket] = []
-        yield server, idle
+        held: list[socket.socket] = []
+        yield server, held
         server.shutdown()
         server.server_close()
         thread.join(timeout=10)
-        for connection in idle:
+        for connection in held:
             connection.close()
 
     @staticmethod
-    def open_idle(server, idle: list, count: int) -> None:
-        """``count`` connections that send nothing, each taken by a worker."""
-        address = server.server_address[:2]
-        idle.extend(socket.create_connection(address) for _ in range(count))
-        time.sleep(0.1)  # let the workers pick them up
+    def base(server) -> str:
+        return "http://%s:%d" % server.server_address[:2]
 
     @staticmethod
-    def health_seconds(server) -> float:
-        host, port = server.server_address[:2]
+    def open_idle(server, held: list, count: int) -> None:
+        """``count`` connections that send nothing."""
+        address = server.server_address[:2]
+        held.extend(socket.create_connection(address) for _ in range(count))
+        time.sleep(0.1)  # let the server accept them
+
+    @classmethod
+    def health_seconds(cls, server) -> float:
         started = time.perf_counter()
-        status, payload = http_get(f"http://{host}:{port}", "/health")
+        status, payload = http_get(cls.base(server), "/health")
         assert (status, payload) == (200, {"status": "ok"})
         return time.perf_counter() - started
 
@@ -194,15 +199,80 @@ class TestPool:
                 chunks.append(chunk)
         return b"".join(chunks)
 
-    def test_a_free_worker_answers_at_once(self, pooled):
-        server, idle = pooled
-        self.open_idle(server, idle, POOL_SIZE - 1)
+    def test_a_burst_of_connects_is_accepted_at_once(self, live):
+        server, held = live
+        address = server.server_address[:2]
+        slowest = 0.0
+        for _ in range(4 * self.CLIENTS):
+            started = time.perf_counter()
+            held.append(socket.create_connection(address))
+            slowest = max(slowest, time.perf_counter() - started)
+        assert slowest < self.TIMEOUT_S
+
+    def test_idle_clients_do_not_delay_health(self, live):
+        server, held = live
+        self.open_idle(server, held, self.CLIENTS)
         assert self.health_seconds(server) < self.TIMEOUT_S
 
-    def test_idle_clients_hold_workers_no_longer_than_the_timeout(self, pooled):
-        server, idle = pooled
-        self.open_idle(server, idle, POOL_SIZE)
-        assert self.health_seconds(server) < self.TIMEOUT_S + 1.0
+    def test_trickling_clients_do_not_delay_health(self, live):
+        # one byte every 0.3 s: no single read waits out the timeout
+        server, held = live
+        address = server.server_address[:2]
+        held.extend(socket.create_connection(address) for _ in range(self.CLIENTS))
+        stop = threading.Event()
+
+        def trickle(connection: socket.socket) -> None:
+            for byte in b"GET /health HTTP/1.0\r\n\r\n":
+                if stop.wait(0.3):
+                    return
+                connection.send(bytes([byte]))
+
+        threads = [threading.Thread(target=trickle, args=(c,)) for c in held]
+        for thread in threads:
+            thread.start()
+        try:
+            time.sleep(1.0)
+            assert self.health_seconds(server) < self.TIMEOUT_S
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+
+    def test_queries_waiting_on_a_build_do_not_delay_health(self, live, monkeypatch):
+        server, _ = live
+        answer = serve_http_module.handle_query
+        entered = threading.Semaphore(0)
+        release = threading.Event()
+
+        def slow_build(service, verb, params):
+            entered.release()
+            release.wait(10)
+            return answer(service, verb, params)
+
+        monkeypatch.setattr(serve_http_module, "handle_query", slow_build)
+        statuses: list[int] = []
+        threads = [
+            threading.Thread(target=lambda: statuses.append(http_get(self.base(server), "/meta")[0]))
+            for _ in range(self.CLIENTS)
+        ]
+        for thread in threads:
+            thread.start()
+        try:
+            for _ in threads:
+                assert entered.acquire(timeout=10)
+            assert self.health_seconds(server) < self.TIMEOUT_S
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(timeout=10)
+        assert statuses == [200] * self.CLIENTS
+
+    def test_a_silent_client_is_dropped_after_the_timeout(self, live):
+        server, _ = live
+        with socket.create_connection(server.server_address[:2], timeout=10) as client:
+            started = time.perf_counter()
+            assert client.recv(1) == b""
+            assert time.perf_counter() - started < self.TIMEOUT_S + 1.0
 
     def test_shutdown_does_not_wait_for_idle_clients(self, service):
         # the default timeout: closing must not wait for the idle reads
@@ -211,7 +281,7 @@ class TestPool:
         thread.start()
         idle: list[socket.socket] = []
         try:
-            self.open_idle(server, idle, POOL_SIZE + 1)
+            self.open_idle(server, idle, self.CLIENTS)
             started = time.perf_counter()
             server.shutdown()
             server.server_close()
@@ -222,9 +292,9 @@ class TestPool:
             for connection in idle:
                 connection.close()
 
-    def test_more_clients_than_workers_get_the_serial_answers(self, service, pooled):
-        server, _ = pooled
-        base = "http://%s:%d" % server.server_address[:2]
+    def test_concurrent_clients_get_the_serial_answers(self, service, live):
+        server, _ = live
+        base = self.base(server)
         users = [str(a) for a in service.corpus.authors.tolist()[:4]]
         homes = list(service.corpus.home_toot_counts)[:2]
         queries = [("/availability", {"user": u, "strategy": "s-rep", "k": "7"}) for u in users]
@@ -242,7 +312,7 @@ class TestPool:
             )
 
         before = counted()
-        clients = 3 * POOL_SIZE
+        clients = self.CLIENTS
         results: list[list | None] = [None] * clients
         errors: list[BaseException] = []
 
@@ -269,12 +339,12 @@ class TestPool:
         assert all(answers == serial for answers in results)
         assert counted() - before == clients * len(queries)
 
-    def test_oversized_requests_are_refused_and_workers_keep_serving(self, pooled):
-        server, _ = pooled
+    def test_oversized_requests_are_refused_and_the_server_keeps_serving(self, live):
+        server, _ = live
         too_long = b"GET /" + b"a" * 70_000 + b" HTTP/1.0\r\n\r\n"
         headers = b"".join(b"X-Header-%d: x\r\n" % i for i in range(101))
         too_many = b"GET /health HTTP/1.0\r\n" + headers + b"\r\n"
-        for _ in range(POOL_SIZE + 1):
+        for _ in range(3):
             assert self.raw_reply(server, too_long).startswith(b"HTTP/1.0 414 ")
             assert self.raw_reply(server, too_many).startswith(b"HTTP/1.0 431 ")
         assert self.health_seconds(server) < self.TIMEOUT_S
@@ -295,7 +365,7 @@ class TestPool:
             with socket.create_connection((match.group(1), int(match.group(2)))):
                 time.sleep(0.2)
                 process.send_signal(signal.SIGINT)
-                # a worker still waits on the idle client: exiting must not
+                # a thread still waits on the idle client: exiting must not
                 assert process.wait(timeout=READ_TIMEOUT_S - 1.0) == 0
         finally:
             if process.poll() is None:
