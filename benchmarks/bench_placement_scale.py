@@ -4,8 +4,11 @@ After PR 1 the availability curves became batched reductions, leaving
 placement *construction* as the Figs. 15-16 bottleneck: the legacy
 ``_random_replication_python`` loop issues one ``rng.choice`` per toot
 (~1s unweighted / ~5s weighted at this scale), while the vectorised
-builder draws every toot in one chunked pass — per-row ``argpartition``
-over random keys, Gumbel top-k for the weighted case.  This benchmark
+builder draws every toot in one chunked pass — a lazy Gumbel top-k
+race of ``k + 5`` categorical rounds per row, kept as drawn where the
+first k rounds are distinct, with weighted rounds mapped through a
+guide table and unresolved rows continued by dense Gumbel keys
+(:func:`repro.engine.placement._batch_distinct_draws`).  This benchmark
 builds 100,000-toot random placements both ways (weighted and
 unweighted) and asserts the vectorised builder is at least 10× faster
 for each variant.
@@ -13,7 +16,9 @@ for each variant.
 The two sides cannot be compared toot-by-toot (the batched draw consumes
 the RNG stream in a different order), so the benchmark cross-checks the
 replica-count distribution instead; the full statistical suite lives in
-``tests/engine/test_placement.py``.
+``tests/engine/test_placement.py``.  It also gates exactness: the same
+build with the draw kernel swapped for its O(k²) reference
+(``tests/reference/draws.py``) must give identical replica arrays.
 
 Run standalone::
 
@@ -26,8 +31,11 @@ or through the harness::
 
 from __future__ import annotations
 
+import sys
 import tempfile
 import time
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -35,6 +43,13 @@ from repro.core.replication import _random_replication_python, random_replicatio
 from repro.corpus import CorpusWriter
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.toots import TootsDataset
+from repro.engine import placement
+
+try:
+    from tests.reference.draws import batch_distinct_draws
+except ImportError:  # run as a script: the repository root is not on sys.path
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.reference.draws import batch_distinct_draws
 
 N_TOOTS = 100_000
 N_DOMAINS = 400
@@ -116,9 +131,24 @@ def compare(toots, domains, weights, rounds: int = 2):
     return results
 
 
+def matches_reference(toots, domains, weights) -> dict[str, bool]:
+    """Whether each variant's build equals the build with the reference kernel."""
+    matches = {}
+    for label, kwargs in (("unweighted", {}), ("weighted", {"weights": weights})):
+        fast = random_replication(toots, domains, N_REPLICAS, seed=SEED, **kwargs).arrays
+        with mock.patch.object(placement, "_batch_distinct_draws", batch_distinct_draws):
+            reference = random_replication(
+                toots, domains, N_REPLICAS, seed=SEED, **kwargs
+            ).arrays
+        matches[label] = np.array_equal(
+            fast.replica_indices, reference.replica_indices
+        ) and np.array_equal(fast.replica_indptr, reference.replica_indptr)
+    return matches
+
+
 def run_comparison(n_toots: int = N_TOOTS):
     toots, domains, weights = synthetic_toots(n_toots=n_toots)
-    return compare(toots, domains, weights)
+    return compare(toots, domains, weights), matches_reference(toots, domains, weights)
 
 
 def test_placement_scale_speedup(benchmark):
@@ -132,6 +162,7 @@ def test_placement_scale_speedup(benchmark):
         iterations=1,
     )
     results = compare(toots, domains, weights)
+    matches = matches_reference(toots, domains, weights)
 
     from benchmarks.conftest import emit
     from repro.reporting import format_table
@@ -153,10 +184,11 @@ def test_placement_scale_speedup(benchmark):
     )
     for label, (legacy_time, fast_time) in results.items():
         assert legacy_time / fast_time >= MIN_SPEEDUP, label
+    assert all(matches.values()), matches
 
 
 def main() -> None:
-    results = run_comparison()
+    results, matches = run_comparison()
     print(
         f"random_replication construction: {N_TOOTS:,} toots x {N_DOMAINS} domains, "
         f"{N_REPLICAS} replicas"
@@ -176,7 +208,10 @@ def main() -> None:
         payload[f"legacy_seconds[{label}]"] = round(legacy_time, 4)
         payload[f"vectorised_seconds[{label}]"] = round(fast_time, 4)
         payload[f"speedup[{label}]"] = round(speedup, 2)
+        payload[f"matches_reference[{label}]"] = matches[label]
+        print(f"    equals reference    : {matches[label]}")
         assert speedup >= MIN_SPEEDUP, f"{label} placement speedup regressed below 10x"
+        assert matches[label], f"{label} draw differs from the reference kernel"
 
     try:
         from benchmarks.perf_log import record

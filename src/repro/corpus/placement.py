@@ -47,12 +47,16 @@ def _remapped_homes(
 
     The universe is ``sorted(home domains in use ∪ extra_domains)``, and
     the per-shard remap is one gather through an intern-code →
-    universe-code table.
+    universe-code table.  Each shard's ``home_code`` column is read
+    once: it marks the codes in use, then feeds the gather.
     """
     table = store.domains
     used = np.zeros(table.shape[0], dtype=bool)
-    for index in range(store.n_shards):
-        used[np.unique(store.shard_column(index, "home_code"))] = True
+    shard_homes = [
+        store.shard_column(index, "home_code") for index in range(store.n_shards)
+    ]
+    for codes in shard_homes:
+        used[codes] = True
     home_domains = set(table[used].tolist())
     domains = tuple(sorted(home_domains.union(extra_domains)))
     code = {domain: j for j, domain in enumerate(domains)}
@@ -60,8 +64,8 @@ def _remapped_homes(
     for intern_code in np.nonzero(used)[0]:
         remap[intern_code] = code[str(table[intern_code])]
     home = np.empty(store.n_toots, dtype=np.int64)
-    for (start, stop), index in zip(store.shard_bounds(), range(store.n_shards)):
-        home[start:stop] = remap[store.shard_column(index, "home_code")]
+    for (start, stop), codes in zip(store.shard_bounds(), shard_homes):
+        home[start:stop] = remap[codes]
     return home, domains
 
 

@@ -29,7 +29,12 @@ operations over integer columns, never one Python object per toot:
   Gumbel top-k set with an ``n×O(k)`` footprint instead of ``n×m``;
   rows that do not resolve within the oversampled rounds fall back to
   the dense ``n_bad×m`` Gumbel key matrix (uniform keys in the
-  unweighted case), which is exact for any weight skew.
+  unweighted case), which is exact for any weight skew.  Most rows'
+  first k rounds are already distinct and are kept after ``k(k-1)/2``
+  column compares; only the rest are searched for repeats, with one
+  row-wise sort.  Weighted rounds map their uniform variates to
+  candidates through an exact 4,096-bucket guide table instead of a
+  binary search per variate (:func:`_batch_distinct_draws`).
 
 Invariants every builder guarantees (and :meth:`PlacementArrays.validate`
 checks): replica codes are distinct within a row and never equal the
@@ -65,6 +70,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: chunk size is a pure function of the candidate count, never of the
 #: machine, so a seed always yields the same placements.
 _CHUNK_ELEMENTS = 4_000_000
+
+#: Buckets of the guide table that maps a weighted draw's uniform
+#: variate to its candidate (:func:`_weighted_draws`).  A power of two,
+#: so ``u * _GUIDE_BUCKETS`` is exact and its floor names ``u``'s bucket.
+_GUIDE_BUCKETS = 4096
 
 
 @dataclass(eq=False)
@@ -167,6 +177,25 @@ class PlacementArrays:
         )
         matrix.sort_indices()
         return matrix
+
+    def rows_holding(self, domain: str) -> np.ndarray:
+        """Row indices of every toot with a copy on ``domain`` (ascending).
+
+        Straight from the codes: one compare over the home codes, one
+        over the replica codes, and a ``searchsorted`` on
+        ``replica_indptr`` that maps each replica hit to its row.  A
+        row's home and replicas are distinct, so the two hit sets are
+        disjoint.  Equal to :meth:`TootIncidence.rows_holding` over the
+        assembled matrix; an unknown domain gives an empty array.
+        """
+        try:
+            code = self.domains.index(domain)
+        except ValueError:
+            return np.empty(0, dtype=np.int64)
+        homed = np.flatnonzero(self.home == code)
+        hits = np.flatnonzero(self.replica_indices == code)
+        held = np.searchsorted(self.replica_indptr, hits, side="right") - 1
+        return np.sort(np.concatenate((homed, held)).astype(np.int64))
 
     def validate(self) -> "PlacementArrays":
         """Check the structural invariants; returns self for chaining."""
@@ -373,15 +402,23 @@ def _normalised_log_weights(
     Negative weights are clamped to zero (they mean "never place here",
     same as the legacy loop); zero-weight candidates get ``-inf`` so the
     Gumbel keys can never select them.  Raises :class:`AnalysisError`
-    when the total mass is zero or fewer than ``k`` candidates carry
-    positive weight — the latter is the case where the legacy loop
-    crashed with a raw ``ValueError`` from :meth:`rng.choice`.
+    naming the domain when a weight is infinite or NaN, when the total
+    mass is not finite or is zero, and when fewer than ``k`` candidates
+    carry positive weight — the latter is the case where the legacy
+    loop crashed with a raw ``ValueError`` from :meth:`rng.choice`.
     """
-    raw = np.asarray(
-        [max(0.0, float(weights.get(domain, 0.0))) for domain in candidates],
-        dtype=np.float64,
-    )
-    if raw.sum() <= 0:
+    given = [float(weights.get(domain, 0.0)) for domain in candidates]
+    for domain, weight in zip(candidates, given):
+        if not np.isfinite(weight):
+            raise AnalysisError(
+                f"the replication weight of {domain!r} is not finite ({weight!r})"
+            )
+    raw = np.asarray([max(0.0, weight) for weight in given], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        total = raw.sum()
+    if not np.isfinite(total):
+        raise AnalysisError("replication weights overflow: their total is not finite")
+    if total <= 0:
         raise AnalysisError("replication weights must contain positive mass")
     support = int(np.count_nonzero(raw))
     if support < k:
@@ -390,7 +427,7 @@ def _normalised_log_weights(
             f"{len(candidates)} candidate instances have positive weight"
         )
     with np.errstate(divide="ignore"):
-        return np.log(raw / raw.sum())
+        return np.log(raw / total)
 
 
 def _dense_gumbel_top_k(
@@ -435,6 +472,62 @@ def _dense_gumbel_top_k(
         out[rows] = np.argpartition(keys, m - k, axis=1)[:, m - k :]
 
 
+def _cumulative_weights(log_weights: np.ndarray) -> np.ndarray:
+    """The weighted draw's cumulative distribution, ending at exactly 1.0."""
+    cumulative = np.cumsum(np.exp(log_weights))
+    # pin the tail to exactly 1.0 *from the last positive-weight
+    # candidate on*, so cumsum float error can neither lose the final
+    # mass nor hand it to a zero-weight candidate
+    last_positive = int(np.nonzero(np.isfinite(log_weights))[0][-1])
+    cumulative[last_positive:] = 1.0
+    return cumulative
+
+
+def _guide_table(cumulative: np.ndarray) -> np.ndarray:
+    """``table[b]``: the candidate the variate ``b / _GUIDE_BUCKETS`` draws."""
+    edges = np.arange(_GUIDE_BUCKETS, dtype=np.float64) / _GUIDE_BUCKETS
+    return cumulative.searchsorted(edges, side="right")
+
+
+def _weighted_draws(
+    cumulative: np.ndarray, table: np.ndarray, variates: np.ndarray
+) -> np.ndarray:
+    """``cumulative.searchsorted(variates, side="right")``, through the guide table.
+
+    A variate ``u`` falls in bucket ``b = ⌊u·B⌋`` with ``b/B ≤ u``
+    (scaling by a power of two is exact), so its candidate — the first
+    ``i`` with ``cumulative[i] > u`` — is ``table[b]`` or later.
+    Stepping forward while ``cumulative[i] ≤ u`` reaches it, passing
+    the ties of zero-weight candidates, and stops at the latest on the
+    last entry, which is 1.0 and so above every ``u``.
+    """
+    flat = variates.reshape(-1)
+    index = table[(flat * _GUIDE_BUCKETS).astype(np.intp)]
+    behind = np.flatnonzero(cumulative[index] <= flat)
+    while behind.size:
+        index[behind] += 1
+        behind = behind[cumulative[index[behind]] <= flat[behind]]
+    return index.reshape(variates.shape)
+
+
+def _first_draws(draws: np.ndarray) -> np.ndarray:
+    """``first[r, j]``: draw ``j`` of row ``r`` repeats no earlier draw of its row.
+
+    One row-wise sort of ``draw * rounds + round`` keys brings each
+    row's equal draws together in round order; the head of each run is
+    a first occurrence.
+    """
+    n_rows, rounds = draws.shape
+    keys = draws * rounds + np.arange(rounds)
+    keys.sort(axis=1)
+    values = keys // rounds
+    head = np.ones(keys.shape, dtype=bool)
+    np.not_equal(values[:, 1:], values[:, :-1], out=head[:, 1:])
+    first = np.empty(keys.shape, dtype=bool)
+    first[np.arange(n_rows)[:, None], keys % rounds] = head
+    return first
+
+
 def _batch_distinct_draws(
     rng: np.random.Generator,
     n: int,
@@ -458,6 +551,17 @@ def _batch_distinct_draws(
     rows that resolved within the truncated race conditions them on
     fast resolution and under-represents collision-prone heavy
     candidates.)
+
+    Most rows need no search for repeats: when a row's first k draws
+    are pairwise distinct they *are* its first k distinct candidates,
+    which ``k(k-1)/2`` compares over contiguous small-integer columns
+    establish.  Only the other rows get first-occurrence flags
+    (:func:`_first_draws`), and only they are ranked and, if short of
+    k, continued.  Weighted variates map to candidates through a guide
+    table (:func:`_weighted_draws`), exactly as ``searchsorted`` would.
+    Every random call has the shape and order of the original O(k²)
+    repeat scan, kept as the oracle in ``tests/reference/draws.py``,
+    so the result is the same array.
     """
     out = np.empty((n, k), dtype=np.int64)
     rounds = k + 5
@@ -465,38 +569,41 @@ def _batch_distinct_draws(
         # the race would cost as much as the dense keys — go dense directly
         _dense_gumbel_top_k(rng, np.arange(n), out, m, k, log_weights)
         return out
-    cumulative = None
     if log_weights is not None:
-        cumulative = np.cumsum(np.exp(log_weights))
-        # pin the tail to exactly 1.0 *from the last positive-weight
-        # candidate on*, so cumsum float error can neither lose the final
-        # mass nor hand it to a zero-weight candidate
-        last_positive = int(np.nonzero(np.isfinite(log_weights))[0][-1])
-        cumulative[last_positive:] = 1.0
+        cumulative = _cumulative_weights(log_weights)
+        table = _guide_table(cumulative)
+    code_type = np.min_scalar_type(m - 1)
     unresolved_rows: list[np.ndarray] = []
     partial_rows: list[np.ndarray] = []  # row id repeated per found pick
     partial_picks: list[np.ndarray] = []
     chunk_rows = max(1, _CHUNK_ELEMENTS // rounds)
     for start in range(0, n, chunk_rows):
         rows = min(chunk_rows, n - start)
-        if cumulative is None:
+        if log_weights is None:
             draws = rng.integers(0, m, size=(rows, rounds))
         else:
-            draws = cumulative.searchsorted(rng.random((rows, rounds)), side="right")
-        repeat = np.zeros((rows, rounds), dtype=bool)
-        for j in range(1, rounds):
-            repeat[:, j] = (draws[:, :j] == draws[:, j : j + 1]).any(axis=1)
-        rank = np.cumsum(~repeat, axis=1)
+            draws = _weighted_draws(cumulative, table, rng.random((rows, rounds)))
+        # a row keeps its first k draws unless two of them are equal
+        out[start : start + rows] = draws[:, :k]
+        leading = np.ascontiguousarray(draws[:, :k].T, dtype=code_type)
+        clash = np.zeros(rows, dtype=bool)
+        for later in range(1, k):
+            for earlier in range(later):
+                clash |= leading[later] == leading[earlier]
+        clashing = np.flatnonzero(clash)
+        if clashing.size == 0:
+            continue
+        draws = draws[clashing]
+        first = _first_draws(draws)
+        rank = np.cumsum(first, axis=1)
         resolved = rank[:, -1] >= k
-        first_k = (~repeat) & (rank <= k)
-        out[start : start + rows][resolved] = draws[resolved][
-            first_k[resolved]
-        ].reshape(-1, k)
+        first_k = first & (rank <= k)
+        out[clashing[resolved] + start] = draws[resolved][first_k[resolved]].reshape(-1, k)
         bad = ~resolved
         if bad.any():
-            bad_ids = np.nonzero(bad)[0] + start
+            bad_ids = clashing[bad] + start
             unresolved_rows.append(bad_ids)
-            found = ~repeat[bad]  # every non-repeat pick of an unresolved row
+            found = first[bad]  # every first occurrence of an unresolved row
             partial_rows.append(np.repeat(bad_ids, found.sum(axis=1)))
             partial_picks.append(draws[bad][found])
     stragglers = (
@@ -578,9 +685,9 @@ def random_arrays_from_columns(
 
     # collapse draws that hit the home instance (frozenset-union semantics)
     keep = picks != home[:, None]
-    kept_lengths = keep.sum(axis=1).astype(np.int64)
+    dropped_rows = np.flatnonzero(~keep) // k
     replica_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(kept_lengths, out=replica_indptr[1:])
+    np.cumsum(k - np.bincount(dropped_rows, minlength=n), out=replica_indptr[1:])
     return PlacementArrays(
         strategy=label,
         toot_urls=urls,

@@ -141,6 +141,12 @@ class ShardedIncidence:
         with explicit ranges (e.g. the corpus shard boundaries recorded
         in ``arrays.source_bounds``), so crawl shards flow through to
         the sweep unchanged.
+
+        A shard's rows keep the backend's order, home code first, and
+        are not sorted by column.  Nothing that reads a shard needs
+        sorted rows: the fold and the kill vector take each row's
+        maximum removal step with ``reduceat``, which is the same in any
+        order, and skipping the sort saves a pass over every shard.
         """
         if arrays.n_toots == 0:
             raise AnalysisError("the placement map is empty")
@@ -163,12 +169,10 @@ class ShardedIncidence:
             lo = int(replica_indptr[start])
             hi = int(replica_indptr[stop])
             indices[replica_slots] = replica_indices[lo:hi]
-            matrix = sparse.csr_matrix(
+            return sparse.csr_matrix(
                 (np.ones(total, dtype=np.int8), indices, indptr),
                 shape=(rows, n_domains),
             )
-            matrix.sort_indices()
-            return matrix
 
         return cls(
             n_toots=arrays.n_toots,
@@ -263,32 +267,6 @@ class ShardedIncidence:
     def as_assignment(self, asn_of_instance: Mapping[str, int]) -> np.ndarray:
         """Instance→AS assignment vector (see :meth:`TootIncidence.as_assignment`)."""
         return self.lookup.as_assignment(asn_of_instance)
-
-    def rows_holding(self, domain: str) -> np.ndarray:
-        """Global row indices of every toot with a copy on ``domain``.
-
-        Streams the shards (one CSC transpose per shard, dropped as the
-        scan moves on), so the working set stays O(shard) — but each call
-        is a full pass over the corpus; callers that repeat instance
-        queries should cache the result.  Rows come back ascending, and
-        identical to :meth:`TootIncidence.rows_holding` over the
-        monolithic matrix.
-        """
-        code = int(self.lookup.codes([domain])[0])
-        if code < 0:
-            return np.empty(0, dtype=np.int64)
-        parts: list[np.ndarray] = []
-        for shard in self.shards():
-            columns = shard.matrix.tocsc()
-            columns.sort_indices()
-            start, stop = columns.indptr[code], columns.indptr[code + 1]
-            if stop > start:
-                parts.append(
-                    columns.indices[start:stop].astype(np.int64) + shard.start
-                )
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # -- streaming evaluation ---------------------------------------------------------

@@ -140,7 +140,7 @@ class _StrategyState:
         self.sharded = sharded
         #: failure name -> kill vector and full-corpus curve.
         self.kills: dict[str, _Kills] = {}
-        #: instance domain -> rows holding a copy (one corpus pass each).
+        #: instance domain -> rows holding a copy (from the arrays, unlocked).
         self.holder_rows: dict[str, np.ndarray] = {}
 
 
@@ -475,14 +475,19 @@ class AvailabilityService:
         return order[indptr[code] : indptr[code + 1]]
 
     def rows_held_on(self, strategy: str | StrategySpec, instance: str) -> np.ndarray:
-        """Rows with a copy on ``instance`` under ``strategy`` (cached)."""
+        """Rows with a copy on ``instance`` under ``strategy`` (cached).
+
+        Computed from the placement arrays before any lock is taken, so
+        a first ``held_on`` query holds up no other query; threads that
+        race on one instance compute equal rows and keep the first.
+        """
         state = self.state_for(strategy)
-        with self._lock:
-            rows = state.holder_rows.get(instance)
-            if rows is None:
-                rows = state.sharded.rows_holding(instance)
-                state.holder_rows[instance] = rows
-            return rows
+        rows = state.holder_rows.get(instance)
+        if rows is None:
+            rows = state.holder_rows.setdefault(
+                instance, state.arrays.rows_holding(instance)
+            )
+        return rows
 
     def timeline_rows(self, user: str) -> np.ndarray:
         """Rows of ``user``'s timeline: own toots plus followed authors'."""

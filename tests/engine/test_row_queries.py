@@ -1,8 +1,8 @@
 """Row-subset query kernels: exact equality with slicing the full matrix.
 
 These are the per-query primitives the serving layer composes —
-``PlacementArrays.rows_incidence``, ``TootIncidence.rows_holding`` /
-``ShardedIncidence.rows_holding``, and the kill vector whose gathers
+``PlacementArrays.rows_incidence``, ``PlacementArrays.rows_holding`` /
+``TootIncidence.rows_holding``, and the kill vector whose gathers
 answer every subset query — each checked against the brute-force
 equivalent over the monolithic incidence matrix or the batch fold.
 """
@@ -56,20 +56,33 @@ class TestRowsIncidence:
 
 class TestRowsHolding:
     @pytest.mark.parametrize("seed", range(5))
-    def test_monolithic_equals_sharded_equals_dense_column(self, seed):
-        _, incidence, sharded = scenario_incidences(seed)
+    def test_monolithic_equals_arrays_equals_dense_column(self, seed):
+        arrays, incidence, _ = scenario_incidences(seed)
         dense = np.asarray(incidence.matrix.todense())
         for code, domain in enumerate(incidence.domains):
             want = np.flatnonzero(dense[:, code]).astype(np.int64)
             got_mono = incidence.rows_holding(domain)
-            got_sharded = sharded.rows_holding(domain)
+            got_arrays = arrays.rows_holding(domain)
             assert np.array_equal(got_mono, want), domain
-            assert np.array_equal(got_sharded, want), domain
+            assert np.array_equal(got_arrays, want), domain
+            assert got_arrays.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_placements_with_empty_rows(self, seed):
+        """Toots whose only draw hit their home hold no replica row at all."""
+        toots, _, domains, _ = random_scenario(seed)
+        arrays = replication.random_replication(toots, domains, 1, seed=seed).arrays
+        assert (np.diff(arrays.replica_indptr) == 0).any()
+        incidence = TootIncidence.from_arrays(arrays)
+        for domain in arrays.domains:
+            assert np.array_equal(
+                arrays.rows_holding(domain), incidence.rows_holding(domain)
+            ), domain
 
     def test_unknown_domain_is_empty(self):
-        _, incidence, sharded = scenario_incidences(3)
+        arrays, incidence, _ = scenario_incidences(3)
         assert incidence.rows_holding("nowhere.example").size == 0
-        assert sharded.rows_holding("nowhere.example").size == 0
+        assert arrays.rows_holding("nowhere.example").size == 0
 
     def test_rows_ascend(self):
         _, incidence, _ = scenario_incidences(4)

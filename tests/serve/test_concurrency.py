@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
+from repro.engine.placement import PlacementArrays
 from repro.serve import AvailabilityService, handle_query
 
 N_THREADS = 8
@@ -112,3 +114,49 @@ def test_cold_service_races_build_exactly_once(serve_corpus_dir, serve_graph_dir
     # not 2 * N_THREADS
     assert cold.build_counters["strategies_built"] == 2
     assert cold.build_counters["row_indexes_built"] == 3
+
+def test_held_on_build_holds_up_no_other_query(
+    serve_corpus_dir, serve_graph_dir, monkeypatch
+):
+    """A first ``held_on`` query finds its rows outside the service lock.
+
+    The row search is held for up to 5 s; a user query issued meanwhile
+    must answer at once, not wait for it.
+    """
+    service = AvailabilityService(serve_corpus_dir, serve_graph_dir, mmap=True)
+    service.warm(["no-rep", "s-rep"])
+    user = str(service.corpus.authors[0])
+    domain = str(service.corpus.domains[0])
+    searching = threading.Event()
+    release = threading.Event()
+    rows_holding = PlacementArrays.rows_holding
+
+    def held_back(arrays, instance):
+        searching.set()
+        release.wait(5.0)
+        return rows_holding(arrays, instance)
+
+    monkeypatch.setattr(PlacementArrays, "rows_holding", held_back)
+    held: list[dict] = []
+    query = threading.Thread(
+        target=lambda: held.append(
+            handle_query(
+                service, "availability", {"held_on": domain, "strategy": "s-rep", "k": "3"}
+            )
+        )
+    )
+    query.start()
+    try:
+        assert searching.wait(5.0)
+        started = time.perf_counter()
+        answer = handle_query(
+            service, "availability", {"user": user, "strategy": "s-rep", "k": "3"}
+        )
+        elapsed = time.perf_counter() - started
+    finally:
+        release.set()
+        query.join(10.0)
+    assert "error" not in answer
+    assert elapsed < 0.1, f"the user query waited {elapsed:.3f} s on the held_on search"
+    assert held and held[0]["held_on"] == domain
+    assert service.rows_held_on("s-rep", domain) is service.rows_held_on("s-rep", domain)
