@@ -480,13 +480,15 @@ class AvailabilityService:
         Computed from the placement arrays before any lock is taken, so
         a first ``held_on`` query holds up no other query; threads that
         race on one instance compute equal rows and keep the first.
+        Empty answers are not cached: the name comes from the client,
+        and caching every unknown one would grow the cache without bound.
         """
         state = self.state_for(strategy)
         rows = state.holder_rows.get(instance)
         if rows is None:
-            rows = state.holder_rows.setdefault(
-                instance, state.arrays.rows_holding(instance)
-            )
+            rows = state.arrays.rows_holding(instance)
+            if rows.size:
+                rows = state.holder_rows.setdefault(instance, rows)
         return rows
 
     def timeline_rows(self, user: str) -> np.ndarray:

@@ -9,8 +9,11 @@ byte-for-byte the answers a single thread gets.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
+
+import numpy as np
 
 from repro.engine.placement import PlacementArrays
 from repro.serve import AvailabilityService, handle_query
@@ -160,3 +163,37 @@ def test_held_on_build_holds_up_no_other_query(
     assert elapsed < 0.1, f"the user query waited {elapsed:.3f} s on the held_on search"
     assert held and held[0]["held_on"] == domain
     assert service.rows_held_on("s-rep", domain) is service.rows_held_on("s-rep", domain)
+
+
+def test_racing_held_on_searches_share_one_cached_array(serve_corpus_dir, serve_graph_dir):
+    """Threads racing cold ``held_on`` searches all get the first cached array."""
+    service = AvailabilityService(serve_corpus_dir, serve_graph_dir, mmap=True)
+    domains = [str(d) for d in service.corpus.domains.tolist()]
+    arrays = service.state_for("s-rep").arrays
+    results: list[list | None] = [None] * N_THREADS
+    errors: list[BaseException] = []
+    barrier = threading.Barrier(N_THREADS)
+
+    def worker(slot: int) -> None:
+        try:
+            barrier.wait()
+            results[slot] = [service.rows_held_on("s-rep", d) for d in domains]
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(N_THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert not any(thread.is_alive() for thread in threads)
+    for index, domain in enumerate(domains):
+        first = results[0][index]
+        assert all(rows[index] is first for rows in results), domain
+        assert np.array_equal(first, arrays.rows_holding(domain)), domain

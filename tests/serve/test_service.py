@@ -129,6 +129,14 @@ class TestSubsetIdentity:
         homed = set(service.rows_homed_on(instance).tolist())
         assert homed <= held
 
+    def test_unknown_held_on_names_are_not_cached(self, serve_corpus_dir, serve_graph_dir):
+        """Client-chosen names that hold nothing leave the row cache as it was."""
+        cold = AvailabilityService(serve_corpus_dir, serve_graph_dir, mmap=True)
+        for index in range(50):
+            with pytest.raises(AnalysisError, match=f"nowhere-{index}"):
+                cold.availability(held_on=f"nowhere-{index}.example", k=3)
+        assert cold.state_for("no-rep").holder_rows == {}
+
     def test_full_corpus_query_equals_curve(self, service):
         answer = service.availability(strategy="no-rep", k=10)
         assert answer["scope"] == "corpus"
