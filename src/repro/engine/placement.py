@@ -483,24 +483,19 @@ def _cumulative_weights(log_weights: np.ndarray) -> np.ndarray:
     return cumulative
 
 
-def _guide_table(cumulative: np.ndarray) -> np.ndarray:
-    """``table[b]``: the candidate the variate ``b / _GUIDE_BUCKETS`` draws."""
-    edges = np.arange(_GUIDE_BUCKETS, dtype=np.float64) / _GUIDE_BUCKETS
-    return cumulative.searchsorted(edges, side="right")
+def _weighted_draws(cumulative: np.ndarray, variates: np.ndarray) -> np.ndarray:
+    """``cumulative.searchsorted(variates, side="right")``, through a guide table.
 
-
-def _weighted_draws(
-    cumulative: np.ndarray, table: np.ndarray, variates: np.ndarray
-) -> np.ndarray:
-    """``cumulative.searchsorted(variates, side="right")``, through the guide table.
-
-    A variate ``u`` falls in bucket ``b = ⌊u·B⌋`` with ``b/B ≤ u``
+    ``table[b]`` is the candidate that the variate ``b/B`` draws.  A
+    variate ``u`` falls in bucket ``b = ⌊u·B⌋`` with ``b/B ≤ u``
     (scaling by a power of two is exact), so its candidate — the first
     ``i`` with ``cumulative[i] > u`` — is ``table[b]`` or later.
     Stepping forward while ``cumulative[i] ≤ u`` reaches it, passing
     the ties of zero-weight candidates, and stops at the latest on the
     last entry, which is 1.0 and so above every ``u``.
     """
+    edges = np.arange(_GUIDE_BUCKETS, dtype=np.float64) / _GUIDE_BUCKETS
+    table = cumulative.searchsorted(edges, side="right")
     flat = variates.reshape(-1)
     index = table[(flat * _GUIDE_BUCKETS).astype(np.intp)]
     behind = np.flatnonzero(cumulative[index] <= flat)
@@ -571,7 +566,6 @@ def _batch_distinct_draws(
         return out
     if log_weights is not None:
         cumulative = _cumulative_weights(log_weights)
-        table = _guide_table(cumulative)
     code_type = np.min_scalar_type(m - 1)
     unresolved_rows: list[np.ndarray] = []
     partial_rows: list[np.ndarray] = []  # row id repeated per found pick
@@ -582,7 +576,7 @@ def _batch_distinct_draws(
         if log_weights is None:
             draws = rng.integers(0, m, size=(rows, rounds))
         else:
-            draws = _weighted_draws(cumulative, table, rng.random((rows, rounds)))
+            draws = _weighted_draws(cumulative, rng.random((rows, rounds)))
         # a row keeps its first k draws unless two of them are equal
         out[start : start + rows] = draws[:, :k]
         leading = np.ascontiguousarray(draws[:, :k].T, dtype=code_type)

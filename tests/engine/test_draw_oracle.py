@@ -127,8 +127,7 @@ def guide_cases(draw):
 @given(guide_cases())
 def test_guide_table_equals_searchsorted(case):
     cumulative, variates = case
-    table = placement._guide_table(cumulative)
-    got = placement._weighted_draws(cumulative, table, variates)
+    got = placement._weighted_draws(cumulative, variates)
     assert np.array_equal(got, cumulative.searchsorted(variates, side="right"))
 
 
@@ -139,9 +138,8 @@ def test_guide_table_skips_zero_weight_ties():
     cumulative = placement._cumulative_weights(
         placement._normalised_log_weights(names, weights, 1)
     )
-    table = placement._guide_table(cumulative)
     variates = np.linspace(0.0, np.nextafter(1.0, 0.0), 10_001)
-    drawn = set(placement._weighted_draws(cumulative, table, variates).tolist())
+    drawn = set(placement._weighted_draws(cumulative, variates).tolist())
     assert drawn == {0, 3, 5}
 
 
