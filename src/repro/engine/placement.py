@@ -486,10 +486,11 @@ def _cumulative_weights(log_weights: np.ndarray) -> np.ndarray:
 def _weighted_draws(cumulative: np.ndarray, variates: np.ndarray) -> np.ndarray:
     """``cumulative.searchsorted(variates, side="right")``, through a guide table.
 
-    ``table[b]`` is the candidate that the variate ``b/B`` draws.  A
-    variate ``u`` falls in bucket ``b = ⌊u·B⌋`` with ``b/B ≤ u``
-    (scaling by a power of two is exact), so its candidate — the first
-    ``i`` with ``cumulative[i] > u`` — is ``table[b]`` or later.
+    With ``B = _GUIDE_BUCKETS``, ``table[b]`` is the candidate that the
+    variate ``b/B`` draws.  A variate ``u`` falls in bucket
+    ``b = ⌊u·B⌋`` with ``b/B ≤ u`` (scaling by a power of two is
+    exact), so its candidate — the first ``i`` with
+    ``cumulative[i] > u`` — is ``table[b]`` or later.
     Stepping forward while ``cumulative[i] ≤ u`` reaches it, passing
     the ties of zero-weight candidates, and stops at the latest on the
     last entry, which is 1.0 and so above every ``u``.
