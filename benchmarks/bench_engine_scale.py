@@ -1,13 +1,16 @@
 """Engine vs legacy loop on a 100k-toot availability sweep (the tentpole claim).
 
-The legacy ``_availability_curve_python`` walks every toot's holder set in
-Python once *per removal schedule*; the engine builds one toot×instance
-CSR incidence matrix and answers every schedule with batched numpy
-reductions.  This benchmark runs an 8-schedule sweep (instance and AS
-removal schedules under several rankings) over 100,000 synthetic toots
-and asserts the engine is at least 10× faster end-to-end — including the
-one-off matrix build.  The companion gate for placement *construction*
-(the vectorised builders vs the per-toot ``rng.choice`` loop) lives in
+The legacy per-toot loop (``availability_curve_python`` in
+``tests/reference/replication.py``) walks every toot's holder set in
+Python once *per removal schedule*; the engine folds every schedule with
+one kill kernel over the integer-coded placement arrays
+(:mod:`repro.engine.kernels`).  This benchmark runs a 20-schedule sweep
+(instance and AS removal schedules under several rankings) over 100,000
+synthetic toots and asserts the engine is at least 10× faster
+end-to-end, with bit-identical curves.  The legacy side reads the
+placements as a dict of holder sets, built once outside the timing.
+The companion gate for placement *construction* (the vectorised builders
+vs the per-toot ``rng.choice`` loop) lives in
 ``benchmarks/bench_placement_scale.py``.
 
 Run standalone::
@@ -21,12 +24,20 @@ or through the harness::
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.core.replication import PlacementMap, _availability_curve_python
-from repro.engine import ASRemoval, InstanceRemoval, TootIncidence, availability_curves
+from repro.core.replication import PlacementMap
+from repro.engine import ASRemoval, InstanceRemoval, PlacementArrays, availability_curves
+
+try:
+    from tests.reference.replication import as_dict_map, availability_curve_python
+except ImportError:  # run as a script: the repository root is not on sys.path
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from tests.reference.replication import as_dict_map, availability_curve_python
 
 N_TOOTS = 100_000
 N_DOMAINS = 400
@@ -41,22 +52,37 @@ MIN_SPEEDUP = 10.0
 def synthetic_placements(
     n_toots: int = N_TOOTS, n_domains: int = N_DOMAINS, seed: int = 0
 ) -> tuple[PlacementMap, list[str], dict[str, int]]:
-    """A 100k-toot placement map with a Zipf-like popularity skew."""
+    """A 100k-toot placement map with a Zipf-like popularity skew.
+
+    Built as :class:`PlacementArrays` without any loop, the way
+    ``bench_shard_scale.synthetic_arrays`` builds them: replicas are
+    consecutive offsets from a random start (mod ``n_domains - 1``),
+    so they are distinct within a row and never the home.
+    """
     rng = np.random.default_rng(seed)
     domains = [f"i{j}.example" for j in range(n_domains)]
     popularity = 1.0 / np.arange(1, n_domains + 1)
     popularity /= popularity.sum()
-    homes = rng.choice(n_domains, size=n_toots, p=popularity)
-    n_replicas = np.minimum(rng.geometric(REPLICA_GEOMETRIC_P, size=n_toots), MAX_REPLICAS)
-    replica_pool = rng.integers(0, n_domains, size=(n_toots, MAX_REPLICAS))
-    placements = {
-        f"https://{domains[homes[t]]}/toots/{t}": frozenset(
-            [domains[homes[t]]] + [domains[j] for j in replica_pool[t, : n_replicas[t]]]
-        )
-        for t in range(n_toots)
-    }
+    home = rng.choice(n_domains, size=n_toots, p=popularity).astype(np.int64)
+    counts = np.minimum(rng.geometric(REPLICA_GEOMETRIC_P, size=n_toots), MAX_REPLICAS)
+    indptr = np.zeros(n_toots + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    row_ids = np.repeat(np.arange(n_toots), counts)
+    within = np.arange(int(indptr[-1]), dtype=np.int64) - np.repeat(indptr[:-1], counts)
+    start = rng.integers(0, n_domains - 1, size=n_toots)
+    offsets = (np.repeat(start, counts) + within) % (n_domains - 1)
+    arrays = PlacementArrays(
+        strategy="synthetic",
+        toot_urls=tuple(
+            f"https://{domains[code]}/toots/{t}" for t, code in enumerate(home.tolist())
+        ),
+        domains=tuple(domains),
+        home=home,
+        replica_indices=(home[row_ids] + 1 + offsets) % n_domains,
+        replica_indptr=indptr,
+    )
     asn_of = {domain: int(asn) for domain, asn in zip(domains, rng.integers(1, 40, size=n_domains))}
-    return PlacementMap(strategy="synthetic", placements=placements), domains, asn_of
+    return PlacementMap(strategy=arrays.strategy, arrays=arrays), domains, asn_of
 
 
 def build_failures(domains: list[str], asn_of: dict[str, int], seed: int = 1):
@@ -83,18 +109,18 @@ def build_failures(domains: list[str], asn_of: dict[str, int], seed: int = 1):
     return failures
 
 
-def run_legacy(placements, failures):
+def run_legacy(legacy_placements, failures):
+    """The per-toot loop over the dict-of-holder-sets twin of the map."""
     return {
-        failure.name: _availability_curve_python(
-            placements, failure.removal_index(), failure.effective_steps()
+        failure.name: availability_curve_python(
+            legacy_placements, failure.removal_index(), failure.effective_steps()
         )
         for failure in failures
     }
 
 
 def run_engine(placements, failures):
-    incidence = TootIncidence.from_placements(placements)
-    return availability_curves(incidence, failures)
+    return availability_curves(placements, failures)
 
 
 def _timed(fn, *args):
@@ -110,10 +136,11 @@ def compare(placements, failures, rounds: int = 3):
     makes the ratio robust to CPU-steal windows on shared machines: a
     slow patch must cover *every* round of one side to skew the result.
     """
+    legacy_placements = as_dict_map(placements)
     legacy_time = engine_time = float("inf")
     legacy_curves = engine_curves = None
     for _ in range(rounds):
-        legacy_curves, elapsed = _timed(run_legacy, placements, failures)
+        legacy_curves, elapsed = _timed(run_legacy, legacy_placements, failures)
         legacy_time = min(legacy_time, elapsed)
         engine_curves, elapsed = _timed(run_engine, placements, failures)
         engine_time = min(engine_time, elapsed)
@@ -146,7 +173,7 @@ def test_engine_scale_speedup(benchmark):
             ["pipeline", "seconds", "speedup"],
             [
                 ["legacy python loops", round(legacy_time, 3), "1.0x"],
-                ["engine (CSR batch)", round(engine_time, 3), f"{speedup:.1f}x"],
+                ["engine (kill kernel)", round(engine_time, 3), f"{speedup:.1f}x"],
             ],
         ),
     )
@@ -159,7 +186,7 @@ def main() -> None:
     speedup = legacy_time / engine_time
     print(f"availability sweep: {N_TOOTS:,} toots x {n_failures} schedules")
     print(f"  legacy python loops : {legacy_time:8.3f}s")
-    print(f"  engine (CSR batch)  : {engine_time:8.3f}s")
+    print(f"  engine (kill kernel): {engine_time:8.3f}s")
     print(f"  speedup             : {speedup:8.1f}x (required >= {MIN_SPEEDUP:.0f}x)")
     assert speedup >= MIN_SPEEDUP, "engine speedup regressed below 10x"
 

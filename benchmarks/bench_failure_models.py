@@ -9,12 +9,14 @@ a second evaluation path.  This benchmark drives them over a synthetic
 1. **identity** — degenerate configurations (one instance per step, zero
    recoveries; identity hoster grouping; AS-label grouping) reproduce
    the existing ``InstanceRemoval`` / ``ASRemoval`` curves bit for bit,
-   on the monolithic AND the sharded streaming path;
+   folded over one toot range AND over uniform ranges;
 2. **shard invariance** — stochastic temporal churn evaluates
-   bit-identically sharded vs monolithic (ragged tail shard included);
+   bit-identically at both splits (ragged tail range included), and its
+   streamed loss table equals the CSR incidence reference's
+   (``tests/reference/incidence.py``);
 3. **throughput** — the temporal sweep (one single-step schedule column
-   per tick) sustains at least ``MIN_TOOT_TICKS_PER_SECOND`` toot-ticks
-   per second through the streaming path.
+   per tick, each one kill-kernel pass per range) sustains at least
+   ``MIN_TOOT_TICKS_PER_SECOND`` toot-ticks per second.
 
 Run standalone::
 
@@ -38,17 +40,16 @@ from repro.engine import (
     ScheduledDowntime,
     ShardedIncidence,
     TemporalChurn,
-    TootIncidence,
     availability_curves,
     temporal_removal_matrix,
 )
-from repro.engine.kernels import losses_per_step_batch
 from repro.engine.sharding import streaming_losses
 
 try:
     from benchmarks.bench_shard_scale import synthetic_arrays
 except ImportError:  # run as a script: benchmarks/ itself is on sys.path
     from bench_shard_scale import synthetic_arrays
+from tests.reference.incidence import TootIncidence, losses_per_step_batch
 
 N_TOOTS = 400_000
 N_DOMAINS = 300

@@ -9,6 +9,11 @@ stay within :data:`MAX_OVERHEAD_PCT` of a stripped replica of the
 pre-instrumentation loop (the same removal-matrix build and serial
 shard fold, with zero ``obs`` calls).
 
+The stripped twin is the fold every sweep runs: the removal-matrix
+build, then one :func:`~repro.engine.kernels.losses_per_step_batch`
+kill-kernel pass per toot range of the placement arrays, summed into one
+loss table.
+
 It also proves the second half of the contract: running the same sweep
 with a tracer installed and metrics enabled produces **bit-identical**
 curves — instrumentation observes the computation, it never joins it.
@@ -29,7 +34,7 @@ import time
 import numpy as np
 
 from repro import obs
-from repro.engine import TootIncidence, availability_curves
+from repro.engine import availability_curves
 from repro.engine.kernels import availability_from_losses, losses_per_step_batch
 from repro.engine.sharding import ShardedIncidence
 from repro.engine.sweep import _to_points
@@ -45,17 +50,18 @@ ROUNDS = 5
 MAX_OVERHEAD_PCT = 2.0
 
 
-def plain_availability_curves(incidence, failures, shard_size):
+def plain_availability_curves(placements, failures, shard_size):
     """The pre-instrumentation sweep: same maths, zero ``obs`` calls.
 
     A faithful replica of ``availability_curves`` + ``streaming_losses``
-    for cumulative failure models on a pre-built incidence matrix —
-    removal columns from the shared lookup, one serial shard fold, the
-    same additive int64 loss table, the same ``AvailabilityPoint``
-    assembly — with every observability line stripped.  Any timing gap
-    between this and the shipped path is pure instrumentation overhead.
+    for cumulative failure models over the placement arrays — removal
+    columns from the shared lookup, one serial fold over the toot
+    ranges, the same additive int64 loss table, the same
+    ``AvailabilityPoint`` assembly — with every observability line
+    stripped.  Any timing gap between this and the shipped path is pure
+    instrumentation overhead.
     """
-    sharded = ShardedIncidence.from_incidence(incidence, shard_size)
+    sharded = ShardedIncidence.from_arrays(placements.arrays, shard_size)
     lookup = sharded.lookup
     columns = []
     col_steps = []
@@ -67,8 +73,7 @@ def plain_availability_curves(incidence, failures, shard_size):
     steps = np.asarray(col_steps, dtype=np.int64)
     losses = np.zeros((len(col_steps), int(steps.max()) + 1), dtype=np.int64)
     for bounds in sharded.shard_bounds():
-        shard = sharded.shard(*bounds)
-        losses += losses_per_step_batch(shard.matrix, removal_matrix, steps)
+        losses += losses_per_step_batch(sharded.shard(*bounds), removal_matrix, steps)
     return {
         failure.name: _to_points(
             availability_from_losses(losses[i, : int(steps[i]) + 1], sharded.n_toots)
@@ -77,9 +82,9 @@ def plain_availability_curves(incidence, failures, shard_size):
     }
 
 
-def shipped_availability_curves(incidence, failures, shard_size):
+def shipped_availability_curves(placements, failures, shard_size):
     """The shipped, instrumented sweep — exactly what the pipeline runs."""
-    return availability_curves(incidence, failures, shard_size=shard_size)
+    return availability_curves(placements, failures, shard_size=shard_size)
 
 
 def _timed(fn, *args):
@@ -88,18 +93,18 @@ def _timed(fn, *args):
     return result, time.perf_counter() - start
 
 
-def compare(incidence, failures, rounds: int = ROUNDS):
+def compare(placements, failures, rounds: int = ROUNDS):
     """Best-of-``rounds`` seconds per side, measured in alternation."""
     assert not obs.tracing_enabled() and not obs.metrics_enabled()
     plain_time = shipped_time = float("inf")
     plain_curves = shipped_curves = None
     for _ in range(rounds):
         plain_curves, elapsed = _timed(
-            plain_availability_curves, incidence, failures, SHARD_SIZE
+            plain_availability_curves, placements, failures, SHARD_SIZE
         )
         plain_time = min(plain_time, elapsed)
         shipped_curves, elapsed = _timed(
-            shipped_availability_curves, incidence, failures, SHARD_SIZE
+            shipped_availability_curves, placements, failures, SHARD_SIZE
         )
         shipped_time = min(shipped_time, elapsed)
     for name, points in plain_curves.items():
@@ -107,14 +112,14 @@ def compare(incidence, failures, rounds: int = ROUNDS):
     return plain_time, shipped_time
 
 
-def assert_enabled_is_bit_identical(incidence, failures):
+def assert_enabled_is_bit_identical(placements, failures):
     """Tracer + metrics on: same curves, and the observer saw the work."""
-    disabled = shipped_availability_curves(incidence, failures, SHARD_SIZE)
+    disabled = shipped_availability_curves(placements, failures, SHARD_SIZE)
     tracer = obs.Tracer()  # memory-only: no file I/O in the identity check
     obs.set_tracer(tracer)
     obs.enable_metrics(fresh=True)
     try:
-        enabled = shipped_availability_curves(incidence, failures, SHARD_SIZE)
+        enabled = shipped_availability_curves(placements, failures, SHARD_SIZE)
     finally:
         obs.set_tracer(None)
         obs.disable_metrics()
@@ -128,9 +133,8 @@ def assert_enabled_is_bit_identical(incidence, failures):
 def run_comparison(n_toots: int = N_TOOTS):
     placements, domains, asn_of = synthetic_placements(n_toots=n_toots)
     failures = build_failures(domains, asn_of)
-    incidence = TootIncidence.from_placements(placements)
-    plain_time, shipped_time = compare(incidence, failures)
-    n_spans = assert_enabled_is_bit_identical(incidence, failures)
+    plain_time, shipped_time = compare(placements, failures)
+    n_spans = assert_enabled_is_bit_identical(placements, failures)
     overhead_pct = 100.0 * (shipped_time - plain_time) / plain_time
     return plain_time, shipped_time, overhead_pct, n_spans, len(failures)
 

@@ -2,7 +2,8 @@
 
 After PR 1 the availability curves became batched reductions, leaving
 placement *construction* as the Figs. 15-16 bottleneck: the legacy
-``_random_replication_python`` loop issues one ``rng.choice`` per toot
+``random_replication_python`` loop (``tests/reference/replication.py``)
+issues one ``rng.choice`` per toot
 (~1s unweighted / ~5s weighted at this scale), while the vectorised
 builder draws every toot in one chunked pass — a lazy Gumbel top-k
 race of ``k + 5`` categorical rounds per row, kept as drawn where the
@@ -39,7 +40,7 @@ from unittest import mock
 
 import numpy as np
 
-from repro.core.replication import _random_replication_python, random_replication
+from repro.core.replication import random_replication
 from repro.corpus import CorpusWriter
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.toots import TootsDataset
@@ -50,6 +51,7 @@ try:
 except ImportError:  # run as a script: the repository root is not on sys.path
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     from tests.reference.draws import batch_distinct_draws
+from tests.reference.replication import random_replication_python
 
 N_TOOTS = 100_000
 N_DOMAINS = 400
@@ -114,7 +116,7 @@ def compare(toots, domains, weights, rounds: int = 2):
         legacy = fast = None
         for _ in range(rounds):
             legacy, elapsed = _timed(
-                _random_replication_python, toots, domains, N_REPLICAS, seed=SEED, **kwargs
+                random_replication_python, toots, domains, N_REPLICAS, seed=SEED, **kwargs
             )
             legacy_time = min(legacy_time, elapsed)
             fast, elapsed = _timed(

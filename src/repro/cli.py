@@ -317,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="TOOTS",
         help=(
-            "evaluate availability sweeps in toot-range shards of this size "
-            "(0 disables sharding; default: automatic past the engine's "
-            "corpus-size threshold)"
+            "fold availability sweeps over toot ranges of this size "
+            "(0: one range over the whole corpus; default: the corpus's "
+            "own shards); curves are identical at every size"
         ),
     )
     run.add_argument(

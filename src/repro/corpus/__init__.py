@@ -41,8 +41,8 @@ the corpus columnar from the first crawled page onward:
   columns: :meth:`PlacementArrays.from_corpus
   <repro.engine.placement.PlacementArrays.from_corpus>` builds home
   codes and replica CSR arrays shard by shard, and the corpus shard
-  boundaries flow through to :class:`~repro.engine.sharding.ShardedIncidence`
-  so the sweep streams over exactly the shards the crawl wrote.
+  boundaries flow through to :func:`~repro.engine.sharding.toot_ranges`,
+  so by default every fold runs over exactly the shards the crawl wrote.
 
 The merge order (instances sorted by domain, pages in crawl order,
 first-seen URL wins) reproduces ``TootCrawlResult.unique_toots()`` of

@@ -93,6 +93,7 @@ class GraphStore(ShardedStore):
     count_key = "n_edges"
     table_names = ("handles", "node_domains", "domains")
     shard_prefix = "edges"
+    code_tables = {"follower_code": "handles", "followed_code": "handles"}
     manifest_keys = {"n_nodes": int, "n_self_loops": int, "edges_collected": dict}
 
     _node_index: dict[str, int] | None = None
@@ -149,7 +150,9 @@ class GraphStore(ShardedStore):
     def shard_edges(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """One shard's ``(follower_code, followed_code)`` columns."""
         handle = self._open_shard(index)
-        return handle["follower_code"], handle["followed_code"]
+        return tuple(
+            self._checked_column(index, name, handle[name]) for name in EDGE_COLUMNS
+        )
 
     def iter_edges(self) -> Iterator[tuple[tuple[int, int], np.ndarray, np.ndarray]]:
         """Stream ``((start, stop), follower_code, followed_code)`` per shard."""

@@ -449,8 +449,9 @@ class ShardedStore:
 
     Subclasses declare the dataset: ``kind`` and ``unit`` (for messages),
     ``schema``, shard ``columns``, the ``count_key`` the shard ranges
-    must add up to, ``table_names`` (in digest order), ``shard_prefix``
-    and the dataset's own required ``manifest_keys``.
+    must add up to, ``table_names`` (in digest order), ``shard_prefix``,
+    the dataset's own required ``manifest_keys``, and ``code_tables``:
+    which shard columns hold integer codes into which intern table.
     """
 
     kind: ClassVar[str]
@@ -461,6 +462,7 @@ class ShardedStore:
     table_names: ClassVar[tuple[str, ...]]
     shard_prefix: ClassVar[str]
     manifest_keys: ClassVar[dict[str, type]]
+    code_tables: ClassVar[dict[str, str]]
 
     def __init__(self, path: str | Path, *, mmap: bool = False) -> None:
         self.path = Path(path)
@@ -474,6 +476,7 @@ class ShardedStore:
             raise DatasetError(f"{manifest_path}: invalid JSON") from exc
         self.manifest = self._validated(manifest)
         self._tables: Any = None
+        self._table_sizes: dict[str, int] = {}
 
     # -- manifest validation ---------------------------------------------------
 
@@ -635,6 +638,31 @@ class ShardedStore:
     def _open_shard(self, index: int) -> "_Archive":
         """A fresh lazy ``.npz`` handle on shard ``index``."""
         return _Archive(self, self.manifest["shards"][index]["file"], "shard")
+
+    def _checked_column(self, index: int, name: str, values: np.ndarray) -> np.ndarray:
+        """Shard ``index``'s column ``name``, with its codes checked if it has any.
+
+        Shards are untrusted input: a code outside its intern table
+        (:attr:`code_tables`) would index the wrong entry (a negative
+        one wraps) or raise a raw ``IndexError`` deep inside a query.
+        One min/max per read of a code column; a code out of range is a
+        :class:`DatasetError` naming the shard file and the column.
+        """
+        table = self.code_tables.get(name)
+        if table is None or not values.size:
+            return values
+        size = self._table_sizes.get(table)
+        if size is None:
+            size = self._table_sizes[table] = len(self._table(table))
+        low, high = int(values.min()), int(values.max())
+        if low < 0 or high >= size:
+            raise DatasetError(
+                f"{self.path}: {self.kind} shard file "
+                f"{self.manifest['shards'][index]['file']!r} column {name!r} holds "
+                f"code {low if low < 0 else high}, outside its {table!r} table "
+                f"of {size}"
+            )
+        return values
 
 
 #: What a damaged ``.npz`` raises: truncation (``BadZipFile``, ``EOFError``),

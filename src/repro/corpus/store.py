@@ -36,6 +36,12 @@ class CorpusStore(ShardedStore):
     count_key = "n_toots"
     table_names = ("domains", "authors", "hashtags", "replication_counts")
     shard_prefix = "shard"
+    code_tables = {
+        "home_code": "domains",
+        "collected_code": "domains",
+        "author_code": "authors",
+        "hashtag_codes": "hashtags",
+    }
     manifest_keys = {
         "n_observations": int,
         "n_boosts": int,
@@ -124,14 +130,18 @@ class CorpusStore(ShardedStore):
             raise DatasetError(
                 f"corpus shard {index} is missing columns: {name}"
             )
-        return handle[name]
+        return self._checked_column(index, name, handle[name])
 
     def shard_columns(self, index: int) -> TootColumns:
         """Every column of one shard, bundled and validated."""
         handle = self._shard_file(index)
         available = set(handle.files)
         return TootColumns.from_mapping(
-            {name: handle[name] for name in COLUMN_NAMES if name in available}
+            {
+                name: self._checked_column(index, name, handle[name])
+                for name in COLUMN_NAMES
+                if name in available
+            }
         )
 
     def iter_columns(self) -> Iterator[tuple[tuple[int, int], TootColumns]]:
@@ -195,7 +205,7 @@ class CorpusUrls(Sequence):
 
     Satisfies the ``Sequence`` shape :class:`PlacementArrays` expects
     for ``toot_urls`` without holding more than one shard's URLs at a
-    time; ``tuple(urls)`` (the incidence path) streams shard by shard.
+    time; ``tuple(urls)`` streams shard by shard.
     """
 
     def __init__(self, store: CorpusStore) -> None:

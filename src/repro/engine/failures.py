@@ -14,16 +14,15 @@ each tick carries its own per-domain down set, and instances go down
 *and come back* — churn sampled from the empirical outage distributions
 of :mod:`repro.fediverse.uptime` (Figs. 7-10).
 
-Everything still flows through the same batch kernels.  A cumulative
+Everything still flows through the same kill kernel.  A cumulative
 model contributes one removal column; a temporal model contributes one
 single-step column *per tick*, built by
 :func:`repro.engine.kernels.temporal_removal_matrix` — down domains get
-step 1, up domains get ``inf``, so the per-row ``maximum.reduceat`` rule
-("a toot dies only when its *last* replica disappears") computes exactly
-"every holder is down at this tick".  Loss counts stay additive across
-disjoint toot ranges, so the sharded streaming fold
-(:mod:`repro.engine.sharding`) evaluates temporal schedules unchanged
-and bit-identically.
+step 1, up domains get ``inf``, so the kill rule ("a toot dies only when
+its *last* holder disappears") computes exactly "every holder is down
+at this tick".  Loss counts stay additive across disjoint toot ranges,
+so the streaming fold (:mod:`repro.engine.sharding`) evaluates temporal
+schedules unchanged and bit-identically at any range split.
 
 To plug in a new model:
 

@@ -1,38 +1,35 @@
-"""Batch reduction kernels over toot×instance incidence matrices.
+"""The kill kernel and the loss counts every availability answer rests on.
 
-Each kernel replaces a per-toot Python loop with one vectorised pass:
-
-* a toot's **kill step** is the maximum removal step over the domains
-  holding a copy (it dies only when its *last* replica disappears);
-* per-row maxima over the CSR structure come from
-  :func:`numpy.maximum.reduceat` on the ``indptr``/``indices`` arrays;
-* losses per step are a single :func:`numpy.bincount`, and the
-  availability curve is one cumulative sum.
-
-The arithmetic mirrors the legacy loops operation-for-operation, so the
-results are bit-identical — the differential suite in
-``tests/engine/test_equivalence.py`` holds the engine to exact equality.
+A toot dies at the latest removal step among its holders, so with a
+per-domain step table its **kill step** is ``max(step[home[t]],
+max(step[replicas(t)]))``.  :func:`kill_column` evaluates that for one
+toot range of the integer-coded
+:class:`~repro.engine.placement.PlacementArrays`: a gather of
+``step[home]``, and a :func:`numpy.maximum.reduceat` of the gathered
+replica steps over the rows that have replicas, maxed into those rows.
+Losses per step are one :func:`numpy.bincount`, and a curve one
+cumulative sum.  Every fold — sweep loss tables, temporal columns,
+serve's kill vectors — runs this kernel; maxima and integer counts are
+exact, so it equals the per-toot loops and the CSR kernels it replaced
+(kept as oracles in ``tests/reference/``) bit for bit.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from repro.errors import AnalysisError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.sharding import IncidenceShard
 
 
 #: Per-domain removal steps at or above this value cannot use the int32
 #: fast path (the sentinel itself must stay the unique "never removed"
 #: marker).
 _INT32_SENTINEL = np.iinfo(np.int32).max
-
-
-def _check_rows(matrix: sparse.csr_matrix) -> None:
-    if matrix.shape[0] == 0:
-        raise AnalysisError("the placement map is empty")
-    if np.any(np.diff(matrix.indptr) == 0):
-        raise AnalysisError("every toot needs at least one holding instance")
 
 
 def _int32_safe_columns(removal_matrix: np.ndarray) -> np.ndarray:
@@ -47,68 +44,66 @@ def _int32_safe_columns(removal_matrix: np.ndarray) -> np.ndarray:
     return masked.max(axis=0) < float(_INT32_SENTINEL)
 
 
-def _kill_column(
-    matrix: sparse.csr_matrix,
-    column: np.ndarray,
-    safe: bool,
-    values: np.ndarray | None = None,
-    killed: np.ndarray | None = None,
-) -> tuple[np.ndarray, int | None]:
-    """Per-row kill steps for one schedule column (the shared inner pass).
+def step_table(column: np.ndarray, safe: bool) -> tuple[np.ndarray, int | None]:
+    """The per-domain table the kernel gathers from, and its survivor marker.
 
-    Returns ``(kill, sentinel)``: on the int32 fast path ``kill`` is an
-    int32 vector with ``sentinel`` marking survivors (written into the
-    reusable ``values``/``killed`` buffers when given); on the float
-    fallback (steps too large for the sentinel) ``kill`` is float64 with
-    ``np.inf`` survivors and ``sentinel`` is ``None``.
+    On the int32 path (``safe``, see :func:`_int32_safe_columns`) the
+    table is int32 with :data:`_INT32_SENTINEL` for "never removed",
+    which halves the gather traffic of float64; removal steps are small
+    integers.  Otherwise the float64 column itself, with ``np.inf``
+    survivors and a ``None`` marker.
     """
     if not safe:
-        return np.maximum.reduceat(column[matrix.indices], matrix.indptr[:-1]), None
-    # int32 with a "never removed" sentinel halves the gather/reduceat
-    # traffic vs float64; removal steps are small integers
-    lookup = np.where(np.isfinite(column), column, float(_INT32_SENTINEL)).astype(np.int32)
-    if values is None or killed is None:
-        return np.maximum.reduceat(lookup[matrix.indices], matrix.indptr[:-1]), _INT32_SENTINEL
-    np.take(lookup, matrix.indices, out=values)
-    np.maximum.reduceat(values, matrix.indptr[:-1], out=killed)
-    return killed, _INT32_SENTINEL
+        return column, None
+    table = np.where(np.isfinite(column), column, float(_INT32_SENTINEL))
+    return table.astype(np.int32), _INT32_SENTINEL
 
 
-def kill_steps(matrix: sparse.csr_matrix, removal_steps: np.ndarray) -> np.ndarray:
-    """Per-toot kill step: the max removal step over its holding domains.
+def replica_segments(replica_indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a toot range that hold replicas, and their ``reduceat`` offsets.
 
-    ``removal_steps`` is a dense per-domain vector (``np.inf`` for domains
-    that never fail).  Returns a float vector with ``np.inf`` for toots
-    that survive the whole schedule.
+    ``replica_indptr`` is the range's slice of the placement pointers
+    (one entry per toot plus one, not rebased).  Rows without replicas
+    are left out, so every offset opens a non-empty segment and
+    ``reduceat`` yields exactly each listed row's maximum.  Offsets are
+    relative to the range's first replica.  A fold computes them once
+    per range and reuses them for every column.
     """
-    _check_rows(matrix)
-    values = np.asarray(removal_steps, dtype=np.float64)[matrix.indices]
-    return np.maximum.reduceat(values, matrix.indptr[:-1])
+    rows = np.flatnonzero(np.diff(replica_indptr))
+    return rows, replica_indptr[rows] - replica_indptr[0]
 
 
-def kill_steps_batch(matrix: sparse.csr_matrix, removal_matrix: np.ndarray) -> np.ndarray:
-    """Kill steps for many removal schedules at once.
+def kill_column(
+    shard: "IncidenceShard",
+    segments: tuple[np.ndarray, np.ndarray],
+    table: np.ndarray,
+) -> np.ndarray:
+    """Every toot's kill step in one range under one removal column.
 
-    ``removal_matrix`` has shape ``(n_domains, k)`` — one column per
-    schedule.  Returns ``(n_toots, k)``.  Each schedule is one contiguous
-    1-D gather + ``reduceat`` pass over the shared CSR structure (faster
-    than a single 2-D pass: the per-domain table stays cache-resident).
+    ``segments`` is :func:`replica_segments` of the range and ``table``
+    the column's :func:`step_table`.  The result has the table's dtype:
+    int32 with the sentinel marking survivors, or float64 with ``inf``.
     """
-    _check_rows(matrix)
+    kill = table[shard.home]
+    rows, offsets = segments
+    if rows.size:
+        latest = np.maximum.reduceat(table[shard.replica_indices], offsets)
+        np.maximum(latest, kill[rows], out=latest)
+        kill[rows] = latest
+    return kill
+
+
+def _schedules(
+    removal_matrix: np.ndarray, steps_per_schedule: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The removal matrix as float64 ``(n_domains, k)`` and one length per column."""
     removal_matrix = np.asarray(removal_matrix, dtype=np.float64)
     if removal_matrix.ndim != 2:
         raise AnalysisError("removal_matrix must be 2-D (n_domains, k)")
-    kill = np.empty((matrix.shape[0], removal_matrix.shape[1]), dtype=np.float64)
-    safe = _int32_safe_columns(removal_matrix)
-    for j in range(removal_matrix.shape[1]):
-        killed, sentinel = _kill_column(matrix, removal_matrix[:, j], bool(safe[j]))
-        if sentinel is None:
-            kill[:, j] = killed
-        else:
-            out = killed.astype(np.float64)
-            out[killed == sentinel] = np.inf
-            kill[:, j] = out
-    return kill
+    steps = np.asarray(steps_per_schedule, dtype=np.int64)
+    if steps.shape != (removal_matrix.shape[1],):
+        raise AnalysisError("steps_per_schedule must give one length per schedule")
+    return removal_matrix, steps
 
 
 def losses_per_step(
@@ -133,45 +128,33 @@ def losses_per_step(
 
 
 def losses_per_step_batch(
-    matrix: sparse.csr_matrix,
+    shard: "IncidenceShard",
     removal_matrix: np.ndarray,
     steps_per_schedule: np.ndarray,
 ) -> np.ndarray:
-    """Per-step loss counts for many schedules without the kill matrix.
+    """Per-step loss counts of one toot range for many schedules.
 
-    Streams one schedule at a time: each column is one gather +
-    ``reduceat`` pass into reusable buffers, immediately reduced to its
-    ``bincount`` of per-step losses.  Returns a dense
-    ``(k, max_steps + 1)`` int64 array (``losses[j, s]`` toots die at
-    step ``s`` of schedule ``j``; columns beyond a schedule's own length
-    stay zero), so peak memory is O(nnz) buffers plus the small loss
-    table instead of the ``(n_toots, k)`` kill matrix.
+    One :func:`kill_column` pass per schedule, each reduced at once to
+    its ``bincount`` of per-step losses, so no kill matrix is kept.
+    Returns a dense ``(k, max_steps + 1)`` int64 array (``losses[j, s]``
+    toots of the range die at step ``s`` of schedule ``j``; columns
+    beyond a schedule's own length stay zero).
 
     Losses are raw integer counts, which makes them **additive across
-    disjoint row ranges** — the composition law the sharded engine in
-    :mod:`repro.engine.sharding` is built on.
+    disjoint toot ranges** — the composition law
+    :func:`~repro.engine.sharding.streaming_losses` folds by.
     """
-    _check_rows(matrix)
-    removal_matrix = np.asarray(removal_matrix, dtype=np.float64)
-    if removal_matrix.ndim != 2:
-        raise AnalysisError("removal_matrix must be 2-D (n_domains, k)")
+    removal_matrix, steps = _schedules(removal_matrix, steps_per_schedule)
     n_schedules = removal_matrix.shape[1]
-    steps = np.asarray(steps_per_schedule, dtype=np.int64)
-    if steps.shape != (n_schedules,):
-        raise AnalysisError("steps_per_schedule must give one length per schedule")
     max_steps = int(steps.max()) if n_schedules else 0
     losses = np.zeros((n_schedules, max_steps + 1), dtype=np.int64)
     safe = _int32_safe_columns(removal_matrix)
-    # gather/kill buffers allocated once and reused for every int32-safe
-    # schedule; the float fallback is rare enough to allocate ad hoc
-    values = np.empty(matrix.indices.size, dtype=np.int32)
-    buffer = np.empty(matrix.shape[0], dtype=np.int32)
+    segments = replica_segments(shard.replica_indptr)
     for j in range(n_schedules):
         schedule_steps = int(steps[j])
-        killed, sentinel = _kill_column(
-            matrix, removal_matrix[:, j], bool(safe[j]), values, buffer
-        )
-        losses[j, : schedule_steps + 1] = losses_per_step(killed, schedule_steps, sentinel)
+        table, sentinel = step_table(removal_matrix[:, j], bool(safe[j]))
+        kill = kill_column(shard, segments, table)
+        losses[j, : schedule_steps + 1] = losses_per_step(kill, schedule_steps, sentinel)
     return losses
 
 
@@ -185,8 +168,8 @@ def temporal_removal_matrix(down: np.ndarray) -> np.ndarray:
     down at that tick** (any live holder contributes ``inf``), so
     ``losses[:, 1]`` from :func:`losses_per_step_batch` counts the toots
     unavailable at each tick.  Because the counts stay plain additive
-    integers, the sharded streaming fold evaluates temporal schedules
-    unchanged — and bit-identically.
+    integers, the streaming fold evaluates temporal schedules
+    unchanged — and bit-identically at any range split.
     """
     down = np.asarray(down)
     if down.ndim != 2:
@@ -214,48 +197,3 @@ def availability_from_losses(losses: np.ndarray, total: int) -> np.ndarray:
         raise AnalysisError("the placement map is empty")
     lost = np.cumsum(losses.astype(np.int64))
     return 1.0 - lost / total
-
-
-def curves_from_loss_table(
-    losses: np.ndarray, steps_per_schedule: np.ndarray, total: int
-) -> list[np.ndarray]:
-    """One availability curve per schedule from a ``(k, max_steps+1)`` table.
-
-    Each curve is cut to its own schedule length — the shared final step
-    of :func:`availability_curves_batch` and the sharded streaming path.
-    """
-    steps = np.asarray(steps_per_schedule, dtype=np.int64)
-    return [
-        availability_from_losses(losses[j, : int(steps[j]) + 1], total)
-        for j in range(steps.size)
-    ]
-
-
-def availability_curve_array(
-    matrix: sparse.csr_matrix, removal_steps: np.ndarray, steps: int
-) -> np.ndarray:
-    """Availability after 0..``steps`` removals, as one dense vector."""
-    kill = kill_steps(matrix, removal_steps)
-    losses = losses_per_step(kill, steps)
-    return availability_from_losses(losses, matrix.shape[0])
-
-
-def availability_curves_batch(
-    matrix: sparse.csr_matrix,
-    removal_matrix: np.ndarray,
-    steps_per_schedule: np.ndarray,
-) -> list[np.ndarray]:
-    """Availability curves for many schedules sharing one incidence matrix.
-
-    ``steps_per_schedule[j]`` is the schedule length of column ``j``; the
-    returned list holds one curve of length ``steps_per_schedule[j] + 1``
-    per schedule.
-
-    Only the curves are needed here, so the reduction streams through
-    :func:`losses_per_step_batch` — one schedule at a time over reused
-    gather buffers — instead of materialising the full ``(n_toots, k)``
-    kill matrix.
-    """
-    steps = np.asarray(steps_per_schedule, dtype=np.int64)
-    losses = losses_per_step_batch(matrix, removal_matrix, steps)
-    return curves_from_loss_table(losses, steps, matrix.shape[0])

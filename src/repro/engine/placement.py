@@ -6,9 +6,8 @@ operations over integer columns, never one Python object per toot:
 
 * :class:`PlacementArrays` — the integer-coded placement backend: one
   home-domain code per toot plus a CSR-style ``(replica_indices,
-  replica_indptr)`` pair of replica codes.  The engine's
-  :class:`~repro.engine.incidence.TootIncidence` consumes it directly,
-  with no dict-of-frozensets round trip.
+  replica_indptr)`` pair of replica codes.  The engine's kill kernel
+  (:mod:`repro.engine.kernels`) folds it directly, range by range.
   :meth:`PlacementArrays.from_corpus` is the one way to build it: the
   per-toot home and author codes come from a columnar corpus, shard by
   shard (:mod:`repro.corpus.placement`), and the replica arrays from
@@ -39,10 +38,10 @@ operations over integer columns, never one Python object per toot:
 Invariants every builder guarantees (and :meth:`PlacementArrays.validate`
 checks): replica codes are distinct within a row and never equal the
 row's home code, so ``holders(t) = {home[t]} ∪ replicas[t]`` has
-``1 + replica_count`` members and the incidence matrix stays binary.
+``1 + replica_count`` members.
 
 The pure-Python reference loops live on in
-:mod:`repro.core.replication` as ``_*_python`` functions; the
+``tests/reference/replication.py``; the
 differential suite (``tests/engine/test_placement.py``) holds the
 corpus-built placements to exact equality where the strategy is
 deterministic and to equivalent replica-count distributions for the
@@ -89,9 +88,9 @@ class PlacementArrays:
     ``toot_urls`` is any sequence; corpus-built backends hold the lazy
     :class:`~repro.corpus.store.CorpusUrls` view, so the scale paths
     (which only ever read codes) never materialise the URL strings.
-    ``source_bounds`` carries the corpus shard boundaries; the sweep's
-    auto-sharding streams over exactly those shards
-    (:func:`repro.engine.sweep._resolve_sharding`).
+    ``source_bounds`` carries the corpus shard boundaries; by default
+    every fold runs over exactly those toot ranges
+    (:func:`repro.engine.sharding.toot_ranges`).
     """
 
     strategy: str
@@ -118,31 +117,13 @@ class PlacementArrays:
         """How many replicas landed on each domain (aligned with ``domains``)."""
         return np.bincount(self.replica_indices, minlength=self.n_domains)
 
-    def to_placement_dict(self) -> dict[str, frozenset[str]]:
-        """The legacy dict-of-frozensets view (compatibility path only).
-
-        This is the one remaining per-toot loop and exists solely so code
-        that still wants ``PlacementMap.placements`` keeps working; the
-        engine itself never calls it.
-        """
-        domains = self.domains
-        indices = self.replica_indices
-        indptr = self.replica_indptr
-        out: dict[str, frozenset[str]] = {}
-        for t, url in enumerate(self.toot_urls):
-            holders = {domains[self.home[t]]}
-            holders.update(domains[j] for j in indices[indptr[t] : indptr[t + 1]])
-            out[url] = frozenset(holders)
-        return out
-
     def rows_incidence(self, rows: np.ndarray) -> "sparse.csr_matrix":
         """The incidence CSR of a subset of toots, straight from the codes.
 
-        Row ``i`` of the result interleaves toot ``rows[i]``'s home code
-        with its replica codes — the exact structure
-        :meth:`TootIncidence.from_arrays` builds for those rows, without
-        ever assembling the full corpus matrix.  The serving layer's
-        per-query construction: O(subset nnz) work and memory.
+        Row ``i`` of the result holds toot ``rows[i]``'s home code and
+        its replica codes, sorted; O(subset nnz) work and memory.  No
+        fold builds a matrix: this is the one CSR builder left in the
+        engine, kept because perfbench's layer split times it by name.
         """
         from scipy import sparse
 
@@ -185,8 +166,7 @@ class PlacementArrays:
         over the replica codes, and a ``searchsorted`` on
         ``replica_indptr`` that maps each replica hit to its row.  A
         row's home and replicas are distinct, so the two hit sets are
-        disjoint.  Equal to :meth:`TootIncidence.rows_holding` over the
-        assembled matrix; an unknown domain gives an empty array.
+        disjoint.  An unknown domain gives an empty array.
         """
         try:
             code = self.domains.index(domain)

@@ -1,29 +1,23 @@
 """The sweep API: many (strategy, failure, seed) combinations in one call.
 
 The expensive part of an availability experiment is the per-strategy
-incidence matrix; every failure schedule after that is a cheap batched
-reduction.  ``run_availability_sweep`` exploits exactly that: one
-:class:`~repro.engine.incidence.TootIncidence` per placement strategy,
-then one :func:`~repro.engine.kernels.kill_steps_batch` pass covering
+placement; every failure schedule after that is one cheap fold of the
+kill kernel (:mod:`repro.engine.kernels`) over the placement arrays.
+``run_availability_sweep`` exploits exactly that: one
+:class:`~repro.engine.placement.PlacementArrays` per placement strategy,
+then one :func:`~repro.engine.sharding.streaming_losses` fold covering
 every failure model.  Every strategy builds from the columns of the
 toot corpus (:meth:`StrategySpec.build_from_corpus`).  Seeds are just
 more strategies (:meth:`StrategySpec.random` embeds the seed in the
 spec), so a (strategy × ranking × seed) grid is a single call that
 returns every curve, ready for :mod:`repro.reporting`.
 
-Incidence matrices are memoised per placement map
-(:meth:`TootIncidence.from_placements`), so repeated
-:func:`availability_curves` calls on the same :class:`PlacementMap` —
-across sweeps, wrappers, or ad-hoc experiments — rebuild nothing.
-
-Past a million toots the full incidence matrix itself becomes the
-memory ceiling, so :func:`availability_curves` and
-:func:`run_availability_sweep` take a ``shard_size`` knob:
-arrays-backed placements are then evaluated shard by shard through
-:mod:`repro.engine.sharding` (bit-identical curves, O(shard) peak
-memory), over the corpus's own shard boundaries when automatic.
-Corpora at or above :data:`~repro.engine.sharding.AUTO_SHARD_THRESHOLD`
-toots shard automatically; ``shard_size=0`` forces the monolithic path.
+The fold runs over toot ranges of the arrays
+(:func:`~repro.engine.sharding.toot_ranges`): the corpus's own shard
+bounds by default, uniform ranges of ``shard_size`` toots, or one range
+at ``shard_size=0``.  Curves are bit-identical at every split, so the
+knob trades only the working set of one range against per-range call
+overhead.
 """
 
 from __future__ import annotations
@@ -37,19 +31,16 @@ from repro import obs
 from repro.errors import AnalysisError
 from repro.core.replication import AvailabilityPoint, PlacementMap
 from repro.engine.failures import FailureModel
-from repro.engine.incidence import TootIncidence
 from repro.engine.kernels import (
     availability_from_losses,
-    losses_per_step_batch,
     temporal_availability_from_counts,
     temporal_removal_matrix,
 )
-from repro.engine.sharding import (
-    AUTO_SHARD_THRESHOLD,
-    DEFAULT_SHARD_SIZE,
-    ShardedIncidence,
-    streaming_losses,
-)
+from repro.engine.sharding import ShardedIncidence, streaming_losses, toot_ranges
+
+# perfbench's layer split wraps this name in this module; it stays
+# importable here, and no fold calls it through this module's name.
+from repro.engine.kernels import losses_per_step_batch  # noqa: F401
 
 
 def _to_points(curve: np.ndarray) -> list[AvailabilityPoint]:
@@ -60,7 +51,7 @@ def _to_points(curve: np.ndarray) -> list[AvailabilityPoint]:
 
 
 def availability_curve(
-    placements: PlacementMap | TootIncidence | ShardedIncidence,
+    placements: PlacementMap | ShardedIncidence,
     failure: FailureModel,
     *,
     shard_size: int | None = None,
@@ -70,90 +61,43 @@ def availability_curve(
     return curves[failure.name]
 
 
-def _resolve_sharding(
-    placements: PlacementMap | TootIncidence | ShardedIncidence,
-    shard_size: int | None,
-) -> ShardedIncidence | None:
-    """Decide whether — and over what backing store — to shard.
-
-    ``shard_size=None`` is automatic: arrays-backed corpora at or above
-    :data:`AUTO_SHARD_THRESHOLD` toots shard at :data:`DEFAULT_SHARD_SIZE`.
-    Backends built from a columnar corpus carry their crawl shard
-    boundaries (``PlacementArrays.source_bounds``); automatic sharding
-    streams over exactly those shards, so the on-disk layout and the
-    evaluation working set line up.  ``shard_size=0`` opts out entirely;
-    any other explicit size forces (uniform) sharding.  Arrays-backed
-    placements shard without ever building the full incidence matrix;
-    built matrices and dict-backed maps shard by row-range views.
-    """
-    if isinstance(placements, ShardedIncidence):
-        return placements
-    if shard_size is not None and shard_size < 0:
-        raise AnalysisError("shard_size must be a positive number of toots (or 0)")
-    if shard_size == 0:
-        return None
-    arrays = (
-        None
-        if isinstance(placements, TootIncidence)
-        else getattr(placements, "arrays", None)
-    )
-    if shard_size is None:
-        if arrays is None or arrays.n_toots < AUTO_SHARD_THRESHOLD:
-            return None
-        source_bounds = getattr(arrays, "source_bounds", None)
-        if source_bounds:
-            return ShardedIncidence.from_arrays(arrays, bounds=source_bounds)
-        shard_size = DEFAULT_SHARD_SIZE
-    if arrays is not None:
-        return ShardedIncidence.from_arrays(arrays, shard_size)
-    incidence = (
-        placements
-        if isinstance(placements, TootIncidence)
-        else TootIncidence.from_placements(placements)
-    )
-    return ShardedIncidence.from_incidence(incidence, shard_size)
-
-
 def availability_curves(
-    placements: PlacementMap | TootIncidence | ShardedIncidence,
+    placements: PlacementMap | ShardedIncidence,
     failures: Sequence[FailureModel],
     *,
     shard_size: int | None = None,
 ) -> dict[str, list[AvailabilityPoint]]:
-    """Curves for many failure models over one shared incidence matrix.
+    """Curves for many failure models, folded over the placement arrays.
 
-    ``shard_size`` routes the evaluation through the streaming sharded
-    engine (:mod:`repro.engine.sharding`); the curves are bit-identical
-    either way, so the knob trades peak memory and wall time only.
+    ``shard_size`` picks the toot ranges of the fold
+    (:func:`~repro.engine.sharding.toot_ranges`); a
+    :class:`ShardedIncidence` brings its own.  The curves are
+    bit-identical at every split.
 
     Cumulative models contribute one removal column each; temporal
     models (``failure.temporal``) contribute one single-step column per
     tick, built by :func:`~repro.engine.kernels.temporal_removal_matrix`.
-    Both column kinds flow through the same batched loss reduction —
-    monolithic or streaming-sharded — before being reassembled into
-    cumulative curves and availability time series respectively.
+    Both column kinds flow through the same streaming loss fold before
+    being reassembled into cumulative curves and availability time
+    series respectively.
     """
     if not failures:
         raise AnalysisError("need at least one failure model")
     names = [failure.name for failure in failures]
     if len(set(names)) != len(names):
         raise AnalysisError("failure models must have distinct names")
-    sharded = _resolve_sharding(placements, shard_size)
-    if sharded is not None:
-        target: ShardedIncidence | TootIncidence = sharded
-    else:
-        target = (
-            placements
-            if isinstance(placements, TootIncidence)
-            else TootIncidence.from_placements(placements)
-        )
+    sharded = (
+        placements
+        if isinstance(placements, ShardedIncidence)
+        else toot_ranges(placements.arrays, shard_size)
+    )
     with obs.span(
         "engine/availability_curves",
         failures=len(failures),
-        n_toots=target.n_toots,
-        sharded=sharded is not None,
+        n_toots=sharded.n_toots,
+        shards=sharded.n_shards,
     ):
-        lookup = target.lookup
+        lookup = sharded.lookup
         blocks: list[np.ndarray] = []
         col_steps: list[int] = []
         spans: list[tuple[FailureModel, int, int]] = []  # (model, first column, n columns)
@@ -172,12 +116,8 @@ def availability_curves(
             spans.append((failure, start, len(col_steps) - start))
         removal_matrix = np.concatenate(blocks, axis=1)
         steps = np.asarray(col_steps, dtype=np.int64)
-        if sharded is not None:
-            losses = streaming_losses(sharded, removal_matrix, steps)
-            total = sharded.n_toots
-        else:
-            losses = losses_per_step_batch(target.matrix, removal_matrix, steps)
-            total = target.n_toots
+        losses = streaming_losses(sharded, removal_matrix, steps)
+    total = sharded.n_toots
     curves: dict[str, list[AvailabilityPoint]] = {}
     for failure, start, n_cols in spans:
         if failure.temporal:
@@ -320,13 +260,11 @@ def run_availability_sweep(
     """Evaluate every (strategy, failure) combination in one call.
 
     Builds each strategy's placement map (from the columns of
-    ``toots.corpus``) and incidence matrix once, then batch-evaluates
-    all failure schedules against it.  Random strategies
-    carry their own seeds, so a seed sweep is just more
-    :class:`StrategySpec` entries.  ``shard_size`` streams
-    each strategy's evaluation through the sharded engine (automatic at
-    :data:`~repro.engine.sharding.AUTO_SHARD_THRESHOLD` toots) — same
-    curves, bounded memory.
+    ``toots.corpus``) once, then folds all failure schedules over it.
+    Random strategies carry their own seeds, so a seed sweep is just
+    more :class:`StrategySpec` entries.  ``shard_size`` picks the toot
+    ranges of every fold (see :func:`availability_curves`) — same
+    curves at every split.
     """
     if not strategies:
         raise AnalysisError("need at least one placement strategy")

@@ -11,10 +11,9 @@ how many times each builder actually ran, so callers (and tests) can
 prove it.
 
 Placement maps are memoised per :class:`~repro.engine.sweep.StrategySpec`
-(the specs are frozen, hashable recipes), which means the engine's weak
-per-map incidence cache (:meth:`TootIncidence.from_placements`) hits
-across experiments too: fig15 and fig16 share the same ``no-rep`` and
-``s-rep`` incidence matrices instead of rebuilding them.
+(the specs are frozen, hashable recipes), and curves per (spec, failure),
+so fig15 and fig16 share the same ``no-rep`` and ``s-rep`` placements
+and fold each schedule over them once.
 """
 
 from __future__ import annotations
@@ -82,8 +81,9 @@ class ExperimentContext:
         self.twitter_days = twitter_days
         self.twitter_users = twitter_users
         self.twitter_seed = twitter_seed
-        #: Streaming-evaluation knob forwarded to every sweep (None =
-        #: automatic: shard past the engine's corpus-size threshold).
+        #: Toot-range split forwarded to every sweep's fold (None = the
+        #: corpus's own shard bounds, 0 = one range; curves are equal at
+        #: every split).
         self.shard_size = shard_size
         #: Where the toot crawl's columnar corpus (:mod:`repro.corpus`)
         #: and the follower crawl's edge store (:mod:`repro.corpus.graph`)
@@ -428,11 +428,8 @@ class ExperimentContext:
         The context-level equivalent of
         :func:`repro.engine.sweep.run_availability_sweep`: placement maps
         come from :meth:`placements_for`, so repeated sweeps sharing a
-        strategy also share its incidence matrix via the engine's weak
-        per-map cache.  The context's ``shard_size`` knob is forwarded
-        to every evaluation, so large presets stream
-        through the sharded engine instead of materialising full
-        matrices.
+        strategy build it once.  The context's ``shard_size`` knob picks
+        the toot ranges of every fold.
         """
         if not strategies:
             raise AnalysisError("need at least one placement strategy")

@@ -1,12 +1,12 @@
 """Runners for the replication experiments (Figs. 15-16).
 
 Both figures are engine sweeps (:meth:`ExperimentContext.sweep`): one
-incidence matrix per placement strategy, every removal schedule batched
-against it.  The context memoises placement maps per
+placement per strategy, every removal schedule folded over it by the
+kill kernel.  The context memoises placement maps per
 :class:`~repro.engine.sweep.StrategySpec` and the failure models of the
 standard grid, so fig15 and fig16 share the ``no-rep``/``s-rep``
-incidence matrices and the ``instances/by_toots`` schedule instead of
-rebuilding them.
+placements and the ``instances/by_toots`` curves instead of rebuilding
+them.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 :class:`AvailabilityService` splits the batch pipeline's cost cleanly in
 two.  The **one-time build** (per strategy: integer-coded placements
-from the corpus columns, a :class:`~repro.engine.sharding.ShardedIncidence`
-over the crawl's own shard bounds; per (strategy × failure): every
+from the corpus columns, split into toot ranges by
+:func:`~repro.engine.sharding.toot_ranges` — the crawl's own shard
+bounds; per (strategy × failure): every
 toot's kill step via :func:`~repro.engine.sharding.kill_vector`, and
 the full-corpus curve counted from it) runs exactly once, on first use
 or eagerly via :meth:`AvailabilityService.warm`.  **Per-query cost** is
@@ -15,13 +16,13 @@ one :func:`~repro.engine.kernels.losses_per_step` count over them.
 Every number the service returns is bit-identical to the equivalent
 batch sweep: the removal vectors come from the same
 :class:`~repro.engine.incidence.DomainLookup` over the same per-strategy
-domain universe, the kill steps from the same per-shard pass, the losses
+domain universe, the kill steps from the same kill kernel, the losses
 are the same integer counts, and the curves are the same
 ``1 - cumsum(losses) / total``.  Whole-corpus and subset answers count
 the same kill vector, so they agree by construction.  The differential
 suite in ``tests/serve/`` holds the service to exact equality against
-:func:`~repro.engine.sweep.availability_curves` and against slicing the
-full incidence matrix.
+:func:`~repro.engine.sweep.availability_curves` and against the CSR
+incidence oracle in ``tests/reference/incidence.py``.
 
 Failure rankings are derived from the stores alone, mirroring the batch
 pipeline's :func:`~repro.core.resilience.rank_instances` over the
@@ -57,13 +58,13 @@ from repro.engine.failures import FailureModel, InstanceRemoval
 from repro.engine.incidence import DomainLookup
 from repro.engine.kernels import availability_from_losses, losses_per_step
 from repro.engine.placement import PlacementArrays
-from repro.engine.sharding import DEFAULT_SHARD_SIZE, ShardedIncidence, kill_vector
+from repro.engine.sharding import ShardedIncidence, kill_vector, toot_ranges
 from repro.engine.sweep import StrategySpec
 from repro.errors import AnalysisError
 
-# No query folds an incidence matrix any more, but perfbench's layer
-# split wraps these two names in this module; they stay importable here
-# and their serve spans read about 0.
+# No query folds a loss table, but perfbench's layer split wraps these
+# two names in this module; they stay importable here and their serve
+# spans read about 0.
 from repro.engine.kernels import losses_per_step_batch  # noqa: F401
 from repro.engine.sharding import streaming_losses  # noqa: F401
 
@@ -283,7 +284,7 @@ class AvailabilityService:
     # -- one-time builds -------------------------------------------------------
 
     def state_for(self, strategy: str | StrategySpec) -> _StrategyState:
-        """The built (arrays + sharded incidence) state of one strategy."""
+        """The built (arrays + toot ranges) state of one strategy."""
         spec = parse_strategy(strategy) if isinstance(strategy, str) else strategy
         with self._lock:
             state = self._states.get(spec.name)
@@ -298,13 +299,7 @@ class AvailabilityService:
                     seed=spec.seed,
                     weights=dict(spec.weights) if spec.weights is not None else None,
                 )
-                if arrays.source_bounds:
-                    sharded = ShardedIncidence.from_arrays(
-                        arrays, bounds=arrays.source_bounds
-                    )
-                else:
-                    sharded = ShardedIncidence.from_arrays(arrays, DEFAULT_SHARD_SIZE)
-                state = _StrategyState(spec, arrays, sharded)
+                state = _StrategyState(spec, arrays, toot_ranges(arrays))
                 self._states[spec.name] = state
                 self.build_counters["strategies_built"] += 1
                 obs.metrics().observe(

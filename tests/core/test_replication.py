@@ -11,6 +11,7 @@ from repro.datasets.toots import TootsDataset
 from repro.errors import AnalysisError
 
 from tests.conftest import corpus_toots
+from tests.reference.replication import placement_dict
 
 
 def record(toot_id: int, author: str, home: str) -> TootRecord:
@@ -53,34 +54,34 @@ class TestPlacementStrategies:
     def test_no_replication_places_only_on_home(self):
         placements = replication.no_replication(make_toots())
         assert len(placements) == 16
-        assert all(len(holders) == 1 for holders in placements.placements.values())
+        assert all(len(holders) == 1 for holders in placement_dict(placements.arrays).values())
         summary = placements.replication_summary()
         assert summary["share_without_replica"] == 1.0
         assert summary["mean_replicas"] == 0.0
 
     def test_subscription_replication_uses_follower_domains(self):
         placements = replication.subscription_replication(make_toots(), make_graphs())
-        star_toot = placements.placements["https://big.example/@star/1"]
+        star_toot = placement_dict(placements.arrays)["https://big.example/@star/1"]
         assert star_toot == {"big.example", "mid.example", "small.example"}
-        tiny_toot = placements.placements["https://small.example/@tiny/16"]
+        tiny_toot = placement_dict(placements.arrays)["https://small.example/@tiny/16"]
         assert tiny_toot == {"small.example"}
         summary = placements.replication_summary()
         assert summary["share_without_replica"] == pytest.approx(1 / 16)
 
     def test_random_replication_counts(self):
         placements = replication.random_replication(make_toots(), DOMAINS, n_replicas=2, seed=3)
-        for holders in placements.placements.values():
+        for holders in placement_dict(placements.arrays).values():
             # home + 2 replicas, minus any overlap with the home instance
             assert 2 <= len(holders) <= 3
 
     def test_random_replication_zero_replicas(self):
         placements = replication.random_replication(make_toots(), DOMAINS, n_replicas=0, seed=3)
-        assert all(len(holders) == 1 for holders in placements.placements.values())
+        assert all(len(holders) == 1 for holders in placement_dict(placements.arrays).values())
 
     def test_random_replication_reproducible(self):
         first = replication.random_replication(make_toots(), DOMAINS, 2, seed=5)
         second = replication.random_replication(make_toots(), DOMAINS, 2, seed=5)
-        assert first.placements == second.placements
+        assert placement_dict(first.arrays) == placement_dict(second.arrays)
 
     def test_weighted_replication_prefers_heavy_domains(self):
         weights = {"spare.example": 100.0, "mid.example": 0.01, "small.example": 0.01, "big.example": 0.01}
@@ -88,7 +89,7 @@ class TestPlacementStrategies:
             make_toots(), DOMAINS, n_replicas=1, seed=7, weights=weights
         )
         spare_hits = sum(
-            1 for holders in placements.placements.values() if "spare.example" in holders
+            1 for holders in placement_dict(placements.arrays).values() if "spare.example" in holders
         )
         assert spare_hits >= len(placements) * 0.8
 

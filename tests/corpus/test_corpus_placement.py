@@ -166,11 +166,11 @@ class TestSweepIdentity:
             n_replicas=3, seed=2,
         )
         expected = availability_curves(legacy, [failure])
-        # monolithic evaluation of the corpus backend (lazy URL view feeds
-        # TootIncidence.from_arrays)
+        # one range over the whole corpus backend (lazy URL view)
         monolithic = availability_curves(
             replication.PlacementMap(corpus_arrays.strategy, arrays=corpus_arrays),
             [failure],
+            shard_size=0,
         )
         assert monolithic == expected
         # corpus-aligned shards: crawl boundaries flow through unchanged
@@ -179,7 +179,7 @@ class TestSweepIdentity:
         )
         assert sharded.shard_bounds() == list(tiny_store.shard_bounds())
         assert availability_curves(sharded, [failure]) == expected
-        # automatic sharding streams over the corpus bounds
+        # by default the fold streams over the corpus bounds
         folded: list[list[tuple[int, int]]] = []
         fold = sweep.streaming_losses
 
@@ -187,7 +187,6 @@ class TestSweepIdentity:
             folded.append(sharded.shard_bounds())
             return fold(sharded, *args)
 
-        monkeypatch.setattr(sweep, "AUTO_SHARD_THRESHOLD", 1)
         monkeypatch.setattr(sweep, "streaming_losses", recording_fold)
         auto = availability_curves(
             replication.PlacementMap(corpus_arrays.strategy, arrays=corpus_arrays),

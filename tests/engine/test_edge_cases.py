@@ -7,7 +7,7 @@ import pytest
 from scipy import sparse
 
 from repro.core import replication
-from repro.core.replication import AvailabilityPoint, PlacementMap
+from repro.core.replication import AvailabilityPoint
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.toots import TootsDataset
 from repro.engine import (
@@ -15,13 +15,17 @@ from repro.engine import (
     FailureModel,
     GraphMatrix,
     InstanceRemoval,
-    TootIncidence,
+    PlacementArrays,
+    ShardedIncidence,
     availability_curves,
 )
-from repro.engine.kernels import kill_steps, losses_per_step
+from repro.engine.kernels import losses_per_step
+from repro.engine.sharding import toot_ranges
 from repro.errors import AnalysisError
 
 from tests.conftest import corpus_toots
+from tests.reference.incidence import TootIncidence, kill_steps
+from tests.reference.replication import DictPlacementMap, availability_curve, placement_dict
 
 
 def record(toot_id: int, author: str, home: str) -> TootRecord:
@@ -45,19 +49,20 @@ DOMAINS = ["one.example", "two.example", "three.example"]
 class TestRandomReplicationEdges:
     def test_zero_replicas_leaves_only_home(self):
         placements = replication.random_replication(make_toots(), DOMAINS, n_replicas=0)
-        assert all(holders == {"home.example"} for holders in placements.placements.values())
+        holder_sets = placement_dict(placements.arrays).values()
+        assert all(holders == {"home.example"} for holders in holder_sets)
 
     def test_zero_replicas_with_weights_still_only_home(self):
         weights = {d: 1.0 for d in DOMAINS}
         placements = replication.random_replication(
             make_toots(), DOMAINS, n_replicas=0, weights=weights
         )
-        assert all(len(holders) == 1 for holders in placements.placements.values())
+        assert all(len(holders) == 1 for holders in placement_dict(placements.arrays).values())
 
     def test_more_replicas_than_candidates_uses_every_candidate(self):
         placements = replication.random_replication(make_toots(), DOMAINS, n_replicas=50)
         expected = set(DOMAINS) | {"home.example"}
-        assert all(holders == expected for holders in placements.placements.values())
+        assert all(holders == expected for holders in placement_dict(placements.arrays).values())
 
     def test_zero_mass_weights_rejected(self):
         with pytest.raises(AnalysisError):
@@ -70,7 +75,7 @@ class TestRandomReplicationEdges:
         placements = replication.random_replication(
             make_toots(), DOMAINS, n_replicas=1, seed=2, weights=weights
         )
-        for holders in placements.placements.values():
+        for holders in placement_dict(placements.arrays).values():
             assert holders - {"home.example"} == {"two.example"}
 
     def test_negative_replicas_and_empty_candidates_rejected(self):
@@ -105,14 +110,27 @@ class TestAvailabilityAtEdges:
 class TestEngineEdges:
     def test_empty_placement_map_rejected(self):
         with pytest.raises(AnalysisError):
-            TootIncidence.from_placements(PlacementMap(strategy="x", placements={}))
+            TootIncidence.from_placements(DictPlacementMap(strategy="x", placements={}))
         with pytest.raises(AnalysisError):
-            replication._availability_curve(
-                PlacementMap(strategy="x", placements={}), {}, 1
+            availability_curve(
+                DictPlacementMap(strategy="x", placements={}), {}, 1
             )
+        empty = PlacementArrays(
+            strategy="x",
+            toot_urls=(),
+            domains=("a.example",),
+            home=np.empty(0, dtype=np.int64),
+            replica_indices=np.empty(0, dtype=np.int64),
+            replica_indptr=np.zeros(1, dtype=np.int64),
+        )
+        for shard_size in (None, 0, 1):
+            with pytest.raises(AnalysisError, match="empty"):
+                toot_ranges(empty, shard_size)
+        with pytest.raises(AnalysisError, match="empty"):
+            ShardedIncidence.from_arrays(empty, bounds=[(0, 1)])
 
     def test_holderless_toot_rejected(self):
-        placements = PlacementMap(strategy="x", placements={"u": frozenset()})
+        placements = DictPlacementMap(strategy="x", placements={"u": frozenset()})
         with pytest.raises(AnalysisError):
             TootIncidence.from_placements(placements)
 
@@ -134,12 +152,12 @@ class TestEngineEdges:
         assert curve[2].availability == 0.0
 
     def test_removal_vector_marks_unremoved_as_infinite(self):
-        incidence = TootIncidence.from_placements(replication.no_replication(make_toots()))
+        incidence = toot_ranges(replication.no_replication(make_toots()).arrays)
         vector = incidence.removal_vector({"home.example": 7}, steps=3)
         assert np.all(np.isinf(vector))  # step 7 is beyond the 3-step schedule
 
     def test_as_assignment_defaults_to_minus_one(self):
-        incidence = TootIncidence.from_placements(replication.no_replication(make_toots()))
+        incidence = toot_ranges(replication.no_replication(make_toots()).arrays)
         assignment = incidence.as_assignment({})
         assert np.all(assignment == -1)
 

@@ -1,8 +1,9 @@
 """Differential suite: the engine must match the legacy loops *exactly*.
 
 Every test here builds a randomized scenario, runs the same experiment
-through the engine-dispatched public functions and through the retained
-pure-Python reference implementations, and asserts bit-identical output
+through the engine-dispatched public functions and through the
+pure-Python reference implementations (``tests/reference/``, and the
+``_*_python`` loops of :mod:`repro.core.resilience`), and asserts bit-identical output
 (dataclass equality, which compares the floats exactly — no tolerances).
 """
 
@@ -18,12 +19,13 @@ from repro.datasets.graphs import GraphDataset
 from repro.engine import (
     ASRemoval,
     InstanceRemoval,
-    TootIncidence,
+    ShardedIncidence,
     availability_curve,
     availability_curves,
 )
 
 from tests.conftest import corpus_toots
+from tests.reference.replication import availability_curve_python
 
 FAST_SEEDS = (0, 1, 2)
 SLOW_SEEDS = tuple(range(3, 11))
@@ -86,7 +88,7 @@ def legacy_instance_curve(placements, ranking, steps):
     """The public wrapper's schedule, evaluated by the pure-Python loop."""
     truncated = list(ranking)[:steps]
     removal_index = {domain: i + 1 for i, domain in enumerate(truncated)}
-    return replication._availability_curve_python(
+    return availability_curve_python(
         placements, removal_index, len(truncated)
     )
 
@@ -97,7 +99,7 @@ def legacy_as_curve(placements, asn_of, as_ranking, steps):
     removal_index = {
         domain: as_index[asn] for domain, asn in asn_of.items() if asn in as_index
     }
-    return replication._availability_curve_python(
+    return availability_curve_python(
         placements, removal_index, len(truncated)
     )
 
@@ -164,9 +166,9 @@ class TestAvailabilityEquivalence:
         )
         as_ranking = resilience.rank_ases(asn_of, by="instances")
         placements = replication.subscription_replication(toots, graphs)
-        incidence = TootIncidence.from_placements(placements)
+        ranges = ShardedIncidence.from_arrays(placements.arrays, 5)
         curves = availability_curves(
-            incidence,
+            ranges,
             [
                 InstanceRemoval(ranking, steps=5, name="instances"),
                 ASRemoval(asn_of, as_ranking, steps=2, name="ases"),

@@ -35,9 +35,9 @@ from repro.engine import (
     InstanceRemoval,
     ScheduledDowntime,
     TemporalChurn,
-    TootIncidence,
     availability_curves,
 )
+from repro.engine.sharding import toot_ranges
 from repro.errors import AnalysisError
 from repro.fediverse.geo import HOSTER_OF_ASN, hoster_of_asn
 from repro.simtime import MINUTES_PER_DAY
@@ -174,7 +174,7 @@ class TestTemporalContract:
 
     def test_down_matrix_alignment(self, placements):
         model = make_models()["scheduled"]
-        lookup = TootIncidence.from_placements(placements).lookup
+        lookup = toot_ranges(placements.arrays).lookup
         down = model.down_matrix(lookup)
         assert down.shape == (lookup.n_domains, model.effective_steps())
         code = lookup.codes([DOMAINS[0]])[0]
@@ -182,7 +182,7 @@ class TestTemporalContract:
 
     def test_unknown_domains_ignored_by_down_matrix(self, placements):
         model = ScheduledDowntime({"ghost.example": [(1, 3)]}, steps=4)
-        lookup = TootIncidence.from_placements(placements).lookup
+        lookup = toot_ranges(placements.arrays).lookup
         assert not model.down_matrix(lookup).any()
 
     def test_interval_validation(self):

@@ -1,10 +1,10 @@
 """Row-subset query kernels: exact equality with slicing the full matrix.
 
 These are the per-query primitives the serving layer composes —
-``PlacementArrays.rows_incidence``, ``PlacementArrays.rows_holding`` /
-``TootIncidence.rows_holding``, and the kill vector whose gathers
-answer every subset query — each checked against the brute-force
-equivalent over the monolithic incidence matrix or the batch fold.
+``PlacementArrays.rows_incidence``, ``PlacementArrays.rows_holding``,
+and the kill vector whose gathers answer every subset query — each
+checked against the brute-force equivalent over the CSR incidence
+matrix of ``tests/reference/incidence.py`` or the batch fold.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import replication
-from repro.engine.incidence import TootIncidence
-from repro.engine.kernels import losses_per_step, losses_per_step_batch
+from repro.engine.kernels import losses_per_step
 from repro.engine.placement import PlacementArrays
 from repro.engine.sharding import ShardedIncidence, kill_vector, streaming_losses
 from repro.errors import AnalysisError
 
 from tests.engine.test_equivalence import random_scenario
+from tests.reference.incidence import TootIncidence, losses_per_step_batch
 
 
 def scenario_incidences(seed: int):

@@ -1,35 +1,42 @@
-"""Differential suite for the sharded streaming engine.
+"""Differential suite for the streaming fold over toot ranges.
 
-Sharded evaluation must be **bit-identical** to the monolithic path for
-every shard size — the composition law (per-step losses are additive
-integer counts across toot ranges) admits no tolerance.  The grid here
-crosses shard sizes {1, a prime, n_toots, n_toots + 7} (the prime forces
-a ragged tail shard) with every placement backend — no-replication,
-unweighted and weighted random, subscription, and dict-backed maps.
+Folding range by range must be **bit-identical** to one range over the
+whole corpus for every split — the composition law (per-step losses are
+additive integer counts across toot ranges) admits no tolerance.  The
+grid here crosses shard sizes {1, a prime, n_toots, n_toots + 7} (the
+prime forces a ragged tail range) with every placement strategy —
+no-replication, unweighted and weighted random, subscription — and holds
+the kernel to the CSR incidence and the dict-backed maps of
+``tests/reference/``.  No fold may build a CSR matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core import replication
 from repro.engine import (
+    DEFAULT_SHARD_SIZE,
     ASRemoval,
     InstanceRemoval,
     ShardedIncidence,
-    TootIncidence,
     availability_curves,
-    kill_steps_batch,
+    kill_vector,
     losses_per_step,
     run_availability_sweep,
     streaming_losses,
 )
+from repro.engine.sharding import toot_ranges
 from repro.engine.sweep import StrategySpec
 from repro.errors import AnalysisError
 
 from tests.engine.test_equivalence import random_scenario
 from tests.engine.test_placement import flat_toots
+from tests.reference import incidence as csr
+from tests.reference.incidence import TootIncidence, kill_steps_batch
+from tests.reference.replication import as_dict_map
 
 N_TOOTS = 97
 PRIME_SHARD = 13  # 97 = 7 * 13 + 6: ragged tail shard of 6 toots
@@ -87,15 +94,24 @@ class TestShardGeometry:
         assert set(full) == {PRIME_SHARD}
         assert tail == N_TOOTS % PRIME_SHARD
 
-    def test_shards_reassemble_the_full_matrix(self, corpus):
+    def test_shards_are_zero_copy_slices_that_tile_the_arrays(self, corpus):
         toots, domains, _, _ = corpus
-        placements = replication.random_replication(toots, domains, 2, seed=9)
-        full = TootIncidence.from_placements(placements)
-        sharded = ShardedIncidence.from_arrays(placements.arrays, PRIME_SHARD)
-        from scipy import sparse
-
-        stacked = sparse.vstack([shard.matrix for shard in sharded.shards()], format="csr")
-        assert (stacked != full.matrix).nnz == 0
+        arrays = replication.random_replication(toots, domains, 2, seed=9).arrays
+        sharded = ShardedIncidence.from_arrays(arrays, PRIME_SHARD)
+        shards = [sharded.shard(*bounds) for bounds in sharded.shard_bounds()]
+        for shard in shards:
+            assert np.shares_memory(shard.home, arrays.home)
+            assert np.shares_memory(shard.replica_indptr, arrays.replica_indptr)
+            if shard.replica_indices.size:
+                assert np.shares_memory(shard.replica_indices, arrays.replica_indices)
+        assert np.array_equal(np.concatenate([s.home for s in shards]), arrays.home)
+        assert np.array_equal(
+            np.concatenate([s.replica_indices for s in shards]), arrays.replica_indices
+        )
+        for shard in shards:
+            assert np.array_equal(
+                shard.replica_indptr, arrays.replica_indptr[shard.start : shard.stop + 1]
+            )
 
     def test_invalid_geometry_raises(self, corpus):
         toots, _, _, _ = corpus
@@ -133,15 +149,25 @@ class TestShardedEquivalence:
         got = availability_curves(placements, failures, shard_size=shard_size)
         assert got == expected
 
-    def test_dict_backed_map_shards_via_row_views(self, corpus):
+    @pytest.mark.parametrize("shard_size", SHARD_SIZES)
+    def test_reference_dict_curves_equal_the_kernel(self, corpus, shard_size):
+        """The dict-backed map, folded as CSR shards, gives the kernel's curves."""
         _, _, _, failures = corpus
-        arrays_backed = backends(corpus)["random"]
-        dict_backed = replication.PlacementMap(
-            strategy="dict", placements=dict(arrays_backed.placements)
+        placements = backends(corpus)["random"]
+        got = availability_curves(placements, failures, shard_size=shard_size)
+        incidence = TootIncidence.from_placements(as_dict_map(placements))
+        steps = np.asarray([f.effective_steps() for f in failures], dtype=np.int64)
+        removal_matrix = np.column_stack(
+            [
+                incidence.removal_vector(failure.removal_index(), int(steps[j]))
+                for j, failure in enumerate(failures)
+            ]
         )
-        expected = availability_curves(dict_backed, failures)
-        got = availability_curves(dict_backed, failures, shard_size=PRIME_SHARD)
-        assert got == expected
+        expected = csr.sharded_availability_curves(
+            incidence, removal_matrix, steps, shard_size
+        )
+        for failure, curve in zip(failures, expected):
+            assert [p.availability for p in got[failure.name]] == curve.tolist()
 
     def test_sweep_api_threads_the_knobs(self, corpus):
         toots, domains, _, failures = corpus
@@ -159,32 +185,24 @@ class TestShardedEquivalence:
         assert sharded.curves == baseline.curves
 
 
-# -- auto-shard threshold and knob validation -------------------------------------
+# -- the range policy and knob validation ---------------------------------------
 
 
 class TestResolution:
-    def test_auto_threshold_shards_without_full_incidence(self, corpus, monkeypatch):
-        _, _, _, failures = corpus
-        placements = backends(corpus)["random"]
-        expected = availability_curves(placements, failures, shard_size=0)
-        monkeypatch.setattr("repro.engine.sweep.AUTO_SHARD_THRESHOLD", 50)
-        monkeypatch.setattr("repro.engine.sweep.DEFAULT_SHARD_SIZE", PRIME_SHARD)
-
-        def forbidden(cls, maps):
-            raise AssertionError("auto-sharding must not build the full matrix")
-
-        monkeypatch.setattr(TootIncidence, "from_placements", classmethod(forbidden))
-        got = availability_curves(placements, failures)
-        assert got == expected
-
-    def test_below_threshold_stays_monolithic(self, corpus):
-        _, _, _, failures = corpus
-        placements = backends(corpus)["random"]
-        # default threshold is far above 97 toots: the memoised incidence
-        # cache must still be hit (object identity via from_placements)
-        availability_curves(placements, failures)
-        assert TootIncidence.from_placements(placements) is TootIncidence.from_placements(
-            placements
+    def test_range_policy(self, corpus):
+        toots, _, _, _ = corpus
+        arrays = replication.no_replication(toots).arrays
+        assert toot_ranges(arrays, 0).shard_bounds() == [(0, N_TOOTS)]
+        assert toot_ranges(arrays, PRIME_SHARD).shard_bounds() == (
+            ShardedIncidence.from_arrays(arrays, PRIME_SHARD).shard_bounds()
+        )
+        # the corpus's own shards, else DEFAULT_SHARD_SIZE ranges
+        assert toot_ranges(arrays).shard_bounds() == [
+            tuple(bounds) for bounds in arrays.source_bounds
+        ]
+        arrays.source_bounds = None
+        assert toot_ranges(arrays).shard_bounds() == (
+            ShardedIncidence.from_arrays(arrays, DEFAULT_SHARD_SIZE).shard_bounds()
         )
 
     def test_negative_shard_size_raises(self, corpus):
@@ -197,6 +215,41 @@ class TestResolution:
 # -- new failure models: correlated groups and temporal schedules -----------------
 
 
+def new_models(corpus):
+    """Correlated, scheduled and temporal models over the corpus domains."""
+    from repro.engine import CountryRemoval, HosterRemoval, ScheduledDowntime, TemporalChurn
+
+    toots, domains, _, _ = corpus
+    rng = np.random.default_rng(7)
+    asn_of = {d: int(a) for d, a in zip(domains, rng.integers(1, 6, len(domains)))}
+    hoster_of = {d: f"H{a % 3}" for d, a in asn_of.items()}
+    country_of = {d: ("JP", "US", "FR")[i % 3] for i, d in enumerate(domains)}
+    return [
+        HosterRemoval(hoster_of, sorted(set(hoster_of.values())), steps=3, name="hosters"),
+        CountryRemoval(country_of, ("JP", "US", "FR"), steps=3, name="countries"),
+        ScheduledDowntime(
+            # non-monotone: overlapping outages with recoveries
+            {
+                domains[0]: [(1, 4), (8, 11)],
+                domains[1]: [(2, 3)],
+                domains[5]: [(5, 12)],
+                domains[9]: [(3, 6), (7, 9)],
+            },
+            steps=12,
+            name="scheduled",
+        ),
+        TemporalChurn(
+            domains,
+            (0.5, 1.0, 2.0, 4.0),
+            {d: 0.1 + 0.04 * i for i, d in enumerate(domains)},
+            steps=15,
+            horizon_days=20.0,
+            seed=4,
+            name="churn",
+        ),
+    ]
+
+
 class TestNewModelSharding:
     """The additive loss fold covers the correlated/temporal models too.
 
@@ -205,42 +258,9 @@ class TestNewModelSharding:
     sharded streaming path must stay bit-identical at every shard size.
     """
 
-    def _models(self, corpus):
-        from repro.engine import CountryRemoval, HosterRemoval, ScheduledDowntime, TemporalChurn
-
-        toots, domains, _, _ = corpus
-        rng = np.random.default_rng(7)
-        asn_of = {d: int(a) for d, a in zip(domains, rng.integers(1, 6, len(domains)))}
-        hoster_of = {d: f"H{a % 3}" for d, a in asn_of.items()}
-        country_of = {d: ("JP", "US", "FR")[i % 3] for i, d in enumerate(domains)}
-        return [
-            HosterRemoval(hoster_of, sorted(set(hoster_of.values())), steps=3, name="hosters"),
-            CountryRemoval(country_of, ("JP", "US", "FR"), steps=3, name="countries"),
-            ScheduledDowntime(
-                # non-monotone: overlapping outages with recoveries
-                {
-                    domains[0]: [(1, 4), (8, 11)],
-                    domains[1]: [(2, 3)],
-                    domains[5]: [(5, 12)],
-                    domains[9]: [(3, 6), (7, 9)],
-                },
-                steps=12,
-                name="scheduled",
-            ),
-            TemporalChurn(
-                domains,
-                (0.5, 1.0, 2.0, 4.0),
-                {d: 0.1 + 0.04 * i for i, d in enumerate(domains)},
-                steps=15,
-                horizon_days=20.0,
-                seed=4,
-                name="churn",
-            ),
-        ]
-
     @pytest.mark.parametrize("shard_size", SHARD_SIZES)
     def test_every_backend_matches_unsharded(self, corpus, shard_size):
-        models = self._models(corpus)
+        models = new_models(corpus)
         for label, placements in backends(corpus).items():
             expected = availability_curves(placements, models, shard_size=0)
             got = availability_curves(placements, models, shard_size=shard_size)
@@ -249,9 +269,9 @@ class TestNewModelSharding:
     def test_temporal_loss_table_matches_monolithic(self, corpus):
         """streaming_losses over tick columns == the monolithic batch, bit for bit."""
         from repro.engine import temporal_removal_matrix
-        from repro.engine.kernels import losses_per_step_batch
+        from tests.reference.incidence import losses_per_step_batch
 
-        models = self._models(corpus)
+        models = new_models(corpus)
         temporal = [m for m in models if m.temporal]
         placements = backends(corpus)["random"]
         incidence = TootIncidence.from_placements(placements)
@@ -302,3 +322,41 @@ class TestStreamingLosses:
         assert np.array_equal(
             sharded.as_assignment(asn_of), incidence.as_assignment(asn_of)
         )
+
+
+# -- no fold builds a CSR matrix --------------------------------------------------
+
+
+@pytest.fixture
+def no_csr(monkeypatch):
+    """``scipy.sparse.csr_matrix`` raises for the rest of the test."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fold built a CSR matrix")
+
+    monkeypatch.setattr(sparse, "csr_matrix", forbidden)
+
+
+class TestNoFoldBuildsACSR:
+    @pytest.mark.parametrize("shard_size", (None, 0) + SHARD_SIZES)
+    def test_availability_curves(self, corpus, shard_size, request):
+        _, _, _, failures = corpus
+        models = new_models(corpus) + failures
+        placements = backends(corpus)["weighted-random"]
+        expected = availability_curves(placements, models, shard_size=0)
+        request.getfixturevalue("no_csr")
+        assert availability_curves(placements, models, shard_size=shard_size) == expected
+
+    def test_kill_vector(self, corpus, request):
+        _, domains, _, _ = corpus
+        placements = backends(corpus)["random"]
+        incidence = TootIncidence.from_arrays(placements.arrays)
+        column = incidence.removal_vector({d: i + 1 for i, d in enumerate(domains)}, 9)
+        expected, expected_sentinel = csr.kill_vector(incidence, column)
+        request.getfixturevalue("no_csr")
+        kill, sentinel = kill_vector(
+            ShardedIncidence.from_arrays(placements.arrays, PRIME_SHARD), column
+        )
+        assert sentinel == expected_sentinel
+        assert kill.dtype == expected.dtype
+        assert np.array_equal(kill, expected)

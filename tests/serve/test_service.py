@@ -2,9 +2,10 @@
 
 Every availability the service answers must equal the equivalent batch
 computation float for float: full-corpus curves against
-:func:`~repro.engine.sweep.availability_curves` (monolithic *and*
-streaming-sharded), subset queries against slicing the full incidence
-matrix, across strategies × failure models.
+:func:`~repro.engine.sweep.availability_curves` (over one toot range
+*and* over the corpus's shards), subset queries against slicing
+the CSR incidence matrix of ``tests/reference/incidence.py``, across
+strategies × failure models.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import numpy as np
 import pytest
 
 from repro.core.replication import PlacementMap
-from repro.engine.incidence import TootIncidence
-from repro.engine.kernels import availability_from_losses, losses_per_step_batch
+from repro.engine.kernels import availability_from_losses
 from repro.engine.sweep import StrategySpec, availability_curves
 from repro.errors import AnalysisError
 from repro.serve import AvailabilityService, parse_strategy
 from repro.serve.service import DEFAULT_REMOVAL_STEPS
 
+from tests.reference.incidence import TootIncidence, losses_per_step_batch
 from tests.serve.conftest import CORPUS_SHARD_TOOTS
 
 STRATEGIES = ["no-rep", "s-rep", "n=2"]
@@ -280,6 +281,24 @@ class TestBuildOnce:
         first = service.state_for("no-rep")
         again = service.state_for(StrategySpec.none())
         assert again is first
+
+    def test_warm_builds_no_csr(self, service, serve_corpus_dir, serve_graph_dir, monkeypatch):
+        from scipy import sparse
+
+        expected = {
+            (strategy, name): service.curve(strategy, name)
+            for strategy in ("no-rep", "s-rep")
+            for name in service.failures()
+        }
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("warm built a CSR matrix")
+
+        monkeypatch.setattr(sparse, "csr_matrix", forbidden)
+        fresh = AvailabilityService(serve_corpus_dir, serve_graph_dir, mmap=True)
+        fresh.warm()
+        for (strategy, name), curve in expected.items():
+            assert np.array_equal(fresh.curve(strategy, name), curve)
 
 
 class TestQueryValidation:
