@@ -18,8 +18,8 @@ from scipy import sparse
 
 from repro.core import replication
 from repro.engine import (
-    DEFAULT_SHARD_SIZE,
     ASRemoval,
+    DEFAULT_SHARD_SIZE,
     InstanceRemoval,
     ShardedIncidence,
     availability_curves,

@@ -1,7 +1,9 @@
 """Reference implementations kept as differential oracles.
 
-Each module here holds an earlier, simpler implementation of a kernel
-that ``src/`` has since replaced with a faster one.  The tests hold the
-fast kernel to exact equality with its reference; nothing in ``src/``
-imports from here.
+Each module here holds code that ``src/`` has since replaced: the
+random draw's O(k²) repeat scan (``draws``), the CSR incidence matrix
+and the kernels that folded it (``incidence``), and the dict placement
+backend with the per-toot strategy and curve loops (``replication``).
+The tests hold the code that replaced them to exact equality with
+them; nothing in ``src/`` imports from here.
 """
