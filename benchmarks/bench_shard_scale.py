@@ -1,4 +1,4 @@
-"""Streaming fold vs the monolithic pipeline at 1M toots (the PR 4 gate).
+"""Streaming fold vs the monolithic pipeline at 1M toots.
 
 The monolithic pipeline — kept in ``tests/reference/incidence.py`` —
 materialises the full toot×instance CSR incidence matrix plus a dense
