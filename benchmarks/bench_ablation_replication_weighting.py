@@ -11,7 +11,8 @@ the subscription strategy.
 
 from __future__ import annotations
 
-from repro.core import replication, resilience
+from repro.core import resilience
+from repro.engine import InstanceRemoval, StrategySpec, availability_at, run_availability_sweep
 from repro.reporting import format_percentage, format_table
 
 from benchmarks.conftest import emit
@@ -28,25 +29,27 @@ def test_ablation_weighted_replication(benchmark, data):
     domains = data.instances.domains()
     capacity = {d: 1.0 + users for d, users in data.instances.users_per_instance().items()}
 
+    failure = InstanceRemoval(ranking, steps=STEPS)
+
     def run():
-        uniform = replication.random_replication(data.toots, domains, 2, seed=3)
-        weighted = replication.random_replication(
-            data.toots, domains, 2, seed=3, weights=capacity
+        result = run_availability_sweep(
+            data.toots,
+            [
+                StrategySpec.random(2, seed=3, name="uniform"),
+                StrategySpec.random(2, seed=3, weights=capacity, name="capacity-weighted"),
+            ],
+            [failure],
+            candidate_domains=domains,
         )
-        return {
-            "uniform": replication.availability_under_instance_removal(uniform, ranking, steps=STEPS),
-            "capacity-weighted": replication.availability_under_instance_removal(
-                weighted, ranking, steps=STEPS
-            ),
-        }
+        return {name: result.curve(name, failure.name) for name in result.strategy_names}
 
     curves = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = [
         [
             removed,
-            format_percentage(replication.availability_at(curves["uniform"], removed)),
-            format_percentage(replication.availability_at(curves["capacity-weighted"], removed)),
+            format_percentage(availability_at(curves["uniform"], removed)),
+            format_percentage(availability_at(curves["capacity-weighted"], removed)),
         ]
         for removed in (5, 10, 20, 40)
     ]
@@ -58,6 +61,6 @@ def test_ablation_weighted_replication(benchmark, data):
     # weighting towards big instances cannot beat uniform placement under
     # targeted top-instance removal
     assert (
-        replication.availability_at(curves["capacity-weighted"], 20)
-        <= replication.availability_at(curves["uniform"], 20) + 0.02
+        availability_at(curves["capacity-weighted"], 20)
+        <= availability_at(curves["uniform"], 20) + 0.02
     )

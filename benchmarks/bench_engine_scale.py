@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.replication import PlacementMap
 from repro.engine import ASRemoval, InstanceRemoval, PlacementArrays, availability_curves
 
 try:
@@ -51,8 +50,8 @@ MIN_SPEEDUP = 10.0
 
 def synthetic_placements(
     n_toots: int = N_TOOTS, n_domains: int = N_DOMAINS, seed: int = 0
-) -> tuple[PlacementMap, list[str], dict[str, int]]:
-    """A 100k-toot placement map with a Zipf-like popularity skew.
+) -> tuple[PlacementArrays, list[str], dict[str, int]]:
+    """A 100k-toot placement with a Zipf-like popularity skew.
 
     Built as :class:`PlacementArrays` without any loop, the way
     ``bench_shard_scale.synthetic_arrays`` builds them: replicas are
@@ -82,7 +81,7 @@ def synthetic_placements(
         replica_indptr=indptr,
     )
     asn_of = {domain: int(asn) for domain, asn in zip(domains, rng.integers(1, 40, size=n_domains))}
-    return PlacementMap(strategy=arrays.strategy, arrays=arrays), domains, asn_of
+    return arrays, domains, asn_of
 
 
 def build_failures(domains: list[str], asn_of: dict[str, int], seed: int = 1):

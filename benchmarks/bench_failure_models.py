@@ -65,10 +65,7 @@ MIN_TOOT_TICKS_PER_SECOND = 2_000_000
 
 
 def build_placements(n_toots: int = N_TOOTS):
-    arrays, domains, asn_of = synthetic_arrays(n_toots=n_toots, n_domains=N_DOMAINS)
-    from repro.core.replication import PlacementMap
-
-    return PlacementMap(strategy=arrays.strategy, arrays=arrays), domains, asn_of
+    return synthetic_arrays(n_toots=n_toots, n_domains=N_DOMAINS)
 
 
 def build_churn(domains) -> TemporalChurn:
@@ -127,9 +124,8 @@ def check_churn_shard_invariance(placements, churn) -> None:
 
 def measure_temporal_throughput(placements, churn, rounds: int = 3) -> dict:
     """Best-of-``rounds`` wall time for the full temporal streaming sweep."""
-    arrays = placements.arrays
-    sharded = ShardedIncidence.from_arrays(arrays, SHARD_SIZE)
-    incidence = TootIncidence.from_arrays(arrays)
+    sharded = ShardedIncidence.from_arrays(placements, SHARD_SIZE)
+    incidence = TootIncidence.from_arrays(placements)
     removal_matrix = temporal_removal_matrix(churn.down_matrix(sharded.lookup))
     steps = np.ones(removal_matrix.shape[1], dtype=np.int64)
 
@@ -141,7 +137,7 @@ def measure_temporal_throughput(placements, churn, rounds: int = 3) -> dict:
     expected = losses_per_step_batch(incidence.matrix, removal_matrix, steps)
     assert np.array_equal(losses, expected), "streamed temporal losses diverged"
 
-    toot_ticks = arrays.n_toots * removal_matrix.shape[1]
+    toot_ticks = placements.n_toots * removal_matrix.shape[1]
     return {
         "ticks": int(removal_matrix.shape[1]),
         "sweep_seconds": best,

@@ -61,7 +61,7 @@ def plain_availability_curves(placements, failures, shard_size):
     stripped.  Any timing gap between this and the shipped path is pure
     instrumentation overhead.
     """
-    sharded = ShardedIncidence.from_arrays(placements.arrays, shard_size)
+    sharded = ShardedIncidence.from_arrays(placements, shard_size)
     lookup = sharded.lookup
     columns = []
     col_steps = []

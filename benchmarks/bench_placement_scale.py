@@ -36,15 +36,15 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 
-from repro.core.replication import random_replication
 from repro.corpus import CorpusWriter
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.toots import TootsDataset
-from repro.engine import placement
+from repro.engine import StrategySpec, placement
 
 try:
     from tests.reference.draws import batch_distinct_draws
@@ -64,9 +64,7 @@ def synthetic_toots(n_toots: int = N_TOOTS, n_domains: int = N_DOMAINS, seed: in
     """A 100k-toot corpus with a Zipf-like home-instance skew.
 
     Each toot is observed on its home instance only.  The corpus lives
-    in a temporary directory for as long as the returned dataset; its
-    records are materialised up front, so the legacy loop's timings
-    exclude reading them.
+    in a temporary directory for as long as the returned dataset.
     """
     rng = np.random.default_rng(seed)
     domains = [f"i{j}.example" for j in range(n_domains)]
@@ -93,9 +91,14 @@ def synthetic_toots(n_toots: int = N_TOOTS, n_domains: int = N_DOMAINS, seed: in
     store = writer.finalise()
     store.delete_when_collected()
     toots = TootsDataset.from_corpus(store)
-    toots.records()
     weights = {domain: float(w) for domain, w in zip(domains, popularity)}
     return toots, domains, weights
+
+
+def random_placement(toots, domains, n_replicas, seed=0, weights=None):
+    """The vectorised builder: one random strategy built from the corpus."""
+    spec = StrategySpec.random(n_replicas, seed=seed, weights=weights)
+    return spec.build_from_corpus(toots.corpus, candidate_domains=domains)
 
 
 def _timed(fn, *args, **kwargs):
@@ -109,18 +112,22 @@ def compare(toots, domains, weights, rounds: int = 2):
 
     Alternating legacy/vectorised rounds and keeping each side's minimum
     makes the ratio robust to CPU-steal windows on shared machines.
+    The legacy loop walks records: they are read from the corpus once,
+    before any timing, so its rounds time the loop alone.
     """
+    records = list(toots.corpus.iter_records())
+    legacy_toots = SimpleNamespace(corpus=SimpleNamespace(iter_records=lambda: iter(records)))
     results = {}
     for label, kwargs in (("unweighted", {}), ("weighted", {"weights": weights})):
         legacy_time = fast_time = float("inf")
         legacy = fast = None
         for _ in range(rounds):
             legacy, elapsed = _timed(
-                random_replication_python, toots, domains, N_REPLICAS, seed=SEED, **kwargs
+                random_replication_python, legacy_toots, domains, N_REPLICAS, seed=SEED, **kwargs
             )
             legacy_time = min(legacy_time, elapsed)
             fast, elapsed = _timed(
-                random_replication, toots, domains, N_REPLICAS, seed=SEED, **kwargs
+                random_placement, toots, domains, N_REPLICAS, seed=SEED, **kwargs
             )
             fast_time = min(fast_time, elapsed)
         # same replica-count distribution (bit-identity is impossible: the
@@ -137,11 +144,9 @@ def matches_reference(toots, domains, weights) -> dict[str, bool]:
     """Whether each variant's build equals the build with the reference kernel."""
     matches = {}
     for label, kwargs in (("unweighted", {}), ("weighted", {"weights": weights})):
-        fast = random_replication(toots, domains, N_REPLICAS, seed=SEED, **kwargs).arrays
+        fast = random_placement(toots, domains, N_REPLICAS, seed=SEED, **kwargs)
         with mock.patch.object(placement, "_batch_distinct_draws", batch_distinct_draws):
-            reference = random_replication(
-                toots, domains, N_REPLICAS, seed=SEED, **kwargs
-            ).arrays
+            reference = random_placement(toots, domains, N_REPLICAS, seed=SEED, **kwargs)
         matches[label] = np.array_equal(
             fast.replica_indices, reference.replica_indices
         ) and np.array_equal(fast.replica_indptr, reference.replica_indptr)
@@ -157,7 +162,7 @@ def test_placement_scale_speedup(benchmark):
     toots, domains, weights = synthetic_toots()
 
     benchmark.pedantic(
-        random_replication,
+        random_placement,
         args=(toots, domains, N_REPLICAS),
         kwargs={"seed": SEED, "weights": weights},
         rounds=1,
@@ -192,7 +197,7 @@ def test_placement_scale_speedup(benchmark):
 def main() -> None:
     results, matches = run_comparison()
     print(
-        f"random_replication construction: {N_TOOTS:,} toots x {N_DOMAINS} domains, "
+        f"random placement construction: {N_TOOTS:,} toots x {N_DOMAINS} domains, "
         f"{N_REPLICAS} replicas"
     )
     payload: dict[str, object] = {

@@ -46,7 +46,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.replication import PlacementMap
 from repro.engine.sweep import availability_curves
 from repro.fediverse import build_columnar_scenario
 from repro.serve import AvailabilityService
@@ -85,11 +84,7 @@ def check_identity(service: AvailabilityService) -> None:
     """The warm curve must equal the batch sweep's, float for float."""
     state = service.state_for("no-rep")
     failure = service.failure("instances/by_toots")
-    batch = availability_curves(
-        PlacementMap(strategy=state.arrays.strategy, arrays=state.arrays),
-        [failure],
-        shard_size=0,
-    )[failure.name]
+    batch = availability_curves(state.arrays, [failure], shard_size=0)[failure.name]
     batch_curve = np.asarray([point.availability for point in batch])
     serve_curve = service.curve("no-rep", "instances/by_toots")
     assert serve_curve.shape == batch_curve.shape, (

@@ -14,7 +14,14 @@ from __future__ import annotations
 import sys
 
 from repro import build_scenario, collect_datasets
-from repro.core import replication, resilience
+from repro.core import resilience
+from repro.engine import (
+    ASRemoval,
+    InstanceRemoval,
+    StrategySpec,
+    availability_at,
+    run_availability_sweep,
+)
 from repro.reporting import format_percentage, format_table
 
 
@@ -33,31 +40,42 @@ def main(preset: str = "tiny", seed: int = 55) -> None:
     as_ranking = resilience.rank_ases(asn_of, instances.users_per_instance(), by="users")
     steps = min(25, len(ranking))
 
-    strategies = {
-        "no replication": replication.no_replication(toots),
-        "subscription": replication.subscription_replication(toots, data.graphs),
-        "random n=1": replication.random_replication(toots, instances.domains(), 1, seed=seed),
-        "random n=3": replication.random_replication(toots, instances.domains(), 3, seed=seed),
-    }
+    # one placement per strategy, both removal schedules folded over it
+    result = run_availability_sweep(
+        toots,
+        [
+            StrategySpec.none(name="no replication"),
+            StrategySpec.subscription(name="subscription"),
+            StrategySpec.random(1, seed=seed, name="random n=1"),
+            StrategySpec.random(3, seed=seed, name="random n=3"),
+        ],
+        [
+            InstanceRemoval(ranking, steps=steps, name="instances"),
+            ASRemoval(asn_of, as_ranking, steps=10, name="ases"),
+        ],
+        graphs=data.graphs,
+        candidate_domains=instances.domains(),
+        keep_placements=True,
+    )
 
     instance_rows = []
     as_rows = []
-    for name, placements in strategies.items():
-        instance_curve = replication.availability_under_instance_removal(placements, ranking, steps=steps)
-        as_curve = replication.availability_under_as_removal(placements, asn_of, as_ranking, steps=10)
+    for name in result.strategy_names:
+        instance_curve = result.curve(name, "instances")
+        as_curve = result.curve(name, "ases")
         instance_rows.append(
             [
                 name,
-                format_percentage(replication.availability_at(instance_curve, 5)),
-                format_percentage(replication.availability_at(instance_curve, 10)),
-                format_percentage(replication.availability_at(instance_curve, steps)),
+                format_percentage(availability_at(instance_curve, 5)),
+                format_percentage(availability_at(instance_curve, 10)),
+                format_percentage(availability_at(instance_curve, steps)),
             ]
         )
         as_rows.append(
             [
                 name,
-                format_percentage(replication.availability_at(as_curve, 3)),
-                format_percentage(replication.availability_at(as_curve, 10)),
+                format_percentage(availability_at(as_curve, 3)),
+                format_percentage(availability_at(as_curve, 10)),
             ]
         )
 
@@ -77,7 +95,7 @@ def main(preset: str = "tiny", seed: int = 55) -> None:
         )
     )
 
-    summary = strategies["subscription"].replication_summary()
+    summary = result.placements["subscription"].replication_summary()
     print()
     print(
         format_table(

@@ -17,6 +17,7 @@ import sys
 from repro import build_scenario, collect_datasets
 from repro.core import resilience
 from repro.datasets import TwitterBaselines
+from repro.engine import resilience as removal
 from repro.reporting import format_percentage, format_table
 
 
@@ -34,8 +35,12 @@ def main(preset: str = "tiny", seed: int = 33) -> None:
 
     # -- Fig. 12: removing top user accounts -------------------------------------
     twitter = TwitterBaselines.generate(days=30, n_users=graphs.user_count(), seed=seed)
-    mastodon_steps = resilience.user_removal_sweep(graphs.follower_graph, rounds=10, fraction_per_round=0.01)
-    twitter_steps = resilience.user_removal_sweep(twitter.follower_graph, rounds=10, fraction_per_round=0.01)
+    mastodon_steps = removal.user_removal_sweep_matrix(
+        graphs.follower_graph, rounds=10, fraction_per_round=0.01
+    )
+    twitter_steps = removal.user_removal_sweep_matrix(
+        twitter.follower_graph, rounds=10, fraction_per_round=0.01
+    )
     rows = [
         [
             format_percentage(m.removed_fraction),
@@ -56,7 +61,7 @@ def main(preset: str = "tiny", seed: int = 33) -> None:
     users = instances.users_per_instance()
     toots = instances.toots_per_instance()
     ranking = resilience.rank_instances(graphs.federation_graph, users, toots, by="users")
-    steps = resilience.instance_removal_sweep(graphs.federation_graph, ranking, steps=20)
+    steps = removal.ranked_removal_sweep_matrix(graphs.federation_graph, ranking, steps=20)
     rows = [
         [step.removed_count, format_percentage(step.lcc_fraction), step.components]
         for step in steps[::4]
@@ -73,7 +78,9 @@ def main(preset: str = "tiny", seed: int = 33) -> None:
     # -- Fig. 13(b): removing whole ASes ------------------------------------------
     asn_of = {d: instances.metadata_for(d).asn for d in instances.domains()}
     as_ranking = resilience.rank_ases(asn_of, users, by="users")
-    as_steps = resilience.as_removal_sweep(graphs.federation_graph, asn_of, as_ranking, steps=8)
+    as_steps = removal.as_removal_sweep_matrix(
+        graphs.federation_graph, asn_of, as_ranking, steps=8
+    )
     rows = [
         [index, format_percentage(step.lcc_fraction), step.components]
         for index, step in enumerate(as_steps)

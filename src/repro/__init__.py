@@ -52,6 +52,7 @@ from repro.datasets import GraphDataset, InstancesDataset, TootsDataset, Twitter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.corpus import CorpusStore, GraphStore
+    from repro.crawler.monitor import MonitoringLog
 
 __version__ = "1.0.0"
 
@@ -154,42 +155,18 @@ def collect_datasets(
     instances are never re-crawled; ``politeness_delay`` spaces
     per-instance requests (useful to widen the crash window in tests).
     """
-    from repro.corpus import DEFAULT_CORPUS_SHARD_SIZE, CorpusWriter, GraphWriter
-
-    transport = SimulatedTransport(network)
-    if fault_rates is not None:
-        rates = (
-            fault_rates
-            if isinstance(fault_rates, FaultRates)
-            else FaultRates.uniform(float(fault_rates))
-        )
-        transport = FaultyTransport(transport, FaultInjector(seed=fault_seed, rates=rates))
-    if retry_policy is not None:
-        policy = (
-            retry_policy
-            if isinstance(retry_policy, RetryPolicy)
-            else RetryPolicy(max_attempts=int(retry_policy))
-        )
-        transport = ResilientTransport(transport, policy=policy, breaker=breaker)
-    monitor = InstanceMonitor(transport, network.domains(), monitor_interval_minutes)
-    instances = InstancesDataset.build(network, monitor.run())
-
-    crawl_options = dict(threads=CRAWL_THREADS, politeness_delay=politeness_delay)
-    corpus, coverage = _collect_store(
-        TootCrawler(transport, **crawl_options),
-        CorpusWriter,
-        corpus_dir,
+    crawl = CrawlSession(
         network,
+        fault_rates=fault_rates,
+        fault_seed=fault_seed,
+        retry_policy=retry_policy,
+        breaker=breaker,
         resume=resume,
-        shard_size=corpus_shard_size or DEFAULT_CORPUS_SHARD_SIZE,
+        politeness_delay=politeness_delay,
     )
-    graph_store, graph_coverage = _collect_store(
-        FollowerGraphCrawler(transport, **crawl_options),
-        GraphWriter,
-        graph_dir,
-        network,
-        resume=resume,
-    )
+    instances = InstancesDataset.build(network, crawl.monitor(monitor_interval_minutes))
+    corpus, coverage = crawl.toots(corpus_dir, corpus_shard_size)
+    graph_store, graph_coverage = crawl.followers(graph_dir)
     return CollectedDatasets(
         instances=instances,
         toots=TootsDataset.from_corpus(corpus),
@@ -200,6 +177,81 @@ def collect_datasets(
         coverage=coverage,
         graph_coverage=graph_coverage,
     )
+
+
+class CrawlSession:
+    """The stages of :func:`collect_datasets`, over one shared transport.
+
+    The monitor, the toot crawl and the follower crawl run in that order
+    through one transport, wrapped in the seeded chaos layer and the
+    retries when asked (see :func:`collect_datasets` for the knobs).  A
+    seeded fault schedule draws per request, so a caller that skips a
+    stage must still run the ones before it to fault the same requests.
+    """
+
+    def __init__(
+        self,
+        network: FediverseNetwork,
+        fault_rates: "FaultRates | float | None" = None,
+        fault_seed: int = 0,
+        retry_policy: "RetryPolicy | int | None" = None,
+        breaker: "CircuitBreaker | None" = None,
+        resume: bool = False,
+        politeness_delay: float = 0.0,
+    ) -> None:
+        transport = SimulatedTransport(network)
+        if fault_rates is not None:
+            rates = (
+                fault_rates
+                if isinstance(fault_rates, FaultRates)
+                else FaultRates.uniform(float(fault_rates))
+            )
+            transport = FaultyTransport(transport, FaultInjector(seed=fault_seed, rates=rates))
+        if retry_policy is not None:
+            policy = (
+                retry_policy
+                if isinstance(retry_policy, RetryPolicy)
+                else RetryPolicy(max_attempts=int(retry_policy))
+            )
+            transport = ResilientTransport(transport, policy=policy, breaker=breaker)
+        self.network = network
+        self.transport = transport
+        self.resume = resume
+        self.crawl_options = dict(threads=CRAWL_THREADS, politeness_delay=politeness_delay)
+
+    def monitor(self, interval_minutes: int) -> "MonitoringLog":
+        """Poll every instance's API across the observation window."""
+        domains = self.network.domains()
+        return InstanceMonitor(self.transport, domains, interval_minutes).run()
+
+    def toots(
+        self, directory: "str | Path | None", shard_size: int | None = None
+    ) -> "tuple[CorpusStore, dict | None]":
+        """Crawl every federated timeline into a corpus store at ``directory``."""
+        from repro.corpus import DEFAULT_CORPUS_SHARD_SIZE, CorpusWriter
+
+        return _collect_store(
+            TootCrawler(self.transport, **self.crawl_options),
+            CorpusWriter,
+            directory,
+            self.network,
+            resume=self.resume,
+            shard_size=shard_size or DEFAULT_CORPUS_SHARD_SIZE,
+        )
+
+    def followers(
+        self, directory: "str | Path | None"
+    ) -> "tuple[GraphStore, dict | None]":
+        """Crawl every follower list into a graph store at ``directory``."""
+        from repro.corpus import GraphWriter
+
+        return _collect_store(
+            FollowerGraphCrawler(self.transport, **self.crawl_options),
+            GraphWriter,
+            directory,
+            self.network,
+            resume=self.resume,
+        )
 
 
 def _collect_store(

@@ -20,7 +20,8 @@ can also be produced programmatically.  Every crawl streams into the
 columnar corpus store (:mod:`repro.corpus`) and the follower crawl into
 on-disk edge shards, in temporary directories unless ``--corpus DIR`` /
 ``--graph DIR`` name them; ``run`` reuses a store that ``collect``
-wrote.  ``collect --columnar`` generates the scenario as numpy columns
+wrote, and ``collect`` crawls the follower lists only with ``--graph``.
+``collect --columnar`` generates the scenario as numpy columns
 and streams them straight to disk — the only route to the 10M-toot
 ``xlarge`` preset.
 
@@ -46,7 +47,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from repro import build_scenario, collect_datasets, obs
+from repro import CrawlSession, build_scenario, obs
 from repro.crawler import FollowerGraphCrawler, InstanceMonitor, SimulatedTransport, TootCrawler
 from repro.datasets import Anonymiser, save_edges, save_snapshots, save_toot_records
 from repro.errors import AnalysisError, ConfigurationError, DatasetError
@@ -553,22 +554,21 @@ def _command_collect(args: argparse.Namespace) -> int:
         if args.columnar:
             store, graph_store = _collect_columnar(args)
         else:
-            network = build_scenario(args.preset, seed=args.seed)
-            data = collect_datasets(
-                network,
-                monitor_interval_minutes=args.monitor_interval,
-                corpus_dir=args.corpus_dir,
-                corpus_shard_size=args.shard_toots,
-                graph_dir=args.graph_dir,
+            crawl = CrawlSession(
+                build_scenario(args.preset, seed=args.seed),
                 fault_rates=args.fault_rate,
                 fault_seed=args.fault_seed,
                 retry_policy=_retry_policy(args),
                 resume=args.resume,
                 politeness_delay=args.politeness,
             )
-            store, coverage = data.corpus, data.coverage
-            # without --graph the graph store was temporary: nothing to report
-            graph_store = data.graph_store if args.graph_dir is not None else None
+            # the snapshots are not kept, but the monitor's requests come
+            # first, so a seeded --fault-rate faults the same crawl requests
+            crawl.monitor(args.monitor_interval)
+            store, coverage = crawl.toots(args.corpus_dir, args.shard_toots)
+            graph_store = (
+                crawl.followers(args.graph_dir)[0] if args.graph_dir is not None else None
+            )
     except (ConfigurationError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,10 +8,13 @@ Each module maps to a slice of the evaluation:
 * :mod:`repro.core.categories` — Figs. 3 and 4 (categories, activities);
 * :mod:`repro.core.hosting` — Figs. 5 and 6 (countries, ASes, flows);
 * :mod:`repro.core.availability` — Figs. 7-10 and Table 1;
-* :mod:`repro.core.resilience` — Figs. 11-13 (graph removal attacks);
-* :mod:`repro.core.federation_analysis` — Fig. 14 and Table 2;
-* :mod:`repro.core.replication` — Figs. 15 and 16 (toot availability
-  under replication strategies).
+* :mod:`repro.core.resilience` — Fig. 11 and the instance and AS
+  rankings behind every removal attack (Figs. 13, 15 and 16);
+* :mod:`repro.core.federation_analysis` — Fig. 14 and Table 2.
+
+The removal sweeps of Figs. 12-13 and the toot placements and
+availability curves of Figs. 15-16 are the failure-simulation engine's
+(:mod:`repro.engine`), which imports nothing from this package.
 """
 
 from repro.core import (  # noqa: F401
@@ -21,7 +24,6 @@ from repro.core import (  # noqa: F401
     federation_analysis,
     growth,
     hosting,
-    replication,
     resilience,
 )
 
@@ -32,6 +34,5 @@ __all__ = [
     "federation_analysis",
     "growth",
     "hosting",
-    "replication",
     "resilience",
 ]

@@ -1,22 +1,15 @@
-"""Graph resilience under node removal (Section 5.1: Figs. 11-13).
+"""Graph resilience analysis (Section 5.1: Figs. 11-13).
 
 The paper quantifies how the follower graph and the instance federation
 graph degrade when the most important users, instances or hosting ASes
-disappear, using two metrics throughout: the size of the largest
-(weakly) connected component and the number of connected components.
-
-The removal sweeps dispatch to the sparse-matrix engine
-(:mod:`repro.engine.resilience`): the graph is converted once to a CSR
-adjacency matrix and every round is a submatrix slice plus one
-:func:`scipy.sparse.csgraph.connected_components` call, instead of a
-:mod:`networkx` copy degraded in Python.  The original implementations
-are kept as ``_*_python`` reference functions for the differential suite
-in ``tests/engine/test_equivalence.py``.
+disappear.  This module holds the analysis around those attacks: the
+degree distributions of Fig. 11 and the instance and AS rankings that
+order every removal schedule (Figs. 13, 15 and 16).  The removal sweeps
+themselves are the engine's (:mod:`repro.engine.resilience`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import networkx as nx
@@ -25,163 +18,11 @@ from repro.errors import AnalysisError
 from repro.stats.distributions import ECDF
 
 
-@dataclass(frozen=True, slots=True)
-class RemovalStep:
-    """The state of a graph after one removal round."""
-
-    removed_fraction: float
-    removed_count: int
-    lcc_fraction: float
-    components: int
-
-
 def degree_cdf(degrees: Sequence[int]) -> ECDF:
     """ECDF of a degree sequence (Fig. 11)."""
     if not degrees:
         raise AnalysisError("empty degree sequence")
     return ECDF(degrees)
-
-
-def _lcc_fraction(graph: nx.Graph | nx.DiGraph, initial_nodes: int) -> float:
-    if graph.number_of_nodes() == 0 or initial_nodes == 0:
-        return 0.0
-    if graph.is_directed():
-        largest = max((len(c) for c in nx.weakly_connected_components(graph)), default=0)
-    else:
-        largest = max((len(c) for c in nx.connected_components(graph)), default=0)
-    return largest / initial_nodes
-
-
-def _component_count(graph: nx.Graph | nx.DiGraph) -> int:
-    if graph.number_of_nodes() == 0:
-        return 0
-    if graph.is_directed():
-        return nx.number_weakly_connected_components(graph)
-    return nx.number_connected_components(graph)
-
-
-def user_removal_sweep(
-    follower_graph: nx.DiGraph,
-    rounds: int = 20,
-    fraction_per_round: float = 0.01,
-) -> list[RemovalStep]:
-    """Iteratively remove the top ``fraction_per_round`` of accounts (Fig. 12).
-
-    Each round removes the remaining accounts with the highest total
-    degree and records the LCC fraction (relative to the original account
-    count) and the component count — the paper's methodology for testing
-    the social graph's attack tolerance.
-    """
-    from repro.engine.resilience import user_removal_sweep_matrix
-
-    return user_removal_sweep_matrix(
-        follower_graph, rounds=rounds, fraction_per_round=fraction_per_round
-    )
-
-
-def _user_removal_sweep_python(
-    follower_graph: nx.DiGraph,
-    rounds: int = 20,
-    fraction_per_round: float = 0.01,
-) -> list[RemovalStep]:
-    """The original networkx loop — the engine's reference implementation."""
-    if rounds < 1:
-        raise AnalysisError("need at least one removal round")
-    if not 0.0 < fraction_per_round <= 1.0:
-        raise AnalysisError("fraction_per_round must be in (0, 1]")
-    graph = follower_graph.copy()
-    initial_nodes = graph.number_of_nodes()
-    if initial_nodes == 0:
-        raise AnalysisError("the follower graph is empty")
-
-    steps = [
-        RemovalStep(
-            removed_fraction=0.0,
-            removed_count=0,
-            lcc_fraction=_lcc_fraction(graph, initial_nodes),
-            components=_component_count(graph),
-        )
-    ]
-    removed_total = 0
-    for _ in range(rounds):
-        remaining = graph.number_of_nodes()
-        if remaining == 0:
-            break
-        batch = max(1, int(round(fraction_per_round * remaining)))
-        by_degree = sorted(graph.degree(), key=lambda kv: kv[1], reverse=True)
-        to_remove = [node for node, _ in by_degree[:batch]]
-        graph.remove_nodes_from(to_remove)
-        removed_total += len(to_remove)
-        steps.append(
-            RemovalStep(
-                removed_fraction=removed_total / initial_nodes,
-                removed_count=removed_total,
-                lcc_fraction=_lcc_fraction(graph, initial_nodes),
-                components=_component_count(graph),
-            )
-        )
-    return steps
-
-
-def ranked_removal_sweep(
-    graph: nx.Graph | nx.DiGraph,
-    ranking: Sequence[str],
-    steps: int = 20,
-    per_step: int = 1,
-) -> list[RemovalStep]:
-    """Remove nodes in the order given by ``ranking`` and track LCC/components.
-
-    ``ranking`` lists node ids from most to least important (e.g. instances
-    ranked by users hosted).  Nodes absent from the graph are skipped but
-    still consume a slot in the removal schedule so that step indices stay
-    aligned with the ranking.
-    """
-    from repro.engine.resilience import ranked_removal_sweep_matrix
-
-    return ranked_removal_sweep_matrix(graph, ranking, steps=steps, per_step=per_step)
-
-
-def _ranked_removal_sweep_python(
-    graph: nx.Graph | nx.DiGraph,
-    ranking: Sequence[str],
-    steps: int = 20,
-    per_step: int = 1,
-) -> list[RemovalStep]:
-    """The original networkx loop — the engine's reference implementation."""
-    if steps < 1 or per_step < 1:
-        raise AnalysisError("steps and per_step must be positive")
-    working = graph.copy()
-    initial_nodes = working.number_of_nodes()
-    if initial_nodes == 0:
-        raise AnalysisError("cannot run a removal sweep on an empty graph")
-
-    results = [
-        RemovalStep(
-            removed_fraction=0.0,
-            removed_count=0,
-            lcc_fraction=_lcc_fraction(working, initial_nodes),
-            components=_component_count(working),
-        )
-    ]
-    removed = 0
-    cursor = 0
-    for _ in range(steps):
-        batch = ranking[cursor : cursor + per_step]
-        cursor += per_step
-        if not batch:
-            break
-        present = [node for node in batch if working.has_node(node)]
-        working.remove_nodes_from(present)
-        removed += len(present)
-        results.append(
-            RemovalStep(
-                removed_fraction=removed / initial_nodes,
-                removed_count=removed,
-                lcc_fraction=_lcc_fraction(working, initial_nodes),
-                components=_component_count(working),
-            )
-        )
-    return results
 
 
 def rank_instances(
@@ -209,16 +50,6 @@ def rank_instances(
     raise AnalysisError(f"unknown instance ranking: {by!r}")
 
 
-def instance_removal_sweep(
-    federation_graph: nx.DiGraph,
-    ranking: Sequence[str],
-    steps: int = 50,
-    per_step: int = 1,
-) -> list[RemovalStep]:
-    """Remove top-ranked instances from the federation graph (Fig. 13a)."""
-    return ranked_removal_sweep(federation_graph, ranking, steps=steps, per_step=per_step)
-
-
 def rank_ases(
     asn_of_instance: Mapping[str, int],
     users_per_instance: Mapping[str, int] | None = None,
@@ -238,58 +69,3 @@ def rank_ases(
             raise AnalysisError("ranking by users requires users_per_instance")
         return sorted(users_per_asn, key=lambda a: users_per_asn[a], reverse=True)
     raise AnalysisError(f"unknown AS ranking: {by!r}")
-
-
-def as_removal_sweep(
-    federation_graph: nx.DiGraph,
-    asn_of_instance: Mapping[str, int],
-    as_ranking: Sequence[int],
-    steps: int = 20,
-) -> list[RemovalStep]:
-    """Remove entire ASes (and every instance they host) from GF (Fig. 13b)."""
-    from repro.engine.resilience import as_removal_sweep_matrix
-
-    return as_removal_sweep_matrix(
-        federation_graph, asn_of_instance, as_ranking, steps=steps
-    )
-
-
-def _as_removal_sweep_python(
-    federation_graph: nx.DiGraph,
-    asn_of_instance: Mapping[str, int],
-    as_ranking: Sequence[int],
-    steps: int = 20,
-) -> list[RemovalStep]:
-    """The original networkx loop — the engine's reference implementation."""
-    if steps < 1:
-        raise AnalysisError("steps must be positive")
-    working = federation_graph.copy()
-    initial_nodes = working.number_of_nodes()
-    if initial_nodes == 0:
-        raise AnalysisError("cannot run a removal sweep on an empty graph")
-    domains_per_asn: dict[int, list[str]] = {}
-    for domain, asn in asn_of_instance.items():
-        domains_per_asn.setdefault(asn, []).append(domain)
-
-    results = [
-        RemovalStep(
-            removed_fraction=0.0,
-            removed_count=0,
-            lcc_fraction=_lcc_fraction(working, initial_nodes),
-            components=_component_count(working),
-        )
-    ]
-    removed = 0
-    for step, asn in enumerate(as_ranking[:steps], start=1):
-        victims = [d for d in domains_per_asn.get(asn, []) if working.has_node(d)]
-        working.remove_nodes_from(victims)
-        removed += len(victims)
-        results.append(
-            RemovalStep(
-                removed_fraction=removed / initial_nodes,
-                removed_count=removed,
-                lcc_fraction=_lcc_fraction(working, initial_nodes),
-                components=_component_count(working),
-            )
-        )
-    return results

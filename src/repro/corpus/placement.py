@@ -1,6 +1,6 @@
 """Placement construction straight from corpus columns.
 
-Every placement map starts here.  The per-toot inputs are the interned
+Every placement starts here.  The per-toot inputs are the interned
 ``home_code`` / ``author_code`` columns of a
 :class:`~repro.corpus.store.CorpusStore`, loaded **shard by shard** and
 remapped into the sorted domain universe with one gather per shard, then
@@ -13,8 +13,8 @@ sorted by domain, first-seen URL wins), the resulting
 included — are a pure function of the crawl and the strategy.
 
 Every builder stamps the corpus shard boundaries into
-``PlacementArrays.source_bounds``, so the sweep's auto-sharding
-(:mod:`repro.engine.sweep`) streams evaluation over exactly the shards
+``PlacementArrays.source_bounds``, so by default every fold
+(:func:`repro.engine.sharding.toot_ranges`) runs over exactly the shards
 the crawl wrote.
 """
 

@@ -6,8 +6,7 @@ hands out columns on demand.  Shard ``.npz`` members load lazily — a
 request for one column of one shard reads exactly that member — so the
 working set of any shard-by-shard consumer is O(shard column), never
 O(corpus).  ``TootRecord`` objects are only ever materialised by
-:meth:`CorpusStore.iter_records`, behind the record-level accessors of
-:class:`~repro.datasets.toots.TootsDataset`; the analyses never call it.
+:meth:`CorpusStore.iter_records`, which no analysis calls.
 """
 
 from __future__ import annotations
@@ -169,9 +168,8 @@ class CorpusStore(ShardedStore):
     def iter_records(self) -> Iterator["TootRecord"]:
         """Materialise ``TootRecord`` objects, streaming shard by shard.
 
-        Backs the record-level accessors of
-        :class:`~repro.datasets.toots.TootsDataset` (``records()``,
-        ``toots_by_author`` …); the analyses never call it.  Records
+        No analysis calls it: it is the record-level view that the tests
+        and reference loops compare the columns against.  Records
         reproduce every crawled field, hashtags included.
         """
         from repro.crawler.toot_crawler import TootRecord

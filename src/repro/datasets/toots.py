@@ -4,10 +4,10 @@ Reads the columnar :class:`~repro.corpus.store.CorpusStore` the toot
 crawl streamed into and serves the indexes used in Sections 4 and 5:
 per-author and per-home-instance toot counts, boost counts, the
 home/remote composition of each instance's federated timeline and the
-replication counts behind Fig. 14.  Aggregates answer straight from the
-corpus manifest and columns.  Only the record-level accessors
-(``records()``, ``toots_by_author`` …) materialise ``TootRecord``
-objects, lazily and once, so the analyses never build them.
+replication counts behind Fig. 14.  Every answer comes straight from the
+corpus manifest and columns; the dataset holds no ``TootRecord``.  Code
+that needs records streams them from
+:meth:`CorpusStore.iter_records <repro.corpus.store.CorpusStore.iter_records>`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import DatasetError
-from repro.crawler.toot_crawler import TootRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.corpus.store import CorpusStore
@@ -60,35 +59,16 @@ class TootsDataset:
             raise DatasetError("cannot build a toots dataset with no records")
         self.corpus = corpus
         self.crawl_minute = corpus.crawl_minute
-        self._records: dict[str, TootRecord] | None = None
-        self._by_author: dict[str, list[TootRecord]] = {}
-        self._by_home_instance: dict[str, list[TootRecord]] = {}
 
     @classmethod
     def from_corpus(cls, store: "CorpusStore") -> "TootsDataset":
         """Wrap a columnar corpus without materialising any records."""
         return cls(store)
 
-    def _materialise(self) -> None:
-        """Build the record-level indexes from the corpus (lazily, once)."""
-        if self._records is not None:
-            return
-        records: dict[str, TootRecord] = {}
-        for record in self.corpus.iter_records():
-            records[record.url] = record
-            self._by_author.setdefault(record.account, []).append(record)
-            self._by_home_instance.setdefault(record.author_domain, []).append(record)
-        self._records = records
-
     # -- basic accessors -----------------------------------------------------------
 
     def __len__(self) -> int:
         return self.corpus.n_toots
-
-    def records(self) -> list[TootRecord]:
-        """Every unique toot record."""
-        self._materialise()
-        return list(self._records.values())
 
     def authors(self) -> list[str]:
         """Every distinct author handle."""
@@ -101,16 +81,6 @@ class TootsDataset:
     def home_instances(self) -> list[str]:
         """Every instance that authored at least one crawled toot."""
         return sorted(self.corpus.home_toot_counts)
-
-    def toots_by_author(self, account: str) -> list[TootRecord]:
-        """Toots authored by ``account``."""
-        self._materialise()
-        return list(self._by_author.get(account, []))
-
-    def toots_from_instance(self, domain: str) -> list[TootRecord]:
-        """Toots authored on ``domain`` (its home toots)."""
-        self._materialise()
-        return list(self._by_home_instance.get(domain, []))
 
     def toots_per_instance(self) -> dict[str, int]:
         """Home-toot count per instance."""
@@ -127,11 +97,6 @@ class TootsDataset:
     def boost_count(self) -> int:
         """Number of boosts in the catalogue."""
         return self.corpus.n_boosts
-
-    def original_toots(self) -> list[TootRecord]:
-        """Toots that are not boosts."""
-        self._materialise()
-        return [record for record in self._records.values() if not record.is_boost]
 
     def coverage(self, total_toots_reported: int) -> float:
         """Fraction of the instance-reported toot population we collected.

@@ -1,25 +1,28 @@
-"""The failure-simulation engine: array kernels for Figs. 11-16.
+"""The failure-simulation engine: array kernels for Figs. 12-16.
 
-The vectorised substrate under :mod:`repro.core.replication` and
-:mod:`repro.core.resilience`:
+Every resilience and replication result of the paper is computed here:
 
 * :class:`PlacementArrays` — integer-coded placements (per-toot home
   codes plus replica CSR arrays) built from a columnar corpus
-  (:mod:`repro.engine.placement`);
+  (:mod:`repro.engine.placement`); :class:`StrategySpec` names the
+  no, subscription and random replication strategies that build them;
 * one kill kernel (:mod:`repro.engine.kernels`): a toot dies at the
   latest removal step among its holders, read straight from the arrays,
   one toot range at a time (:class:`ShardedIncidence`,
-  :mod:`repro.engine.sharding`); every curve, temporal series and serve
-  kill vector is a fold of additive loss counts over those ranges,
-  bit-identical at any split;
-* :class:`GraphMatrix` and whole LCC/component removal trajectories
-  (:mod:`repro.engine.resilience`), and (strategy × failure × seed)
-  grids in one call (:mod:`repro.engine.sweep`).
+  :mod:`repro.engine.sharding`); every availability curve (a list of
+  :class:`AvailabilityPoint`), temporal series and serve kill vector is
+  a fold of additive loss counts over those ranges, bit-identical at
+  any split;
+* :class:`GraphMatrix` and whole LCC/component removal trajectories (a
+  list of :class:`RemovalStep`, :mod:`repro.engine.resilience`), and
+  (strategy × failure × seed) grids in one call (:mod:`repro.engine.sweep`).
 
-``tests/engine/test_equivalence.py`` holds the engine to *bit-identical*
-outputs against the reference loops and the CSR incidence kept in
-``tests/reference/``.  New failure models subclass :class:`FailureModel`
-— see :mod:`repro.engine.failures`.
+The engine imports nothing from :mod:`repro.core`, whose analyses
+(degree distributions, instance and AS rankings) feed it removal
+orders.  ``tests/engine/test_equivalence.py`` holds the engine to
+*bit-identical* outputs against the reference loops and the CSR
+incidence kept in ``tests/reference/``.  New failure models subclass
+:class:`FailureModel` — see :mod:`repro.engine.failures`.
 """
 
 from repro.engine.failures import (
@@ -51,13 +54,16 @@ from repro.engine.kernels import (
 )
 from repro.engine.resilience import (
     GraphMatrix,
+    RemovalStep,
     as_removal_sweep_matrix,
     ranked_removal_sweep_matrix,
     user_removal_sweep_matrix,
 )
 from repro.engine.sweep import (
+    AvailabilityPoint,
     StrategySpec,
     SweepResult,
+    availability_at,
     availability_curve,
     availability_curves,
     random_strategy_grid,
@@ -66,6 +72,7 @@ from repro.engine.sweep import (
 
 __all__ = [
     "ASRemoval",
+    "AvailabilityPoint",
     "CountryRemoval",
     "DEFAULT_SHARD_SIZE",
     "DomainLookup",
@@ -80,10 +87,12 @@ __all__ = [
     "TemporalChurn",
     "TemporalFailureModel",
     "PlacementArrays",
+    "RemovalStep",
     "ShardedIncidence",
     "StrategySpec",
     "SweepResult",
     "as_removal_sweep_matrix",
+    "availability_at",
     "availability_curve",
     "availability_curves",
     "availability_from_losses",

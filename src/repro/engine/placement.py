@@ -1,6 +1,6 @@
 """Vectorised placement builders: integer-coded placements for the engine.
 
-The Figs. 15-16 experiments build a placement map per strategy before any
+The Figs. 15-16 experiments build one placement per strategy before any
 failure is simulated.  This module builds them with whole-array
 operations over integer columns, never one Python object per toot:
 
@@ -112,6 +112,21 @@ class PlacementArrays:
     def replica_counts(self) -> np.ndarray:
         """Replicas beyond the home instance, per toot (home never counted)."""
         return np.diff(self.replica_indptr)
+
+    def replication_summary(self) -> dict[str, float]:
+        """Share of toots with no replica and with more than ten replicas.
+
+        The paper reports that under subscription replication 9.7% of
+        toots have no replica while 23% have more than ten.
+        """
+        counts = self.replica_counts()
+        if counts.size == 0:
+            raise AnalysisError("the placement map is empty")
+        return {
+            "mean_replicas": float(np.mean(counts)),
+            "share_without_replica": int((counts == 0).sum()) / counts.size,
+            "share_with_more_than_10": int((counts > 10).sum()) / counts.size,
+        }
 
     def domain_replica_load(self) -> np.ndarray:
         """How many replicas landed on each domain (aligned with ``domains``)."""

@@ -1,16 +1,21 @@
-"""Vectorised graph-removal trajectories (Figs. 11-13 hot paths).
+"""Graph removal attacks (Section 5.1: Figs. 12-13).
 
-The legacy sweeps copy a :mod:`networkx` graph and re-run pure-Python
-BFS after every removal round.  Here the graph is converted **once** to a
-binary CSR adjacency matrix; each round is a boolean mask, a submatrix
-slice, and one :func:`scipy.sparse.csgraph.connected_components` call —
-the same trajectory, computed in C.
+The paper measures how the follower graph and the instance federation
+graph degrade when the most important users, instances or hosting ASes
+disappear, using two metrics throughout: the size of the largest
+(weakly) connected component and the number of connected components.
+Each sweep returns one :class:`RemovalStep` per round.
 
-Exact equivalence with the legacy sweeps (including tie-breaking when
-degrees are equal) relies on two invariants:
+The graph is converted **once** to a binary CSR adjacency matrix
+(:class:`GraphMatrix`); each round is a boolean mask, a submatrix slice,
+and one :func:`scipy.sparse.csgraph.connected_components` call.  The
+networkx loops these replaced live on in ``tests/reference/resilience.py``,
+and ``tests/engine/test_equivalence.py`` holds every sweep to the same
+trajectory.  Exact equivalence (including tie-breaking when degrees are
+equal) relies on two invariants:
 
 * node columns follow the graph's insertion order, which is also the
-  iteration order :func:`sorted` saw in the legacy code;
+  iteration order :func:`sorted` saw in the reference loops;
 * top-degree selection uses a *stable* descending argsort, matching
   Python's stable ``sorted(..., reverse=True)``.
 """
@@ -26,7 +31,16 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from repro.errors import AnalysisError
-from repro.core.resilience import RemovalStep
+
+
+@dataclass(frozen=True, slots=True)
+class RemovalStep:
+    """The state of a graph after one removal round."""
+
+    removed_fraction: float
+    removed_count: int
+    lcc_fraction: float
+    components: int
 
 
 @dataclass
@@ -143,7 +157,13 @@ def user_removal_sweep_matrix(
     rounds: int = 20,
     fraction_per_round: float = 0.01,
 ) -> list[RemovalStep]:
-    """Vectorised twin of :func:`repro.core.resilience.user_removal_sweep`."""
+    """Iteratively remove the top ``fraction_per_round`` of accounts (Fig. 12).
+
+    Each round removes the remaining accounts with the highest total
+    degree and records the LCC fraction (relative to the original account
+    count) and the component count — the paper's methodology for testing
+    the social graph's attack tolerance.
+    """
     if rounds < 1:
         raise AnalysisError("need at least one removal round")
     if not 0.0 < fraction_per_round <= 1.0:
@@ -195,7 +215,13 @@ def ranked_removal_sweep_matrix(
     steps: int = 20,
     per_step: int = 1,
 ) -> list[RemovalStep]:
-    """Vectorised twin of :func:`repro.core.resilience.ranked_removal_sweep`."""
+    """Remove nodes in the order given by ``ranking`` and track LCC/components.
+
+    ``ranking`` lists node ids from most to least important (e.g. instances
+    ranked by users hosted, Fig. 13a).  Nodes absent from the graph are
+    skipped but still consume a slot in the removal schedule so that step
+    indices stay aligned with the ranking.
+    """
     if steps < 1 or per_step < 1:
         raise AnalysisError("steps and per_step must be positive")
     if isinstance(graph, nx.Graph) and graph.number_of_nodes() == 0:
@@ -229,7 +255,7 @@ def as_removal_sweep_matrix(
     as_ranking: Sequence[int],
     steps: int = 20,
 ) -> list[RemovalStep]:
-    """Vectorised twin of :func:`repro.core.resilience.as_removal_sweep`."""
+    """Remove entire ASes (and every instance they host) from GF (Fig. 13b)."""
     if steps < 1:
         raise AnalysisError("steps must be positive")
     if isinstance(graph, nx.Graph) and graph.number_of_nodes() == 0:

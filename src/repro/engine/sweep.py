@@ -10,7 +10,9 @@ every failure model.  Every strategy builds from the columns of the
 toot corpus (:meth:`StrategySpec.build_from_corpus`).  Seeds are just
 more strategies (:meth:`StrategySpec.random` embeds the seed in the
 spec), so a (strategy × ranking × seed) grid is a single call that
-returns every curve, ready for :mod:`repro.reporting`.
+returns every curve, ready for :mod:`repro.reporting`.  A curve is a
+list of :class:`AvailabilityPoint` (availability after ``removed``
+removals); :func:`availability_at` reads it at any removal count.
 
 The fold runs over toot ranges of the arrays
 (:func:`~repro.engine.sharding.toot_ranges`): the corpus's own shard
@@ -23,24 +25,53 @@ overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.errors import AnalysisError
-from repro.core.replication import AvailabilityPoint, PlacementMap
 from repro.engine.failures import FailureModel
 from repro.engine.kernels import (
     availability_from_losses,
     temporal_availability_from_counts,
     temporal_removal_matrix,
 )
+from repro.engine.placement import PlacementArrays
 from repro.engine.sharding import ShardedIncidence, streaming_losses, toot_ranges
 
 # perfbench's layer split wraps this name in this module; it stays
 # importable here, and no fold calls it through this module's name.
 from repro.engine.kernels import losses_per_step_batch  # noqa: F401
+
+
+@dataclass(frozen=True, slots=True)
+class AvailabilityPoint:
+    """Toot availability after removing the top-N entities."""
+
+    removed: int
+    availability: float
+
+
+def availability_at(curve: Iterable[AvailabilityPoint], removed: int) -> float:
+    """Availability after exactly ``removed`` removals (convenience accessor)."""
+    if removed < 0:
+        raise AnalysisError(
+            f"the number of removed entities cannot be negative (got {removed})"
+        )
+    best = None
+    empty = True
+    for point in curve:
+        empty = False
+        if point.removed <= removed:
+            best = point
+    if best is None:
+        if empty:
+            raise AnalysisError("the availability curve is empty")
+        raise AnalysisError(
+            f"the availability curve has no point at or before removed={removed}"
+        )
+    return best.availability
 
 
 def _to_points(curve: np.ndarray) -> list[AvailabilityPoint]:
@@ -51,18 +82,18 @@ def _to_points(curve: np.ndarray) -> list[AvailabilityPoint]:
 
 
 def availability_curve(
-    placements: PlacementMap | ShardedIncidence,
+    placements: PlacementArrays | ShardedIncidence,
     failure: FailureModel,
     *,
     shard_size: int | None = None,
 ) -> list[AvailabilityPoint]:
-    """One availability curve for one placement map and one failure model."""
+    """One availability curve for one placement and one failure model."""
     curves = availability_curves(placements, [failure], shard_size=shard_size)
     return curves[failure.name]
 
 
 def availability_curves(
-    placements: PlacementMap | ShardedIncidence,
+    placements: PlacementArrays | ShardedIncidence,
     failures: Sequence[FailureModel],
     *,
     shard_size: int | None = None,
@@ -89,7 +120,7 @@ def availability_curves(
     sharded = (
         placements
         if isinstance(placements, ShardedIncidence)
-        else toot_ranges(placements.arrays, shard_size)
+        else toot_ranges(placements, shard_size)
     )
     with obs.span(
         "engine/availability_curves",
@@ -137,7 +168,7 @@ def availability_curves(
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """A named recipe for building a :class:`PlacementMap`."""
+    """A named recipe for building a :class:`PlacementArrays`."""
 
     name: str
     kind: str  # "none" | "subscription" | "random"
@@ -173,8 +204,8 @@ class StrategySpec:
         store: "CorpusStore",
         graphs: "GraphDataset | GraphStore | None" = None,
         candidate_domains: Sequence[str] | None = None,
-    ) -> PlacementMap:
-        """Build this strategy's placement map from a columnar corpus.
+    ) -> PlacementArrays:
+        """Build this strategy's placement arrays from a columnar corpus.
 
         Dispatches through :meth:`PlacementArrays.from_corpus
         <repro.engine.placement.PlacementArrays.from_corpus>`, so no
@@ -182,9 +213,7 @@ class StrategySpec:
         or the on-disk graph store) is needed by the subscription
         strategy, ``candidate_domains`` by the random ones.
         """
-        from repro.engine.placement import PlacementArrays
-
-        arrays = PlacementArrays.from_corpus(
+        return PlacementArrays.from_corpus(
             store,
             self.kind,
             graphs=graphs,
@@ -193,7 +222,6 @@ class StrategySpec:
             seed=self.seed,
             weights=dict(self.weights) if self.weights is not None else None,
         )
-        return PlacementMap(strategy=arrays.strategy, arrays=arrays)
 
 
 def random_strategy_grid(
@@ -217,7 +245,7 @@ class SweepResult:
     curves: dict[tuple[str, str], list[AvailabilityPoint]]
     strategy_names: tuple[str, ...]
     failure_names: tuple[str, ...]
-    placements: dict[str, PlacementMap] = field(default_factory=dict)
+    placements: dict[str, PlacementArrays] = field(default_factory=dict)
 
     def curve(self, strategy: str, failure: str) -> list[AvailabilityPoint]:
         try:
@@ -227,8 +255,6 @@ class SweepResult:
 
     def compare(self, failure: str, removed: int) -> dict[str, float]:
         """Availability of every strategy after ``removed`` removals."""
-        from repro.core.replication import availability_at
-
         return {
             strategy: availability_at(self.curve(strategy, failure), removed)
             for strategy in self.strategy_names
@@ -238,8 +264,6 @@ class SweepResult:
         self, failure: str, removals: Sequence[int]
     ) -> list[list[object]]:
         """One row per strategy: ``[name, avail@removals[0], ...]`` (raw floats)."""
-        from repro.core.replication import availability_at
-
         return [
             [strategy]
             + [availability_at(self.curve(strategy, failure), r) for r in removals]
@@ -259,7 +283,7 @@ def run_availability_sweep(
 ) -> SweepResult:
     """Evaluate every (strategy, failure) combination in one call.
 
-    Builds each strategy's placement map (from the columns of
+    Builds each strategy's placement arrays (from the columns of
     ``toots.corpus``) once, then folds all failure schedules over it.
     Random strategies carry their own seeds, so a seed sweep is just
     more :class:`StrategySpec` entries.  ``shard_size`` picks the toot
@@ -272,7 +296,7 @@ def run_availability_sweep(
     if len(set(names)) != len(names):
         raise AnalysisError("placement strategies must have distinct names")
     curves: dict[tuple[str, str], list[AvailabilityPoint]] = {}
-    placements_by_name: dict[str, PlacementMap] = {}
+    placements_by_name: dict[str, PlacementArrays] = {}
     for spec in strategies:
         placements = spec.build_from_corpus(
             toots.corpus, graphs=graphs, candidate_domains=candidate_domains

@@ -3,14 +3,14 @@
 :class:`ExperimentContext` owns the expensive artefacts the paper's
 experiments share — the scenario network, the ``collect_datasets``
 measurement pipeline, the Twitter baselines, instance/AS rankings, the
-standard removal schedules, and the placement maps behind the
+standard removal schedules, and the placement arrays behind the
 replication sweeps — and memoises each one the first time a runner asks
 for it.  ``run_experiments(["fig1", ..., "table2"])`` therefore builds
 the pipeline exactly once; :attr:`ExperimentContext.counters` records
 how many times each builder actually ran, so callers (and tests) can
 prove it.
 
-Placement maps are memoised per :class:`~repro.engine.sweep.StrategySpec`
+Placements are memoised per :class:`~repro.engine.sweep.StrategySpec`
 (the specs are frozen, hashable recipes), and curves per (spec, failure),
 so fig15 and fig16 share the same ``no-rep`` and ``s-rep`` placements
 and fold each schedule over them once.
@@ -26,7 +26,6 @@ from repro import CollectedDatasets, RetryPolicy, build_scenario, collect_datase
 from repro import obs
 from repro.core import resilience
 from repro.errors import AnalysisError
-from repro.core.replication import AvailabilityPoint, PlacementMap
 from repro.datasets import TwitterBaselines
 from repro.engine.failures import (
     ASRemoval,
@@ -36,7 +35,13 @@ from repro.engine.failures import (
     InstanceRemoval,
     TemporalChurn,
 )
-from repro.engine.sweep import StrategySpec, SweepResult, availability_curves
+from repro.engine.placement import PlacementArrays
+from repro.engine.sweep import (
+    AvailabilityPoint,
+    StrategySpec,
+    SweepResult,
+    availability_curves,
+)
 from repro.fediverse.geo import hoster_of_asn
 
 T = TypeVar("T")
@@ -118,7 +123,7 @@ class ExperimentContext:
         self._data: CollectedDatasets | None = None
         self._twitter: TwitterBaselines | None = None
         self._memo: dict[object, object] = {}
-        self._placements: dict[StrategySpec, PlacementMap] = {}
+        self._placements: dict[StrategySpec, PlacementArrays] = {}
         #: (spec, failure name) -> (failure object, curve).  The failure
         #: object is kept both as the cache-validity witness (same name,
         #: different schedule -> recompute) and as a strong reference so
@@ -394,10 +399,10 @@ class ExperimentContext:
 
     # -- placement strategies and sweeps -------------------------------------
 
-    def placements_for(self, spec: StrategySpec) -> PlacementMap:
-        """The placement map for ``spec``, built once per distinct spec.
+    def placements_for(self, spec: StrategySpec) -> PlacementArrays:
+        """The placement arrays for ``spec``, built once per distinct spec.
 
-        Maps build straight from the corpus columns
+        They build straight from the corpus columns
         (:meth:`StrategySpec.build_from_corpus`), and the subscription
         strategy reads follower-domain sets from the graph store's edge
         shards — no records and no networkx pass on the placement path.
@@ -426,7 +431,7 @@ class ExperimentContext:
         """A (strategy × failure) availability sweep over cached placements.
 
         The context-level equivalent of
-        :func:`repro.engine.sweep.run_availability_sweep`: placement maps
+        :func:`repro.engine.sweep.run_availability_sweep`: placements
         come from :meth:`placements_for`, so repeated sweeps sharing a
         strategy build it once.  The context's ``shard_size`` knob picks
         the toot ranges of every fold.
@@ -437,7 +442,7 @@ class ExperimentContext:
         if len(set(names)) != len(names):
             raise AnalysisError("placement strategies must have distinct names")
         curves: dict[tuple[str, str], list[AvailabilityPoint]] = {}
-        placements_by_name: dict[str, PlacementMap] = {}
+        placements_by_name: dict[str, PlacementArrays] = {}
         for spec in strategies:
             placements = self.placements_for(spec)
             if keep_placements:

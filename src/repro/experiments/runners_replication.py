@@ -2,7 +2,8 @@
 
 Both figures are engine sweeps (:meth:`ExperimentContext.sweep`): one
 placement per strategy, every removal schedule folded over it by the
-kill kernel.  The context memoises placement maps per
+kill kernel.  The context memoises the
+:class:`~repro.engine.placement.PlacementArrays` per
 :class:`~repro.engine.sweep.StrategySpec` and the failure models of the
 standard grid, so fig15 and fig16 share the ``no-rep``/``s-rep``
 placements and the ``instances/by_toots`` curves instead of rebuilding
@@ -11,8 +12,7 @@ them.
 
 from __future__ import annotations
 
-from repro.core import replication
-from repro.engine import StrategySpec
+from repro.engine import StrategySpec, availability_at
 from repro.experiments.context import ExperimentContext
 from repro.experiments.registry import register_runner
 from repro.experiments.results import ExperimentResult, ResultSeries, ResultTable
@@ -42,7 +42,7 @@ def run_fig15(ctx: ExperimentContext) -> ExperimentResult:
     )
 
     def at(strategy: str, failure: str, removed: int) -> float:
-        return replication.availability_at(result.curve(strategy, failure), removed)
+        return availability_at(result.curve(strategy, failure), removed)
 
     instance_rows = [
         [removed,

@@ -1,9 +1,10 @@
 """Runners for the graph-resilience experiments (Figs. 11-14, Table 2).
 
-Section 5.1's removal sweeps all dispatch through the engine
-(:mod:`repro.engine.resilience`): the public ``repro.core.resilience``
-sweep functions are thin wrappers over the CSR/`csgraph` kernels, so no
-runner here touches the legacy ``_*_python`` loops.
+Section 5.1's removal sweeps are the engine's
+(:mod:`repro.engine.resilience`), called through the module so that a
+wrapper installed on the module's names (perfbench's layer split) sees
+every sweep; :mod:`repro.core.resilience` supplies the degree
+distributions and the rankings.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import federation_analysis, resilience
+from repro.engine import resilience as removal
 from repro.experiments.context import ExperimentContext
 from repro.experiments.registry import register_runner
 from repro.experiments.results import ExperimentResult, ResultSeries, ResultTable
@@ -65,10 +67,10 @@ def run_fig11(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig12")
 def run_fig12(ctx: ExperimentContext) -> ExperimentResult:
-    mastodon_steps = resilience.user_removal_sweep(
+    mastodon_steps = removal.user_removal_sweep_matrix(
         ctx.data.graphs.follower_graph, rounds=FIG12_ROUNDS, fraction_per_round=0.01
     )
-    twitter_steps = resilience.user_removal_sweep(
+    twitter_steps = removal.user_removal_sweep_matrix(
         ctx.twitter.follower_graph, rounds=FIG12_ROUNDS, fraction_per_round=0.01
     )
     return ExperimentResult.build(
@@ -117,17 +119,17 @@ def run_fig13(ctx: ExperimentContext) -> ExperimentResult:
     users = ctx.users_per_instance
     reported_toots = ctx.data.instances.toots_per_instance()
 
-    instance_sweeps: dict[str, list[resilience.RemovalStep]] = {}
+    instance_sweeps: dict[str, list[removal.RemovalStep]] = {}
     for criterion in ("users", "toots", "connections"):
         ranking = resilience.rank_instances(federation, users, reported_toots, by=criterion)
-        instance_sweeps[criterion] = resilience.instance_removal_sweep(
+        instance_sweeps[criterion] = removal.ranked_removal_sweep_matrix(
             federation, ranking, steps=FIG13_INSTANCE_STEPS, per_step=1
         )
 
-    by_instances = resilience.as_removal_sweep(
+    by_instances = removal.as_removal_sweep_matrix(
         federation, ctx.asn_of, ctx.as_ranking("instances"), steps=FIG13_AS_STEPS
     )
-    by_users = resilience.as_removal_sweep(
+    by_users = removal.as_removal_sweep_matrix(
         federation, ctx.asn_of, ctx.as_ranking("users"), steps=FIG13_AS_STEPS
     )
 

@@ -146,14 +146,14 @@ EXPERIMENTS: dict[str, Experiment] = {
             "fig15",
             "Toot availability without and with subscription replication",
             "Without replication, removing 10 instances erases ~63% of toots; replication helps.",
-            ("repro.core.replication", "repro.engine.sweep", "repro.engine.kernels"),
+            ("repro.engine.sweep", "repro.engine.kernels"),
             "benchmarks/bench_fig15_replication.py",
         ),
         Experiment(
             "fig16",
             "Random replication",
             "Random replication outperforms subscription replication for the same budget.",
-            ("repro.core.replication", "repro.engine.sweep", "repro.engine.kernels"),
+            ("repro.engine.sweep", "repro.engine.kernels"),
             "benchmarks/bench_fig16_random_replication.py",
         ),
         Experiment(

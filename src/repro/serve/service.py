@@ -290,14 +290,8 @@ class AvailabilityService:
             state = self._states.get(spec.name)
             if state is None:
                 build_started = time.perf_counter()
-                arrays = PlacementArrays.from_corpus(
-                    self.corpus,
-                    spec.kind,
-                    graphs=self.graph,
-                    candidate_domains=self.candidates,
-                    n_replicas=spec.n_replicas,
-                    seed=spec.seed,
-                    weights=dict(spec.weights) if spec.weights is not None else None,
+                arrays = spec.build_from_corpus(
+                    self.corpus, graphs=self.graph, candidate_domains=self.candidates
                 )
                 state = _StrategyState(spec, arrays, toot_ranges(arrays))
                 self._states[spec.name] = state

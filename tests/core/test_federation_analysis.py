@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.core import federation_analysis
+from repro.corpus import CorpusStore
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.graphs import GraphDataset
 from repro.datasets.toots import TootsDataset
@@ -14,6 +15,10 @@ from repro.errors import AnalysisError
 from repro.stats.summary import pearson_correlation
 
 from tests.conftest import corpus_toots
+
+
+def _no_records(store):
+    raise AssertionError("a column-only analysis materialised records")
 
 
 def record(toot_id: int, author: str, home: str, collected_from: str) -> TootRecord:
@@ -69,15 +74,16 @@ class TestHomeRemoteSeries:
         median_home_share = sorted(p.home_share for p in points)[len(points) // 2]
         assert median_home_share < 0.7
 
-    def test_feeder_correlation_matches_the_record_level_sums(self, datasets):
+    def test_feeder_correlation_matches_the_record_level_sums(self, datasets, monkeypatch):
         """The summary reads columns only, and agrees with a walk over every record."""
         toots = TootsDataset.from_corpus(datasets.corpus)
-        summary = federation_analysis.feeder_summary(toots)
-        assert toots._records is None
+        with monkeypatch.context() as patch:
+            patch.setattr(CorpusStore, "iter_records", _no_records)
+            summary = federation_analysis.feeder_summary(toots)
         replication = toots.replication_counts()
         produced: Counter[str] = Counter()
         replicated: Counter[str] = Counter()
-        for rec in toots.records():
+        for rec in toots.corpus.iter_records():
             produced[rec.author_domain] += 1
             replicated[rec.author_domain] += replication[rec.url]
         domains = sorted(produced)

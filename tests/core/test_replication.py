@@ -1,13 +1,27 @@
-"""Tests for toot replication strategies and availability curves (Figs. 15-16)."""
+"""Tests for toot replication strategies and availability curves (Figs. 15-16).
+
+The strategies are :class:`~repro.engine.sweep.StrategySpec` recipes
+built into :class:`~repro.engine.placement.PlacementArrays`; the curves
+are the engine's :func:`~repro.engine.sweep.availability_curve` under
+instance and AS removal.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import replication
+from repro.core import resilience
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.graphs import GraphDataset
 from repro.datasets.toots import TootsDataset
+from repro.engine import (
+    ASRemoval,
+    InstanceRemoval,
+    StrategySpec,
+    availability_at,
+    availability_curve,
+    run_availability_sweep,
+)
 from repro.errors import AnalysisError
 
 from tests.conftest import corpus_toots
@@ -52,122 +66,128 @@ def make_graphs() -> GraphDataset:
 
 class TestPlacementStrategies:
     def test_no_replication_places_only_on_home(self):
-        placements = replication.no_replication(make_toots())
-        assert len(placements) == 16
-        assert all(len(holders) == 1 for holders in placement_dict(placements.arrays).values())
+        placements = StrategySpec.none().build_from_corpus(make_toots().corpus)
+        assert placements.n_toots == 16
+        assert all(len(holders) == 1 for holders in placement_dict(placements).values())
         summary = placements.replication_summary()
         assert summary["share_without_replica"] == 1.0
         assert summary["mean_replicas"] == 0.0
 
     def test_subscription_replication_uses_follower_domains(self):
-        placements = replication.subscription_replication(make_toots(), make_graphs())
-        star_toot = placement_dict(placements.arrays)["https://big.example/@star/1"]
+        placements = StrategySpec.subscription().build_from_corpus(
+            make_toots().corpus, graphs=make_graphs()
+        )
+        star_toot = placement_dict(placements)["https://big.example/@star/1"]
         assert star_toot == {"big.example", "mid.example", "small.example"}
-        tiny_toot = placement_dict(placements.arrays)["https://small.example/@tiny/16"]
+        tiny_toot = placement_dict(placements)["https://small.example/@tiny/16"]
         assert tiny_toot == {"small.example"}
         summary = placements.replication_summary()
         assert summary["share_without_replica"] == pytest.approx(1 / 16)
 
     def test_random_replication_counts(self):
-        placements = replication.random_replication(make_toots(), DOMAINS, n_replicas=2, seed=3)
-        for holders in placement_dict(placements.arrays).values():
+        placements = StrategySpec.random(2, seed=3).build_from_corpus(
+            make_toots().corpus, candidate_domains=DOMAINS
+        )
+        for holders in placement_dict(placements).values():
             # home + 2 replicas, minus any overlap with the home instance
             assert 2 <= len(holders) <= 3
 
     def test_random_replication_zero_replicas(self):
-        placements = replication.random_replication(make_toots(), DOMAINS, n_replicas=0, seed=3)
-        assert all(len(holders) == 1 for holders in placement_dict(placements.arrays).values())
+        placements = StrategySpec.random(0, seed=3).build_from_corpus(
+            make_toots().corpus, candidate_domains=DOMAINS
+        )
+        assert all(len(holders) == 1 for holders in placement_dict(placements).values())
 
     def test_random_replication_reproducible(self):
-        first = replication.random_replication(make_toots(), DOMAINS, 2, seed=5)
-        second = replication.random_replication(make_toots(), DOMAINS, 2, seed=5)
-        assert placement_dict(first.arrays) == placement_dict(second.arrays)
+        spec = StrategySpec.random(2, seed=5)
+        first = spec.build_from_corpus(make_toots().corpus, candidate_domains=DOMAINS)
+        second = spec.build_from_corpus(make_toots().corpus, candidate_domains=DOMAINS)
+        assert placement_dict(first) == placement_dict(second)
 
     def test_weighted_replication_prefers_heavy_domains(self):
         weights = {"spare.example": 100.0, "mid.example": 0.01, "small.example": 0.01, "big.example": 0.01}
-        placements = replication.random_replication(
-            make_toots(), DOMAINS, n_replicas=1, seed=7, weights=weights
+        placements = StrategySpec.random(1, seed=7, weights=weights).build_from_corpus(
+            make_toots().corpus, candidate_domains=DOMAINS
         )
         spare_hits = sum(
-            1 for holders in placement_dict(placements.arrays).values() if "spare.example" in holders
+            1 for holders in placement_dict(placements).values() if "spare.example" in holders
         )
-        assert spare_hits >= len(placements) * 0.8
+        assert spare_hits >= placements.n_toots * 0.8
 
     def test_invalid_inputs(self):
+        corpus = make_toots().corpus
         with pytest.raises(AnalysisError):
-            replication.random_replication(make_toots(), [], 1)
+            StrategySpec.random(1).build_from_corpus(corpus, candidate_domains=[])
         with pytest.raises(AnalysisError):
-            replication.random_replication(make_toots(), DOMAINS, -1)
+            StrategySpec.random(-1).build_from_corpus(corpus, candidate_domains=DOMAINS)
         with pytest.raises(AnalysisError):
-            replication.random_replication(
-                make_toots(), DOMAINS, 1, weights={d: 0.0 for d in DOMAINS}
+            StrategySpec.random(1, weights={d: 0.0 for d in DOMAINS}).build_from_corpus(
+                corpus, candidate_domains=DOMAINS
             )
 
 
 class TestAvailabilityCurves:
     def test_no_replication_loses_toots_with_home_instance(self):
-        placements = replication.no_replication(make_toots())
-        curve = replication.availability_under_instance_removal(
-            placements, ["big.example", "mid.example"], steps=2
+        placements = StrategySpec.none().build_from_corpus(make_toots().corpus)
+        curve = availability_curve(
+            placements, InstanceRemoval(["big.example", "mid.example"], steps=2)
         )
         assert curve[0].availability == 1.0
         assert curve[1].availability == pytest.approx(6 / 16)
         assert curve[2].availability == pytest.approx(1 / 16)
 
     def test_subscription_replication_survives_home_failure(self):
-        placements = replication.subscription_replication(make_toots(), make_graphs())
-        curve = replication.availability_under_instance_removal(
-            placements, ["big.example"], steps=1
+        placements = StrategySpec.subscription().build_from_corpus(
+            make_toots().corpus, graphs=make_graphs()
         )
+        curve = availability_curve(placements, InstanceRemoval(["big.example"], steps=1))
         # star's toots survive on mid and small
         assert curve[1].availability == 1.0
 
     def test_as_removal_curve(self):
-        placements = replication.no_replication(make_toots())
+        placements = StrategySpec.none().build_from_corpus(make_toots().corpus)
         asn_of = {
             "big.example": 1,
             "mid.example": 1,
             "small.example": 2,
             "spare.example": 3,
         }
-        curve = replication.availability_under_as_removal(placements, asn_of, [1, 2], steps=2)
+        curve = availability_curve(placements, ASRemoval(asn_of, [1, 2], steps=2))
         assert curve[1].availability == pytest.approx(1 / 16)
         assert curve[2].availability == 0.0
 
     def test_availability_at_and_compare(self):
-        placements = replication.no_replication(make_toots())
-        curve = replication.availability_under_instance_removal(
-            placements, ["big.example"], steps=1
-        )
-        assert replication.availability_at(curve, 0) == 1.0
-        assert replication.availability_at(curve, 5) == curve[-1].availability
-        comparison = replication.compare_strategies({"no-rep": curve}, removed=1)
+        failure = InstanceRemoval(["big.example"], steps=1)
+        result = run_availability_sweep(make_toots(), [StrategySpec.none()], [failure])
+        curve = result.curve("no-rep", failure.name)
+        assert availability_at(curve, 0) == 1.0
+        assert availability_at(curve, 5) == curve[-1].availability
+        comparison = result.compare(failure.name, removed=1)
         assert comparison["no-rep"] == curve[1].availability
         with pytest.raises(AnalysisError):
-            replication.availability_at([], 1)
+            availability_at([], 1)
 
     def test_validation(self):
-        placements = replication.no_replication(make_toots())
+        placements = StrategySpec.none().build_from_corpus(make_toots().corpus)
         with pytest.raises(AnalysisError):
-            replication.availability_under_instance_removal(placements, ["x"], steps=0)
+            availability_curve(placements, InstanceRemoval(["x"], steps=0))
         with pytest.raises(AnalysisError):
-            replication.availability_under_as_removal(placements, {}, [1], steps=0)
+            availability_curve(placements, ASRemoval({}, [1], steps=0))
 
     def test_random_replication_beats_no_replication(self):
-        toots = make_toots()
-        ranking = ["big.example", "mid.example"]
-        no_rep = replication.availability_under_instance_removal(
-            replication.no_replication(toots), ranking, steps=2
-        )
-        random_rep = replication.availability_under_instance_removal(
-            replication.random_replication(toots, DOMAINS, 2, seed=11), ranking, steps=2
+        corpus = make_toots().corpus
+        failure = InstanceRemoval(["big.example", "mid.example"], steps=2)
+        no_rep = availability_curve(StrategySpec.none().build_from_corpus(corpus), failure)
+        random_rep = availability_curve(
+            StrategySpec.random(2, seed=11).build_from_corpus(
+                corpus, candidate_domains=DOMAINS
+            ),
+            failure,
         )
         assert random_rep[-1].availability >= no_rep[-1].availability
 
     def test_pipeline_replication_ordering(self, datasets):
         """On the generated fediverse: random-rep >= subscription-rep >= no-rep."""
-        from repro.core import resilience
-
         toots = datasets.toots
         graphs = datasets.graphs
         ranking = resilience.rank_instances(
@@ -176,21 +196,18 @@ class TestAvailabilityCurves:
             by="toots",
         )
         steps = min(10, len(ranking))
-        curves = {
-            "none": replication.availability_under_instance_removal(
-                replication.no_replication(toots), ranking, steps=steps
-            ),
-            "subscription": replication.availability_under_instance_removal(
-                replication.subscription_replication(toots, graphs), ranking, steps=steps
-            ),
-            "random3": replication.availability_under_instance_removal(
-                replication.random_replication(
-                    toots, datasets.instances.domains(), 3, seed=1
-                ),
-                ranking,
-                steps=steps,
-            ),
-        }
-        comparison = replication.compare_strategies(curves, removed=steps)
+        failure = InstanceRemoval(ranking, steps=steps)
+        result = run_availability_sweep(
+            toots,
+            [
+                StrategySpec.none(name="none"),
+                StrategySpec.subscription(name="subscription"),
+                StrategySpec.random(3, seed=1, name="random3"),
+            ],
+            [failure],
+            graphs=graphs,
+            candidate_domains=datasets.instances.domains(),
+        )
+        comparison = result.compare(failure.name, removed=steps)
         assert comparison["subscription"] >= comparison["none"]
         assert comparison["random3"] >= comparison["subscription"] - 0.05

@@ -1,4 +1,8 @@
-"""Tests for the graph-resilience analyses (Figs. 11-13)."""
+"""Tests for the graph-resilience analyses (Figs. 11-13).
+
+The degree distributions and rankings are :mod:`repro.core.resilience`'s;
+the removal sweeps are the engine's (:mod:`repro.engine.resilience`).
+"""
 
 from __future__ import annotations
 
@@ -6,6 +10,7 @@ import networkx as nx
 import pytest
 
 from repro.core import resilience
+from repro.engine import resilience as removal
 from repro.errors import AnalysisError
 
 
@@ -37,7 +42,9 @@ class TestDegreeCDF:
 
 class TestUserRemoval:
     def test_star_graph_collapses_when_hub_removed(self):
-        steps = resilience.user_removal_sweep(star_graph(50), rounds=1, fraction_per_round=0.02)
+        steps = removal.user_removal_sweep_matrix(
+            star_graph(50), rounds=1, fraction_per_round=0.02
+        )
         assert steps[0].lcc_fraction == 1.0
         # removing ~1 node (the hub) isolates every leaf
         assert steps[1].lcc_fraction < 0.1
@@ -45,22 +52,24 @@ class TestUserRemoval:
 
     def test_rounds_and_fractions_validated(self):
         with pytest.raises(AnalysisError):
-            resilience.user_removal_sweep(star_graph(), rounds=0)
+            removal.user_removal_sweep_matrix(star_graph(), rounds=0)
         with pytest.raises(AnalysisError):
-            resilience.user_removal_sweep(star_graph(), rounds=1, fraction_per_round=0.0)
+            removal.user_removal_sweep_matrix(
+                star_graph(), rounds=1, fraction_per_round=0.0
+            )
         with pytest.raises(AnalysisError):
-            resilience.user_removal_sweep(nx.DiGraph(), rounds=1)
+            removal.user_removal_sweep_matrix(nx.DiGraph(), rounds=1)
 
     def test_lcc_fraction_monotonically_non_increasing(self):
         graph = nx.gnp_random_graph(200, 0.05, seed=3, directed=True)
         graph = nx.relabel_nodes(graph, {n: f"u{n}@x.example" for n in graph.nodes()})
-        steps = resilience.user_removal_sweep(graph, rounds=10, fraction_per_round=0.05)
+        steps = removal.user_removal_sweep_matrix(graph, rounds=10, fraction_per_round=0.05)
         fractions = [step.lcc_fraction for step in steps]
         assert all(a >= b - 1e-9 for a, b in zip(fractions, fractions[1:]))
         assert steps[-1].removed_count > 0
 
     def test_pipeline_follower_graph_is_fragile(self, datasets):
-        steps = resilience.user_removal_sweep(
+        steps = removal.user_removal_sweep_matrix(
             datasets.graphs.follower_graph, rounds=5, fraction_per_round=0.01
         )
         assert steps[0].lcc_fraction > 0.9
@@ -98,46 +107,48 @@ class TestRankings:
 class TestRankedRemoval:
     def test_chain_breaks_in_the_middle(self):
         graph = chain_federation_graph()
-        steps = resilience.instance_removal_sweep(graph, ["i3.example"], steps=1)
+        steps = removal.ranked_removal_sweep_matrix(graph, ["i3.example"], steps=1)
         assert steps[0].components == 1
         assert steps[1].components == 2
         assert steps[1].lcc_fraction == pytest.approx(3 / 6)
 
     def test_missing_nodes_are_skipped(self):
         graph = chain_federation_graph()
-        steps = resilience.ranked_removal_sweep(graph, ["ghost.example", "i0.example"], steps=2)
+        steps = removal.ranked_removal_sweep_matrix(
+            graph, ["ghost.example", "i0.example"], steps=2
+        )
         assert steps[-1].removed_count == 1
 
     def test_validation(self):
         with pytest.raises(AnalysisError):
-            resilience.ranked_removal_sweep(chain_federation_graph(), [], steps=0)
+            removal.ranked_removal_sweep_matrix(chain_federation_graph(), [], steps=0)
         with pytest.raises(AnalysisError):
-            resilience.ranked_removal_sweep(nx.DiGraph(), ["x"], steps=1)
+            removal.ranked_removal_sweep_matrix(nx.DiGraph(), ["x"], steps=1)
 
     def test_as_removal_takes_out_all_hosted_instances(self):
         graph = chain_federation_graph()
         asn_of = {f"i{i}.example": (1 if i < 3 else 2) for i in range(6)}
-        steps = resilience.as_removal_sweep(graph, asn_of, [1], steps=1)
+        steps = removal.as_removal_sweep_matrix(graph, asn_of, [1], steps=1)
         assert steps[1].removed_count == 3
         assert steps[1].lcc_fraction == pytest.approx(0.5)
 
     def test_as_removal_validation(self):
         with pytest.raises(AnalysisError):
-            resilience.as_removal_sweep(nx.DiGraph(), {}, [1], steps=1)
+            removal.as_removal_sweep_matrix(nx.DiGraph(), {}, [1], steps=1)
         with pytest.raises(AnalysisError):
-            resilience.as_removal_sweep(chain_federation_graph(), {}, [1], steps=0)
+            removal.as_removal_sweep_matrix(chain_federation_graph(), {}, [1], steps=0)
 
     def test_pipeline_as_removal_hurts_more_than_instance_removal(self, datasets):
         graphs = datasets.graphs
         instances = datasets.instances
         users = instances.users_per_instance()
         ranking = resilience.rank_instances(graphs.federation_graph, users, by="users")
-        instance_steps = resilience.instance_removal_sweep(
+        instance_steps = removal.ranked_removal_sweep_matrix(
             graphs.federation_graph, ranking, steps=5
         )
         asn_of = {d: instances.metadata_for(d).asn for d in instances.domains()}
         as_ranking = resilience.rank_ases(asn_of, users, by="users")
-        as_steps = resilience.as_removal_sweep(
+        as_steps = removal.as_removal_sweep_matrix(
             graphs.federation_graph, asn_of, as_ranking, steps=5
         )
         assert as_steps[-1].lcc_fraction <= instance_steps[-1].lcc_fraction + 1e-9

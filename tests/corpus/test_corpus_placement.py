@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import replication
 from repro.datasets import TootsDataset
 from repro.engine import (
     InstanceRemoval,
@@ -160,18 +159,13 @@ class TestSweepIdentity:
         self, crawl_records, tiny_store, candidate_domains, failure, monkeypatch
     ):
         reference = reference_random(crawl_records, candidate_domains, 3, seed=2)
-        legacy = replication.PlacementMap(reference.strategy, arrays=reference)
         corpus_arrays = PlacementArrays.from_corpus(
             tiny_store, "random", candidate_domains=candidate_domains,
             n_replicas=3, seed=2,
         )
-        expected = availability_curves(legacy, [failure])
+        expected = availability_curves(reference, [failure])
         # one range over the whole corpus backend (lazy URL view)
-        monolithic = availability_curves(
-            replication.PlacementMap(corpus_arrays.strategy, arrays=corpus_arrays),
-            [failure],
-            shard_size=0,
-        )
+        monolithic = availability_curves(corpus_arrays, [failure], shard_size=0)
         assert monolithic == expected
         # corpus-aligned shards: crawl boundaries flow through unchanged
         sharded = ShardedIncidence.from_arrays(
@@ -188,10 +182,7 @@ class TestSweepIdentity:
             return fold(sharded, *args)
 
         monkeypatch.setattr(sweep, "streaming_losses", recording_fold)
-        auto = availability_curves(
-            replication.PlacementMap(corpus_arrays.strategy, arrays=corpus_arrays),
-            [failure],
-        )
+        auto = availability_curves(corpus_arrays, [failure])
         assert auto == expected
         assert folded == [list(tiny_store.shard_bounds())]
 
@@ -229,6 +220,6 @@ class TestContextIntegration:
         got = corpus_ctx.sweep(specs, failures)
         assert got.curves == expected.curves
         for spec in specs:
-            assert corpus_ctx.placements_for(spec).arrays.source_bounds == tuple(
+            assert corpus_ctx.placements_for(spec).source_bounds == tuple(
                 tiny_store.shard_bounds()
             )

@@ -124,10 +124,10 @@ class TestPlacementIdentity:
         domains = data.instances.domains()
         from_store = spec.build_from_corpus(
             data.corpus, graphs=data.graph_store, candidate_domains=domains
-        ).arrays
+        )
         from_nx = spec.build_from_corpus(
             data.corpus, graphs=data.graphs, candidate_domains=domains
-        ).arrays
+        )
         assert from_store.domains == from_nx.domains
         assert np.array_equal(from_store.home, from_nx.home)
         assert np.array_equal(from_store.replica_indices, from_nx.replica_indices)

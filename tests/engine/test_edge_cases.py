@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core import replication
-from repro.core.replication import AvailabilityPoint
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.toots import TootsDataset
 from repro.engine import (
     ASRemoval,
+    AvailabilityPoint,
     FailureModel,
     GraphMatrix,
     InstanceRemoval,
     PlacementArrays,
     ShardedIncidence,
+    StrategySpec,
+    availability_at,
+    availability_curve,
     availability_curves,
 )
 from repro.engine.kernels import losses_per_step
@@ -25,7 +27,8 @@ from repro.errors import AnalysisError
 
 from tests.conftest import corpus_toots
 from tests.reference.incidence import TootIncidence, kill_steps
-from tests.reference.replication import DictPlacementMap, availability_curve, placement_dict
+from tests.reference import replication as reference
+from tests.reference.replication import DictPlacementMap, placement_dict
 
 
 def record(toot_id: int, author: str, home: str) -> TootRecord:
@@ -48,63 +51,69 @@ DOMAINS = ["one.example", "two.example", "three.example"]
 
 class TestRandomReplicationEdges:
     def test_zero_replicas_leaves_only_home(self):
-        placements = replication.random_replication(make_toots(), DOMAINS, n_replicas=0)
-        holder_sets = placement_dict(placements.arrays).values()
+        placements = StrategySpec.random(0).build_from_corpus(
+            make_toots().corpus, candidate_domains=DOMAINS
+        )
+        holder_sets = placement_dict(placements).values()
         assert all(holders == {"home.example"} for holders in holder_sets)
 
     def test_zero_replicas_with_weights_still_only_home(self):
         weights = {d: 1.0 for d in DOMAINS}
-        placements = replication.random_replication(
-            make_toots(), DOMAINS, n_replicas=0, weights=weights
+        placements = StrategySpec.random(0, weights=weights).build_from_corpus(
+            make_toots().corpus, candidate_domains=DOMAINS
         )
-        assert all(len(holders) == 1 for holders in placement_dict(placements.arrays).values())
+        assert all(len(holders) == 1 for holders in placement_dict(placements).values())
 
     def test_more_replicas_than_candidates_uses_every_candidate(self):
-        placements = replication.random_replication(make_toots(), DOMAINS, n_replicas=50)
+        placements = StrategySpec.random(50).build_from_corpus(
+            make_toots().corpus, candidate_domains=DOMAINS
+        )
         expected = set(DOMAINS) | {"home.example"}
-        assert all(holders == expected for holders in placement_dict(placements.arrays).values())
+        assert all(holders == expected for holders in placement_dict(placements).values())
 
     def test_zero_mass_weights_rejected(self):
         with pytest.raises(AnalysisError):
-            replication.random_replication(
-                make_toots(), DOMAINS, 1, weights={d: 0.0 for d in DOMAINS}
+            StrategySpec.random(1, weights={d: 0.0 for d in DOMAINS}).build_from_corpus(
+                make_toots().corpus, candidate_domains=DOMAINS
             )
 
     def test_negative_weights_are_clamped_not_propagated(self):
         weights = {"one.example": -5.0, "two.example": 1.0, "three.example": -1.0}
-        placements = replication.random_replication(
-            make_toots(), DOMAINS, n_replicas=1, seed=2, weights=weights
+        placements = StrategySpec.random(1, seed=2, weights=weights).build_from_corpus(
+            make_toots().corpus, candidate_domains=DOMAINS
         )
-        for holders in placement_dict(placements.arrays).values():
+        for holders in placement_dict(placements).values():
             assert holders - {"home.example"} == {"two.example"}
 
     def test_negative_replicas_and_empty_candidates_rejected(self):
         with pytest.raises(AnalysisError):
-            replication.random_replication(make_toots(), DOMAINS, -1)
+            StrategySpec.random(-1).build_from_corpus(
+                make_toots().corpus, candidate_domains=DOMAINS
+            )
         with pytest.raises(AnalysisError):
-            replication.random_replication(make_toots(), [], 1)
+            StrategySpec.random(1).build_from_corpus(make_toots().corpus, candidate_domains=[])
 
 
 class TestAvailabilityAtEdges:
     def test_empty_curve_rejected(self):
         with pytest.raises(AnalysisError):
-            replication.availability_at([], 0)
+            availability_at([], 0)
 
     def test_removed_before_first_point_rejected(self):
         curve = [AvailabilityPoint(removed=0, availability=1.0)]
         with pytest.raises(AnalysisError):
-            replication.availability_at(curve, -1)
+            availability_at(curve, -1)
 
     def test_short_curve_saturates_at_last_point(self):
         curve = [
             AvailabilityPoint(removed=0, availability=1.0),
             AvailabilityPoint(removed=1, availability=0.25),
         ]
-        assert replication.availability_at(curve, 1_000) == 0.25
+        assert availability_at(curve, 1_000) == 0.25
 
     def test_single_point_curve(self):
         curve = [AvailabilityPoint(removed=0, availability=1.0)]
-        assert replication.availability_at(curve, 0) == 1.0
+        assert availability_at(curve, 0) == 1.0
 
 
 class TestEngineEdges:
@@ -112,7 +121,7 @@ class TestEngineEdges:
         with pytest.raises(AnalysisError):
             TootIncidence.from_placements(DictPlacementMap(strategy="x", placements={}))
         with pytest.raises(AnalysisError):
-            availability_curve(
+            reference.availability_curve(
                 DictPlacementMap(strategy="x", placements={}), {}, 1
             )
         empty = PlacementArrays(
@@ -144,20 +153,20 @@ class TestEngineEdges:
             losses_per_step(np.asarray([5.0]), steps=3)
 
     def test_unknown_removed_domains_are_ignored(self):
-        placements = replication.no_replication(make_toots())
-        curve = replication.availability_under_instance_removal(
-            placements, ["ghost.example", "home.example"], steps=2
+        placements = StrategySpec.none().build_from_corpus(make_toots().corpus)
+        curve = availability_curve(
+            placements, InstanceRemoval(["ghost.example", "home.example"], steps=2)
         )
         assert curve[1].availability == 1.0  # ghost removal is a no-op
         assert curve[2].availability == 0.0
 
     def test_removal_vector_marks_unremoved_as_infinite(self):
-        incidence = toot_ranges(replication.no_replication(make_toots()).arrays)
+        incidence = toot_ranges(StrategySpec.none().build_from_corpus(make_toots().corpus))
         vector = incidence.removal_vector({"home.example": 7}, steps=3)
         assert np.all(np.isinf(vector))  # step 7 is beyond the 3-step schedule
 
     def test_as_assignment_defaults_to_minus_one(self):
-        incidence = toot_ranges(replication.no_replication(make_toots()).arrays)
+        incidence = toot_ranges(StrategySpec.none().build_from_corpus(make_toots().corpus))
         assignment = incidence.as_assignment({})
         assert np.all(assignment == -1)
 
@@ -172,14 +181,12 @@ class TestEngineEdges:
     def test_short_ranking_shrinks_effective_steps(self):
         model = InstanceRemoval(["a.example"], steps=50)
         assert model.effective_steps() == 1
-        placements = replication.no_replication(make_toots())
-        curve = replication.availability_under_instance_removal(
-            placements, ["a.example"], steps=50
-        )
+        placements = StrategySpec.none().build_from_corpus(make_toots().corpus)
+        curve = availability_curve(placements, InstanceRemoval(["a.example"], steps=50))
         assert len(curve) == 2  # step 0 + the single realised removal
 
     def test_duplicate_or_missing_failures_rejected(self):
-        placements = replication.no_replication(make_toots())
+        placements = StrategySpec.none().build_from_corpus(make_toots().corpus)
         duplicated = [
             InstanceRemoval(["a"], steps=1, name="same"),
             InstanceRemoval(["b"], steps=1, name="same"),

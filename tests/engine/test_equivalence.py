@@ -1,10 +1,11 @@
 """Differential suite: the engine must match the legacy loops *exactly*.
 
 Every test here builds a randomized scenario, runs the same experiment
-through the engine-dispatched public functions and through the
-pure-Python reference implementations (``tests/reference/``, and the
-``_*_python`` loops of :mod:`repro.core.resilience`), and asserts bit-identical output
-(dataclass equality, which compares the floats exactly — no tolerances).
+through the engine and through the pure-Python reference
+implementations in ``tests/reference/`` (the per-toot curve loop, and
+the networkx ``_*_python`` removal sweeps), and asserts bit-identical
+output (dataclass equality, which compares the floats exactly — no
+tolerances).
 """
 
 from __future__ import annotations
@@ -13,18 +14,21 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core import replication, resilience
+from repro.core import resilience
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.graphs import GraphDataset
 from repro.engine import (
     ASRemoval,
     InstanceRemoval,
     ShardedIncidence,
+    StrategySpec,
     availability_curve,
     availability_curves,
 )
+from repro.engine import resilience as removal
 
 from tests.conftest import corpus_toots
+from tests.reference import resilience as reference
 from tests.reference.replication import availability_curve_python
 
 FAST_SEEDS = (0, 1, 2)
@@ -75,17 +79,21 @@ def placement_grid(toots, graphs, domains, seed):
     """The strategy grid every availability test sweeps over."""
     weights = {d: float(i + 1) for i, d in enumerate(domains)}
     return {
-        "none": replication.no_replication(toots),
-        "subscription": replication.subscription_replication(toots, graphs),
-        "random": replication.random_replication(toots, domains, 2, seed=seed),
-        "random-weighted": replication.random_replication(
-            toots, domains, 3, seed=seed + 1, weights=weights
+        "none": StrategySpec.none().build_from_corpus(toots.corpus),
+        "subscription": StrategySpec.subscription().build_from_corpus(
+            toots.corpus, graphs=graphs
         ),
+        "random": StrategySpec.random(2, seed=seed).build_from_corpus(
+            toots.corpus, candidate_domains=domains
+        ),
+        "random-weighted": StrategySpec.random(
+            3, seed=seed + 1, weights=weights
+        ).build_from_corpus(toots.corpus, candidate_domains=domains),
     }
 
 
 def legacy_instance_curve(placements, ranking, steps):
-    """The public wrapper's schedule, evaluated by the pure-Python loop."""
+    """An instance-removal schedule, evaluated by the pure-Python loop."""
     truncated = list(ranking)[:steps]
     removal_index = {domain: i + 1 for i, domain in enumerate(truncated)}
     return availability_curve_python(
@@ -118,9 +126,7 @@ class TestAvailabilityEquivalence:
         )
         for steps in (1, 3, len(ranking), len(ranking) + 5):
             for name, placements in placement_grid(toots, graphs, domains, seed).items():
-                engine = replication.availability_under_instance_removal(
-                    placements, ranking, steps=steps
-                )
+                engine = availability_curve(placements, InstanceRemoval(ranking, steps=steps))
                 legacy = legacy_instance_curve(placements, ranking, steps)
                 assert engine == legacy, (seed, name, steps)
 
@@ -134,10 +140,10 @@ class TestAvailabilityEquivalence:
             toots.toots_per_instance(),
             by=by,
         )
-        placements = replication.subscription_replication(toots, graphs)
-        engine = replication.availability_under_instance_removal(
-            placements, ranking, steps=7
+        placements = StrategySpec.subscription().build_from_corpus(
+            toots.corpus, graphs=graphs
         )
+        engine = availability_curve(placements, InstanceRemoval(ranking, steps=7))
         assert engine == legacy_instance_curve(placements, ranking, 7)
 
     @pytest.mark.parametrize("seed", FAST_SEEDS)
@@ -149,15 +155,13 @@ class TestAvailabilityEquivalence:
             asn_of, users if by == "users" else None, by=by
         )
         for name, placements in placement_grid(toots, graphs, domains, seed).items():
-            engine = replication.availability_under_as_removal(
-                placements, asn_of, as_ranking, steps=3
-            )
+            engine = availability_curve(placements, ASRemoval(asn_of, as_ranking, steps=3))
             legacy = legacy_as_curve(placements, asn_of, as_ranking, 3)
             assert engine == legacy, (seed, name, by)
 
     @pytest.mark.parametrize("seed", FAST_SEEDS)
     def test_engine_failure_models_match_public_wrappers(self, seed):
-        """The failure-model API is a third route to the same exact curve."""
+        """A fold over explicit toot ranges is another route to the same exact curve."""
         toots, graphs, domains, asn_of = random_scenario(seed)
         ranking = resilience.rank_instances(
             graphs.federation_graph,
@@ -165,8 +169,10 @@ class TestAvailabilityEquivalence:
             by="toots",
         )
         as_ranking = resilience.rank_ases(asn_of, by="instances")
-        placements = replication.subscription_replication(toots, graphs)
-        ranges = ShardedIncidence.from_arrays(placements.arrays, 5)
+        placements = StrategySpec.subscription().build_from_corpus(
+            toots.corpus, graphs=graphs
+        )
+        ranges = ShardedIncidence.from_arrays(placements, 5)
         curves = availability_curves(
             ranges,
             [
@@ -174,11 +180,11 @@ class TestAvailabilityEquivalence:
                 ASRemoval(asn_of, as_ranking, steps=2, name="ases"),
             ],
         )
-        assert curves["instances"] == replication.availability_under_instance_removal(
-            placements, ranking, steps=5
+        assert curves["instances"] == availability_curve(
+            placements, InstanceRemoval(ranking, steps=5)
         )
-        assert curves["ases"] == replication.availability_under_as_removal(
-            placements, asn_of, as_ranking, steps=2
+        assert curves["ases"] == availability_curve(
+            placements, ASRemoval(asn_of, as_ranking, steps=2)
         )
         single = availability_curve(placements, InstanceRemoval(ranking, steps=5))
         assert single == curves["instances"]
@@ -195,11 +201,11 @@ class TestAvailabilityEquivalence:
         as_ranking = resilience.rank_ases(asn_of, by="instances")
         for name, placements in placement_grid(toots, graphs, domains, seed).items():
             for steps in (1, 5, len(ranking)):
-                assert replication.availability_under_instance_removal(
-                    placements, ranking, steps=steps
+                assert availability_curve(
+                    placements, InstanceRemoval(ranking, steps=steps)
                 ) == legacy_instance_curve(placements, ranking, steps), (seed, name, steps)
-            assert replication.availability_under_as_removal(
-                placements, asn_of, as_ranking, steps=4
+            assert availability_curve(
+                placements, ASRemoval(asn_of, as_ranking, steps=4)
             ) == legacy_as_curve(placements, asn_of, as_ranking, 4), (seed, name)
 
 
@@ -217,10 +223,10 @@ class TestResilienceEquivalence:
     def test_user_removal_sweep_matches_legacy(self, seed, directed):
         graph = random_graph(seed, directed=directed)
         for rounds, fraction in ((3, 0.01), (6, 0.05), (2, 1.0)):
-            engine = resilience.user_removal_sweep(
+            engine = removal.user_removal_sweep_matrix(
                 graph, rounds=rounds, fraction_per_round=fraction
             )
-            legacy = resilience._user_removal_sweep_python(
+            legacy = reference._user_removal_sweep_python(
                 graph, rounds=rounds, fraction_per_round=fraction
             )
             assert engine == legacy, (seed, directed, rounds, fraction)
@@ -233,10 +239,10 @@ class TestResilienceEquivalence:
         ranking = [nodes[int(i)] for i in rng.permutation(len(nodes))[:40]]
         ranking.insert(3, "ghost.example")  # absent nodes consume a slot
         for steps, per_step in ((5, 1), (10, 3), (100, 7)):
-            engine = resilience.ranked_removal_sweep(
+            engine = removal.ranked_removal_sweep_matrix(
                 graph, ranking, steps=steps, per_step=per_step
             )
-            legacy = resilience._ranked_removal_sweep_python(
+            legacy = reference._ranked_removal_sweep_python(
                 graph, ranking, steps=steps, per_step=per_step
             )
             assert engine == legacy, (seed, steps, per_step)
@@ -249,8 +255,8 @@ class TestResilienceEquivalence:
             as_ranking = resilience.rank_ases(
                 asn_of, graphs.users_per_instance() if by == "users" else None, by=by
             )
-            engine = resilience.as_removal_sweep(federation, asn_of, as_ranking, steps=3)
-            legacy = resilience._as_removal_sweep_python(
+            engine = removal.as_removal_sweep_matrix(federation, asn_of, as_ranking, steps=3)
+            legacy = reference._as_removal_sweep_python(
                 federation, asn_of, as_ranking, steps=3
             )
             assert engine == legacy, (seed, by)
@@ -260,8 +266,8 @@ class TestResilienceEquivalence:
     def test_user_removal_dense_grid(self, seed):
         for directed in (True, False):
             graph = random_graph(seed, directed=directed, n=250)
-            engine = resilience.user_removal_sweep(graph, rounds=12, fraction_per_round=0.04)
-            legacy = resilience._user_removal_sweep_python(
+            engine = removal.user_removal_sweep_matrix(graph, rounds=12, fraction_per_round=0.04)
+            legacy = reference._user_removal_sweep_python(
                 graph, rounds=12, fraction_per_round=0.04
             )
             assert engine == legacy, (seed, directed)
@@ -272,15 +278,15 @@ class TestResilienceEquivalence:
         instances = datasets.instances
         users = instances.users_per_instance()
         ranking = resilience.rank_instances(graphs.federation_graph, users, by="users")
-        assert resilience.instance_removal_sweep(
+        assert removal.ranked_removal_sweep_matrix(
             graphs.federation_graph, ranking, steps=8
-        ) == resilience._ranked_removal_sweep_python(
+        ) == reference._ranked_removal_sweep_python(
             graphs.federation_graph, ranking, steps=8
         )
         asn_of = {d: instances.metadata_for(d).asn for d in instances.domains()}
         as_ranking = resilience.rank_ases(asn_of, users, by="users")
-        assert resilience.as_removal_sweep(
+        assert removal.as_removal_sweep_matrix(
             graphs.federation_graph, asn_of, as_ranking, steps=5
-        ) == resilience._as_removal_sweep_python(
+        ) == reference._as_removal_sweep_python(
             graphs.federation_graph, asn_of, as_ranking, steps=5
         )

@@ -27,13 +27,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.core import replication
 from repro.engine import (
     ASRemoval,
     CountryRemoval,
     HosterRemoval,
     InstanceRemoval,
     ScheduledDowntime,
+    StrategySpec,
     TemporalChurn,
     availability_curves,
 )
@@ -84,7 +84,9 @@ def make_models() -> dict[str, object]:
 @pytest.fixture(scope="module")
 def placements():
     toots = flat_toots(N_TOOTS, list(DOMAINS), seed=5)
-    return replication.random_replication(toots, list(DOMAINS), 3, seed=2)
+    return StrategySpec.random(3, seed=2).build_from_corpus(
+        toots.corpus, candidate_domains=list(DOMAINS)
+    )
 
 
 def curve_array(curves, name):
@@ -174,7 +176,7 @@ class TestTemporalContract:
 
     def test_down_matrix_alignment(self, placements):
         model = make_models()["scheduled"]
-        lookup = toot_ranges(placements.arrays).lookup
+        lookup = toot_ranges(placements).lookup
         down = model.down_matrix(lookup)
         assert down.shape == (lookup.n_domains, model.effective_steps())
         code = lookup.codes([DOMAINS[0]])[0]
@@ -182,7 +184,7 @@ class TestTemporalContract:
 
     def test_unknown_domains_ignored_by_down_matrix(self, placements):
         model = ScheduledDowntime({"ghost.example": [(1, 3)]}, steps=4)
-        lookup = toot_ranges(placements.arrays).lookup
+        lookup = toot_ranges(placements).lookup
         assert not model.down_matrix(lookup).any()
 
     def test_interval_validation(self):
@@ -195,8 +197,8 @@ class TestTemporalContract:
         # then return exactly to the baseline — monotone sweeps cannot
         # express this
         model = ScheduledDowntime({DOMAINS[0]: [(2, 4)]}, steps=6, name="blip")
-        no_rep = replication.no_replication(
-            flat_toots(N_TOOTS, list(DOMAINS), seed=5)
+        no_rep = StrategySpec.none().build_from_corpus(
+            flat_toots(N_TOOTS, list(DOMAINS), seed=5).corpus
         )
         curve = curve_array(availability_curves(no_rep, [model], shard_size=0), "blip")
         assert curve[0] == 1.0

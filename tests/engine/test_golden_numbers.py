@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import replication, resilience
+from repro.core import resilience
+from repro.engine import InstanceRemoval, StrategySpec, availability_at, availability_curve
 
 # Measured on the seeded tiny scenario; update only on deliberate changes.
 GOLDEN_TOOTS = 5593
@@ -39,7 +40,9 @@ EXACT = dict(rel=1e-12, abs=0.0)
 
 @pytest.fixture(scope="module")
 def subscription_placements(datasets):
-    return replication.subscription_replication(datasets.toots, datasets.graphs)
+    return StrategySpec.subscription().build_from_corpus(
+        datasets.toots.corpus, graphs=datasets.graphs
+    )
 
 
 class TestReplicationHeadlines:
@@ -73,14 +76,13 @@ class TestReplicationHeadlines:
             toots_per_instance=datasets.toots.toots_per_instance(),
             by="toots",
         )
-        sub_curve = replication.availability_under_instance_removal(
-            subscription_placements, ranking, steps=10
+        failure = InstanceRemoval(ranking, steps=10)
+        sub_curve = availability_curve(subscription_placements, failure)
+        none_curve = availability_curve(
+            StrategySpec.none().build_from_corpus(datasets.toots.corpus), failure
         )
-        none_curve = replication.availability_under_instance_removal(
-            replication.no_replication(datasets.toots), ranking, steps=10
-        )
-        sub_at_10 = replication.availability_at(sub_curve, 10)
-        none_at_10 = replication.availability_at(none_curve, 10)
+        sub_at_10 = availability_at(sub_curve, 10)
+        none_at_10 = availability_at(none_curve, 10)
         assert sub_at_10 == pytest.approx(GOLDEN_SUBSCRIPTION_AT_10, **EXACT)
         assert none_at_10 == pytest.approx(GOLDEN_NO_REPLICATION_AT_10, **EXACT)
         # the paper's direction: replication recovers most of the loss

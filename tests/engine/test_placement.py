@@ -14,10 +14,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import replication
 from repro.crawler.toot_crawler import TootRecord
 from repro.datasets.toots import TootsDataset
-from repro.engine.placement import PlacementArrays
+from repro.engine import (
+    AvailabilityPoint,
+    InstanceRemoval,
+    PlacementArrays,
+    StrategySpec,
+    availability_at,
+    availability_curve,
+)
 from repro.errors import AnalysisError
 
 from tests.conftest import corpus_toots
@@ -47,11 +53,10 @@ def flat_toots(n: int, domains: list[str], seed: int = 0) -> TootsDataset:
 
 def domain_shares(placements) -> dict[str, float]:
     """Share of all replicas landing on each domain."""
-    arrays = placements.arrays
-    if arrays is not None:
-        load = arrays.domain_replica_load()
+    if isinstance(placements, PlacementArrays):
+        load = placements.domain_replica_load()
         total = max(1, int(load.sum()))
-        return {d: load[j] / total for j, d in enumerate(arrays.domains)}
+        return {d: load[j] / total for j, d in enumerate(placements.domains)}
     counts: dict[str, int] = {}
     total = 0
     for url, holders in placements.placements.items():
@@ -70,19 +75,19 @@ class TestDeterministicBuilders:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_no_replication_matches_python(self, seed):
         toots, _, _, _ = random_scenario(seed)
-        fast = replication.no_replication(toots)
+        fast = StrategySpec.none().build_from_corpus(toots.corpus)
         legacy = reference.no_replication_python(toots)
-        assert reference.placement_dict(fast.arrays) == legacy.placements
+        assert reference.placement_dict(fast) == legacy.placements
         assert fast.strategy == legacy.strategy
-        assert fast.replica_counts() == legacy.replica_counts()
+        assert fast.replica_counts().tolist() == legacy.replica_counts()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_subscription_matches_python_exactly(self, seed):
         toots, graphs, _, _ = random_scenario(seed)
-        fast = replication.subscription_replication(toots, graphs)
+        fast = StrategySpec.subscription().build_from_corpus(toots.corpus, graphs=graphs)
         legacy = reference.subscription_replication_python(toots, graphs)
-        assert reference.placement_dict(fast.arrays) == legacy.placements
-        assert fast.replica_counts() == legacy.replica_counts()
+        assert reference.placement_dict(fast) == legacy.placements
+        assert fast.replica_counts().tolist() == legacy.replica_counts()
         assert fast.replication_summary() == legacy.replication_summary()
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -114,37 +119,39 @@ class TestDeterministicBuilders:
 class TestRandomDeterminism:
     def test_same_seed_same_placements(self):
         toots, _, domains, _ = random_scenario(3)
-        first = replication.random_replication(toots, domains, 2, seed=5)
-        second = replication.random_replication(toots, domains, 2, seed=5)
-        assert np.array_equal(first.arrays.replica_indices, second.arrays.replica_indices)
-        assert np.array_equal(first.arrays.replica_indptr, second.arrays.replica_indptr)
-        assert reference.placement_dict(first.arrays) == reference.placement_dict(
-            second.arrays
-        )
+        spec = StrategySpec.random(2, seed=5)
+        first = spec.build_from_corpus(toots.corpus, candidate_domains=domains)
+        second = spec.build_from_corpus(toots.corpus, candidate_domains=domains)
+        assert np.array_equal(first.replica_indices, second.replica_indices)
+        assert np.array_equal(first.replica_indptr, second.replica_indptr)
+        assert reference.placement_dict(first) == reference.placement_dict(second)
 
     def test_different_seeds_differ(self):
         toots, _, domains, _ = random_scenario(3)
-        first = replication.random_replication(toots, domains, 2, seed=5)
-        second = replication.random_replication(toots, domains, 2, seed=6)
-        assert reference.placement_dict(first.arrays) != reference.placement_dict(
-            second.arrays
+        first = StrategySpec.random(2, seed=5).build_from_corpus(
+            toots.corpus, candidate_domains=domains
         )
+        second = StrategySpec.random(2, seed=6).build_from_corpus(
+            toots.corpus, candidate_domains=domains
+        )
+        assert reference.placement_dict(first) != reference.placement_dict(second)
 
     def test_weighted_same_seed_same_placements(self):
         toots, _, domains, _ = random_scenario(4)
         weights = {d: float(i + 1) for i, d in enumerate(domains)}
-        first = replication.random_replication(toots, domains, 2, seed=9, weights=weights)
-        second = replication.random_replication(toots, domains, 2, seed=9, weights=weights)
-        assert reference.placement_dict(first.arrays) == reference.placement_dict(
-            second.arrays
-        )
+        spec = StrategySpec.random(2, seed=9, weights=weights)
+        first = spec.build_from_corpus(toots.corpus, candidate_domains=domains)
+        second = spec.build_from_corpus(toots.corpus, candidate_domains=domains)
+        assert reference.placement_dict(first) == reference.placement_dict(second)
 
     def test_replica_count_structure_matches_legacy_rule(self):
         """Each toot gets exactly k distinct picks; home collisions collapse."""
         domains = [f"d{i}.example" for i in range(8)]
         toots = flat_toots(500, domains)
         k = 3
-        placements = replication.random_replication(toots, domains, k, seed=1)
+        placements = StrategySpec.random(k, seed=1).build_from_corpus(
+            toots.corpus, candidate_domains=domains
+        )
         counts = np.asarray(placements.replica_counts())
         # homes are drawn from the candidate pool, so rows lose at most one pick
         assert set(np.unique(counts)) <= {k - 1, k}
@@ -156,7 +163,11 @@ class TestRandomDistribution:
     def test_uniform_selection_frequencies_match_legacy(self):
         domains = [f"d{i}.example" for i in range(8)]
         toots = flat_toots(4000, domains)
-        fast = domain_shares(replication.random_replication(toots, domains, 2, seed=0))
+        fast = domain_shares(
+            StrategySpec.random(2, seed=0).build_from_corpus(
+                toots.corpus, candidate_domains=domains
+            )
+        )
         legacy = domain_shares(
             reference.random_replication_python(toots, domains, 2, seed=0)
         )
@@ -169,7 +180,9 @@ class TestRandomDistribution:
         weights = {d: float(2 ** i) for i, d in enumerate(domains)}
         toots = flat_toots(4000, domains)
         fast = domain_shares(
-            replication.random_replication(toots, domains, 2, seed=0, weights=weights)
+            StrategySpec.random(2, seed=0, weights=weights).build_from_corpus(
+                toots.corpus, candidate_domains=domains
+            )
         )
         legacy = domain_shares(
             reference.random_replication_python(
@@ -186,8 +199,8 @@ class TestRandomDistribution:
         domains = [f"d{i}.example" for i in range(10)]
         toots = flat_toots(3000, domains)
         for weights in (None, {d: float(i + 1) for i, d in enumerate(domains)}):
-            fast = replication.random_replication(
-                toots, domains, 3, seed=2, weights=weights
+            fast = StrategySpec.random(3, seed=2, weights=weights).build_from_corpus(
+                toots.corpus, candidate_domains=domains
             ).replication_summary()
             legacy = reference.random_replication_python(
                 toots, domains, 3, seed=2, weights=weights
@@ -206,15 +219,17 @@ class TestCurveEquivalence:
         toots, graphs, domains, _ = random_scenario(seed)
         ranking = sorted(domains)
         for fast in (
-            replication.no_replication(toots),
-            replication.subscription_replication(toots, graphs),
-            replication.random_replication(toots, domains, 2, seed=seed),
+            StrategySpec.none().build_from_corpus(toots.corpus),
+            StrategySpec.subscription().build_from_corpus(toots.corpus, graphs=graphs),
+            StrategySpec.random(2, seed=seed).build_from_corpus(
+                toots.corpus, candidate_domains=domains
+            ),
         ):
             via_dict = reference.as_dict_map(fast)
             for steps in (1, 3, len(ranking)):
                 removal_index = {d: i + 1 for i, d in enumerate(ranking[:steps])}
-                assert replication.availability_under_instance_removal(
-                    fast, ranking, steps=steps
+                assert availability_curve(
+                    fast, InstanceRemoval(ranking, steps=steps)
                 ) == reference.availability_curve(
                     via_dict, removal_index, steps
                 ), (seed, fast.strategy, steps)
@@ -222,7 +237,9 @@ class TestCurveEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_arrays_backend_matches_python_curve(self, seed):
         toots, graphs, domains, _ = random_scenario(seed)
-        placements = replication.random_replication(toots, domains, 2, seed=seed)
+        placements = StrategySpec.random(2, seed=seed).build_from_corpus(
+            toots.corpus, candidate_domains=domains
+        )
         removal_index = {domain: i + 1 for i, domain in enumerate(sorted(domains))}
         engine = reference.availability_curve(
             placements, removal_index, len(domains)
@@ -239,7 +256,9 @@ class TestCurveEquivalence:
 class TestIncidenceCache:
     def test_from_placements_is_memoised_per_object(self):
         toots, _, domains, _ = random_scenario(1)
-        placements = replication.random_replication(toots, domains, 2, seed=0)
+        placements = StrategySpec.random(2, seed=0).build_from_corpus(
+            toots.corpus, candidate_domains=domains
+        )
         assert TootIncidence.from_placements(placements) is (
             TootIncidence.from_placements(placements)
         )
@@ -252,7 +271,7 @@ class TestIncidenceCache:
     def test_dict_backed_maps_are_cached_too(self, monkeypatch):
         toots, _, _, _ = random_scenario(0)
         placements = reference.no_replication_python(toots)
-        assert placements.arrays is None
+        assert isinstance(placements, reference.DictPlacementMap)
         assert TootIncidence.from_placements(placements) is (
             TootIncidence.from_placements(placements)
         )
@@ -262,7 +281,9 @@ class TestIncidenceCache:
         import weakref
 
         toots, _, domains, _ = random_scenario(1)
-        placements = replication.random_replication(toots, domains, 1, seed=3)
+        placements = StrategySpec.random(1, seed=3).build_from_corpus(
+            toots.corpus, candidate_domains=domains
+        )
         incidence = TootIncidence.from_placements(placements)
         map_ref = weakref.ref(placements)
         incidence_ref = weakref.ref(incidence)
@@ -287,8 +308,8 @@ class TestWeightedSupportRegression:
 
     def test_vectorised_path_raises_analysis_error(self):
         with pytest.raises(AnalysisError, match="positive weight"):
-            replication.random_replication(
-                self.toots, self.domains, 2, weights=self.weights
+            StrategySpec.random(2, weights=self.weights).build_from_corpus(
+                self.toots.corpus, candidate_domains=self.domains
             )
 
     def test_python_reference_raises_analysis_error(self):
@@ -298,10 +319,10 @@ class TestWeightedSupportRegression:
             )
 
     def test_exact_support_still_works(self):
-        placements = replication.random_replication(
-            self.toots, self.domains, 1, weights=self.weights
+        placements = StrategySpec.random(1, weights=self.weights).build_from_corpus(
+            self.toots.corpus, candidate_domains=self.domains
         )
-        for holders in reference.placement_dict(placements.arrays).values():
+        for holders in reference.placement_dict(placements).values():
             assert holders == {"home.example", "a.example"}
 
 
@@ -310,19 +331,19 @@ class TestAvailabilityAtRegression:
     curve is empty" even for a non-empty curve."""
 
     def test_negative_removed_gets_accurate_message(self):
-        curve = [replication.AvailabilityPoint(removed=0, availability=1.0)]
+        curve = [AvailabilityPoint(removed=0, availability=1.0)]
         with pytest.raises(AnalysisError, match="cannot be negative"):
-            replication.availability_at(curve, -1)
+            availability_at(curve, -1)
 
     def test_empty_curve_message_is_reserved_for_empty_curves(self):
         with pytest.raises(AnalysisError, match="empty"):
-            replication.availability_at([], 0)
+            availability_at([], 0)
 
     def test_non_negative_accessor_still_works(self):
         curve = [
-            replication.AvailabilityPoint(removed=0, availability=1.0),
-            replication.AvailabilityPoint(removed=2, availability=0.5),
+            AvailabilityPoint(removed=0, availability=1.0),
+            AvailabilityPoint(removed=2, availability=0.5),
         ]
-        assert replication.availability_at(curve, 0) == 1.0
-        assert replication.availability_at(curve, 1) == 1.0
-        assert replication.availability_at(curve, 2) == 0.5
+        assert availability_at(curve, 0) == 1.0
+        assert availability_at(curve, 1) == 1.0
+        assert availability_at(curve, 2) == 0.5

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import replication
 from repro.engine.kernels import losses_per_step
 from repro.engine.placement import PlacementArrays
 from repro.engine.sharding import ShardedIncidence, kill_vector, streaming_losses
+from repro.engine.sweep import StrategySpec
 from repro.errors import AnalysisError
 
 from tests.engine.test_equivalence import random_scenario
@@ -27,10 +27,10 @@ from tests.reference.incidence import TootIncidence, losses_per_step_batch
 def scenario_incidences(seed: int):
     """(arrays, monolithic incidence, sharded incidence) for one scenario."""
     toots, graphs, domains, _ = random_scenario(seed)
-    placements = replication.subscription_replication(toots, graphs)
-    incidence = TootIncidence.from_placements(placements)
-    sharded = ShardedIncidence.from_arrays(placements.arrays, 17)
-    return placements.arrays, incidence, sharded
+    arrays = StrategySpec.subscription().build_from_corpus(toots.corpus, graphs=graphs)
+    incidence = TootIncidence.from_placements(arrays)
+    sharded = ShardedIncidence.from_arrays(arrays, 17)
+    return arrays, incidence, sharded
 
 
 class TestRowsIncidence:
@@ -71,7 +71,9 @@ class TestRowsHolding:
     def test_random_placements_with_empty_rows(self, seed):
         """Toots whose only draw hit their home hold no replica row at all."""
         toots, _, domains, _ = random_scenario(seed)
-        arrays = replication.random_replication(toots, domains, 1, seed=seed).arrays
+        arrays = StrategySpec.random(1, seed=seed).build_from_corpus(
+            toots.corpus, candidate_domains=domains
+        )
         assert (np.diff(arrays.replica_indptr) == 0).any()
         incidence = TootIncidence.from_arrays(arrays)
         for domain in arrays.domains:

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.core import replication
 from repro.engine import (
     ASRemoval,
     DEFAULT_SHARD_SIZE,
@@ -63,10 +62,12 @@ def backends(corpus):
     """Every placement backend the engine supports, freshly built."""
     toots, domains, weights, _ = corpus
     return {
-        "no-rep": replication.no_replication(toots),
-        "random": replication.random_replication(toots, domains, 3, seed=2),
-        "weighted-random": replication.random_replication(
-            toots, domains, 3, seed=2, weights=weights
+        "no-rep": StrategySpec.none().build_from_corpus(toots.corpus),
+        "random": StrategySpec.random(3, seed=2).build_from_corpus(
+            toots.corpus, candidate_domains=domains
+        ),
+        "weighted-random": StrategySpec.random(3, seed=2, weights=weights).build_from_corpus(
+            toots.corpus, candidate_domains=domains
         ),
     }
 
@@ -77,7 +78,7 @@ def backends(corpus):
 class TestShardGeometry:
     def test_bounds_partition_the_corpus(self, corpus):
         toots, domains, _, _ = corpus
-        arrays = replication.no_replication(toots).arrays
+        arrays = StrategySpec.none().build_from_corpus(toots.corpus)
         for shard_size in SHARD_SIZES:
             sharded = ShardedIncidence.from_arrays(arrays, shard_size)
             bounds = sharded.shard_bounds()
@@ -88,7 +89,7 @@ class TestShardGeometry:
 
     def test_prime_shard_size_leaves_ragged_tail(self, corpus):
         toots, _, _, _ = corpus
-        arrays = replication.no_replication(toots).arrays
+        arrays = StrategySpec.none().build_from_corpus(toots.corpus)
         sharded = ShardedIncidence.from_arrays(arrays, PRIME_SHARD)
         *full, tail = [stop - start for start, stop in sharded.shard_bounds()]
         assert set(full) == {PRIME_SHARD}
@@ -96,7 +97,9 @@ class TestShardGeometry:
 
     def test_shards_are_zero_copy_slices_that_tile_the_arrays(self, corpus):
         toots, domains, _, _ = corpus
-        arrays = replication.random_replication(toots, domains, 2, seed=9).arrays
+        arrays = StrategySpec.random(2, seed=9).build_from_corpus(
+            toots.corpus, candidate_domains=domains
+        )
         sharded = ShardedIncidence.from_arrays(arrays, PRIME_SHARD)
         shards = [sharded.shard(*bounds) for bounds in sharded.shard_bounds()]
         for shard in shards:
@@ -115,7 +118,7 @@ class TestShardGeometry:
 
     def test_invalid_geometry_raises(self, corpus):
         toots, _, _, _ = corpus
-        arrays = replication.no_replication(toots).arrays
+        arrays = StrategySpec.none().build_from_corpus(toots.corpus)
         with pytest.raises(AnalysisError):
             ShardedIncidence.from_arrays(arrays, 0)
         sharded = ShardedIncidence.from_arrays(arrays, PRIME_SHARD)
@@ -140,7 +143,9 @@ class TestShardedEquivalence:
     @pytest.mark.parametrize("shard_size", SHARD_SIZES)
     def test_subscription_backend_matches_unsharded(self, shard_size):
         toots, graphs, domains, asn_of = random_scenario(3)
-        placements = replication.subscription_replication(toots, graphs)
+        placements = StrategySpec.subscription().build_from_corpus(
+            toots.corpus, graphs=graphs
+        )
         failures = [
             InstanceRemoval(domains, steps=min(10, len(domains)), name="rank"),
             ASRemoval(asn_of, sorted(set(asn_of.values())), steps=3, name="ases"),
@@ -191,7 +196,7 @@ class TestShardedEquivalence:
 class TestResolution:
     def test_range_policy(self, corpus):
         toots, _, _, _ = corpus
-        arrays = replication.no_replication(toots).arrays
+        arrays = StrategySpec.none().build_from_corpus(toots.corpus)
         assert toot_ranges(arrays, 0).shard_bounds() == [(0, N_TOOTS)]
         assert toot_ranges(arrays, PRIME_SHARD).shard_bounds() == (
             ShardedIncidence.from_arrays(arrays, PRIME_SHARD).shard_bounds()
@@ -275,7 +280,7 @@ class TestNewModelSharding:
         temporal = [m for m in models if m.temporal]
         placements = backends(corpus)["random"]
         incidence = TootIncidence.from_placements(placements)
-        sharded = ShardedIncidence.from_arrays(placements.arrays, PRIME_SHARD)
+        sharded = ShardedIncidence.from_arrays(placements, PRIME_SHARD)
         for model in temporal:
             removal_matrix = temporal_removal_matrix(model.down_matrix(incidence.lookup))
             steps = np.ones(removal_matrix.shape[1], dtype=np.int64)
@@ -300,7 +305,7 @@ class TestStreamingLosses:
             ]
         )
         kill = kill_steps_batch(incidence.matrix, removal_matrix)
-        sharded = ShardedIncidence.from_arrays(placements.arrays, PRIME_SHARD)
+        sharded = ShardedIncidence.from_arrays(placements, PRIME_SHARD)
         losses = streaming_losses(sharded, removal_matrix, steps)
         assert losses.shape == (len(failures), int(steps.max()) + 1)
         for j in range(len(failures)):
@@ -312,7 +317,7 @@ class TestStreamingLosses:
         _, domains, _, _ = corpus
         placements = backends(corpus)["random"]
         incidence = TootIncidence.from_placements(placements)
-        sharded = ShardedIncidence.from_arrays(placements.arrays, PRIME_SHARD)
+        sharded = ShardedIncidence.from_arrays(placements, PRIME_SHARD)
         removal_index = {domains[0]: 1, domains[3]: 2, "unknown.example": 1, domains[5]: 99}
         assert np.array_equal(
             sharded.removal_vector(removal_index, steps=10),
@@ -350,12 +355,12 @@ class TestNoFoldBuildsACSR:
     def test_kill_vector(self, corpus, request):
         _, domains, _, _ = corpus
         placements = backends(corpus)["random"]
-        incidence = TootIncidence.from_arrays(placements.arrays)
+        incidence = TootIncidence.from_arrays(placements)
         column = incidence.removal_vector({d: i + 1 for i, d in enumerate(domains)}, 9)
         expected, expected_sentinel = csr.kill_vector(incidence, column)
         request.getfixturevalue("no_csr")
         kill, sentinel = kill_vector(
-            ShardedIncidence.from_arrays(placements.arrays, PRIME_SHARD), column
+            ShardedIncidence.from_arrays(placements, PRIME_SHARD), column
         )
         assert sentinel == expected_sentinel
         assert kill.dtype == expected.dtype

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import replication, resilience
+from repro.core import resilience
 from repro.engine import (
     ASRemoval,
     InstanceRemoval,
     StrategySpec,
+    availability_curve,
     random_strategy_grid,
     run_availability_sweep,
 )
@@ -59,15 +60,17 @@ class TestSweep:
     def test_sweep_curves_match_individual_calls(self, scenario, sweep):
         toots, graphs, domains, asn_of = scenario
         result, ranking, as_ranking = sweep
-        placements = replication.subscription_replication(toots, graphs)
-        assert result.curve("s-rep", "instances") == (
-            replication.availability_under_instance_removal(placements, ranking, steps=6)
+        placements = StrategySpec.subscription().build_from_corpus(
+            toots.corpus, graphs=graphs
         )
-        random_placements = replication.random_replication(toots, domains, 1, seed=7)
+        assert result.curve("s-rep", "instances") == (
+            availability_curve(placements, InstanceRemoval(ranking, steps=6))
+        )
+        random_placements = StrategySpec.random(1, seed=7).build_from_corpus(
+            toots.corpus, candidate_domains=domains
+        )
         assert result.curve("n=1/seed=7", "ases") == (
-            replication.availability_under_as_removal(
-                random_placements, asn_of, as_ranking, steps=2
-            )
+            availability_curve(random_placements, ASRemoval(asn_of, as_ranking, steps=2))
         )
 
     def test_compare_orders_strategies(self, sweep):
@@ -125,9 +128,8 @@ class TestSweep:
             candidate_domains=domains,
             keep_placements=True,
         )
-        placements = result.placements["weighted"]
-        assert placements.strategy == "random-replication-n2-weighted"
-        arrays = placements.arrays
+        arrays = result.placements["weighted"]
+        assert arrays.strategy == "random-replication-n2-weighted"
         load = {d: c for d, c in zip(arrays.domains, arrays.domain_replica_load())}
         others = [load.get(d, 0) for d in domains if d != heavy]
         # 40x the weight -> the heavy domain lands on almost every toot it
@@ -150,4 +152,4 @@ class TestSweep:
             keep_placements=True,
         )
         assert "no-rep" in result.placements
-        assert len(result.placements["no-rep"]) == len(toots)
+        assert result.placements["no-rep"].n_toots == len(toots)

@@ -21,6 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.engine.incidence import DomainLookup
+from repro.engine.placement import PlacementArrays
 from repro.engine.kernels import (
     _INT32_SENTINEL,
     _int32_safe_columns,
@@ -57,11 +58,12 @@ class TootIncidence:
     def from_placements(cls, placements) -> "TootIncidence":
         """Build (or fetch the memoised) incidence matrix for a placement map.
 
-        Arrays-backed maps (the vectorised builders in
-        :mod:`repro.engine.placement`) go through :meth:`from_arrays`;
-        dict-built maps take the legacy mapping path.  Either way the
-        result is cached per placement *object*, so repeated curves over
-        the same map pay for the matrix exactly once.
+        :class:`~repro.engine.placement.PlacementArrays` (the vectorised
+        builders in :mod:`repro.engine.placement`) go through
+        :meth:`from_arrays`; dict-built maps take the legacy mapping
+        path.  Either way the result is cached per placement *object*,
+        so repeated curves over the same map pay for the matrix exactly
+        once.
         """
         try:
             cached = _INCIDENCE_CACHE.get(placements)
@@ -69,9 +71,8 @@ class TootIncidence:
             cached = None
         if cached is not None:
             return cached
-        arrays = getattr(placements, "arrays", None)
-        if arrays is not None:
-            incidence = cls.from_arrays(arrays)
+        if isinstance(placements, PlacementArrays):
+            incidence = cls.from_arrays(placements)
         else:
             incidence = cls._from_mapping(placements.placements)
         try:

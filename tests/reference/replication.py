@@ -5,7 +5,9 @@ a map could be a dict from toot URL to the frozenset of domains holding
 it (:class:`DictPlacementMap`), and the strategies and curves were
 per-toot loops over the dataset's records.  They live on here, verbatim
 apart from names and imports, as the references the tests hold the
-array builders and the kill kernel to.
+array builders and the kill kernel to.  The records stream from the
+corpus (:meth:`CorpusStore.iter_records
+<repro.corpus.store.CorpusStore.iter_records>`), in corpus order.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.replication import AvailabilityPoint
 from repro.datasets.graphs import GraphDataset
 from repro.datasets.toots import TootsDataset
+from repro.engine.placement import PlacementArrays
+from repro.engine.sweep import AvailabilityPoint
 from repro.errors import AnalysisError
 
 from tests.reference.incidence import TootIncidence, availability_curve_array
@@ -24,10 +27,6 @@ from tests.reference.incidence import TootIncidence, availability_curve_array
 
 class DictPlacementMap:
     """For every toot (by URL), the frozenset of instances holding a copy."""
-
-    #: No arrays backend: :meth:`TootIncidence.from_placements` takes the
-    #: mapping path for these maps.
-    arrays = None
 
     def __init__(self, strategy: str, placements: Mapping[str, frozenset[str]]) -> None:
         self.strategy = strategy
@@ -65,9 +64,9 @@ def placement_dict(arrays) -> dict[str, frozenset[str]]:
     return out
 
 
-def as_dict_map(placements) -> DictPlacementMap:
-    """The dict-backed twin of an arrays-backed placement map."""
-    return DictPlacementMap(placements.strategy, placement_dict(placements.arrays))
+def as_dict_map(arrays: PlacementArrays) -> DictPlacementMap:
+    """The dict-backed twin of a placement's arrays."""
+    return DictPlacementMap(arrays.strategy, placement_dict(arrays))
 
 
 # -- the strategies as per-record loops --------------------------------------------
@@ -76,7 +75,8 @@ def as_dict_map(placements) -> DictPlacementMap:
 def no_replication_python(toots: TootsDataset) -> DictPlacementMap:
     """The original dict comprehension — reference for the differential suite."""
     placements = {
-        record.url: frozenset({record.author_domain}) for record in toots.records()
+        record.url: frozenset({record.author_domain})
+        for record in toots.corpus.iter_records()
     }
     return DictPlacementMap(strategy="no-replication", placements=placements)
 
@@ -88,7 +88,7 @@ def subscription_replication_python(
     follower_domains: dict[str, frozenset[str]] = {}
     follower_graph = graphs.follower_graph
     placements: dict[str, frozenset[str]] = {}
-    for record in toots.records():
+    for record in toots.corpus.iter_records():
         author = record.account
         if author not in follower_domains:
             domains: set[str] = set()
@@ -130,7 +130,7 @@ def random_replication_python(
         probabilities = np.exp(_normalised_log_weights(candidates, weights, k))
 
     placements: dict[str, frozenset[str]] = {}
-    for record in toots.records():
+    for record in toots.corpus.iter_records():
         if k == 0:
             placements[record.url] = frozenset({record.author_domain})
             continue
@@ -177,13 +177,14 @@ def availability_curve_python(
 ) -> list[AvailabilityPoint]:
     """The original per-toot loop — the engine's reference implementation.
 
-    ``placements`` is either backend; an arrays-backed map is walked
-    through its :func:`placement_dict` view.
+    ``placements`` is a :class:`DictPlacementMap` or
+    :class:`PlacementArrays`; the arrays are walked through their
+    :func:`placement_dict` view.
     """
     holder_sets = (
-        placements.placements
-        if placements.arrays is None
-        else placement_dict(placements.arrays)
+        placement_dict(placements)
+        if isinstance(placements, PlacementArrays)
+        else placements.placements
     )
     total = len(holder_sets)
     if total == 0:

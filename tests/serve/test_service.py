@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.replication import PlacementMap
 from repro.engine.kernels import availability_from_losses
 from repro.engine.sweep import StrategySpec, availability_curves
 from repro.errors import AnalysisError
@@ -30,8 +29,7 @@ def batch_curve(service, strategy, failure_name, shard_size):
     """The batch sweep's curve over the service's own placement arrays."""
     state = service.state_for(strategy)
     failure = service.failure(failure_name)
-    placements = PlacementMap(strategy=state.arrays.strategy, arrays=state.arrays)
-    points = availability_curves(placements, [failure], shard_size=shard_size)
+    points = availability_curves(state.arrays, [failure], shard_size=shard_size)
     return np.asarray([p.availability for p in points[failure.name]])
 
 

@@ -160,12 +160,12 @@ class TestCommands:
 
     def test_export_is_pinned_and_runs_no_dataset_collect(self, tmp_path, monkeypatch, capsys):
         """The monitor log comes from ``InstanceMonitor`` itself: export runs
-        no ``collect_datasets`` whose crawls it would throw away."""
+        no store-writing crawl session whose crawls it would throw away."""
 
         def no_collect(*args, **kwargs):
-            raise AssertionError("export ran collect_datasets")
+            raise AssertionError("export ran a collect crawl session")
 
-        monkeypatch.setattr("repro.cli.collect_datasets", no_collect)
+        monkeypatch.setattr("repro.cli.CrawlSession", no_collect)
         out = tmp_path / "dump"
         assert main(["export", str(out), "--preset", "tiny", "--seed", "7",
                      "--salt", "fixedsalt"]) == 0

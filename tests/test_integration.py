@@ -13,8 +13,10 @@ import tempfile
 import pytest
 
 from repro import build_scenario, collect_datasets
-from repro.core import availability, centralisation, hosting, replication, resilience
+from repro.core import availability, centralisation, hosting, resilience
 from repro.datasets import TwitterBaselines
+from repro.engine import InstanceRemoval, StrategySpec, availability_curve
+from repro.engine import resilience as removal
 from repro.datasets.graphs import largest_connected_component_fraction
 
 
@@ -53,7 +55,7 @@ class TestTemporaryStores:
         # the graph store went with the datasets; the corpus lives as long
         # as the toots dataset that reads it
         assert list(tmp_path.iterdir()) == [toots.corpus.path]
-        assert len(toots.records()) == len(toots) > 0
+        assert len(list(toots.corpus.iter_records())) == len(toots) > 0
         del toots
         gc.collect()
         assert list(tmp_path.iterdir()) == []
@@ -89,7 +91,7 @@ class TestPaperFindings:
         users = instances.users_per_instance()
         asn_of = {d: instances.metadata_for(d).asn for d in instances.domains()}
         as_ranking = resilience.rank_ases(asn_of, users, by="users")
-        steps = resilience.as_removal_sweep(
+        steps = removal.as_removal_sweep_matrix(
             datasets.graphs.federation_graph, asn_of, as_ranking, steps=5
         )
         assert steps[0].lcc_fraction > 0.85
@@ -103,11 +105,11 @@ class TestPaperFindings:
             by="toots",
         )
         steps = min(10, len(ranking))
-        no_rep = replication.availability_under_instance_removal(
-            replication.no_replication(toots), ranking, steps=steps
-        )
-        sub_rep = replication.availability_under_instance_removal(
-            replication.subscription_replication(toots, datasets.graphs), ranking, steps=steps
+        failure = InstanceRemoval(ranking, steps=steps)
+        no_rep = availability_curve(StrategySpec.none().build_from_corpus(toots.corpus), failure)
+        sub_rep = availability_curve(
+            StrategySpec.subscription().build_from_corpus(toots.corpus, graphs=datasets.graphs),
+            failure,
         )
         # removing the top instances erases a large share of toots without
         # replication, and replication recovers most of the loss
@@ -123,10 +125,10 @@ class TestPaperFindings:
 
     def test_follower_graph_more_fragile_than_twitter(self, datasets):
         twitter = TwitterBaselines.generate(days=30, n_users=datasets.graphs.user_count(), seed=9)
-        mastodon_steps = resilience.user_removal_sweep(
+        mastodon_steps = removal.user_removal_sweep_matrix(
             datasets.graphs.follower_graph, rounds=5, fraction_per_round=0.01
         )
-        twitter_steps = resilience.user_removal_sweep(
+        twitter_steps = removal.user_removal_sweep_matrix(
             twitter.follower_graph, rounds=5, fraction_per_round=0.01
         )
         drop_mastodon = mastodon_steps[0].lcc_fraction - mastodon_steps[-1].lcc_fraction
