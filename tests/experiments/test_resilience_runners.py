@@ -14,6 +14,10 @@ from repro.datasets import TwitterBaselines
 from repro.engine import resilience as removal
 from repro.experiments import ExperimentContext, run_experiment
 
+# imported before any patch is installed, as in a process that has run
+# experiments already: a name bound at import time then misses the patch
+from repro.experiments import runners_resilience  # noqa: F401
+
 SWEEPS = ("user_removal_sweep_matrix", "ranked_removal_sweep_matrix", "as_removal_sweep_matrix")
 
 
