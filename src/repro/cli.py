@@ -12,7 +12,9 @@ Seven subcommands cover the common workflows::
     repro-mastodon run fig15 fig16 --preset large --corpus corpus/ --shard-size 100000
     repro-mastodon serve corpus/ --graph graph/ --warm    # availability queries
 
-The CLI is a thin wrapper over the public API: ``run`` dispatches
+The CLI is a thin wrapper over the public API, and each command imports
+only the modules it runs: ``serve`` loads the stores, the engine kernels
+and the HTTP front, never the simulator, the crawler or networkx.  ``run`` dispatches
 through :func:`repro.experiments.run_experiments` (one shared, memoised
 pipeline for any subset of the paper's experiments), ``report`` is a
 view over the same runners' headline scalars, and anything printed here
@@ -47,26 +49,36 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from repro import CrawlSession, build_scenario, obs
-from repro.crawler import FollowerGraphCrawler, InstanceMonitor, SimulatedTransport, TootCrawler
-from repro.datasets import Anonymiser, save_edges, save_snapshots, save_toot_records
+from repro import obs
 from repro.errors import AnalysisError, ConfigurationError, DatasetError
-from repro.experiments import ExperimentContext, has_runner, run_experiments
-from repro.fediverse import build_columnar_scenario, preset_names
-from repro.reporting import EXPERIMENTS, format_percentage, format_table
 
 #: The experiments whose scalars make up the ``report`` headline table.
 REPORT_EXPERIMENTS = ("headline", "fig5", "fig7", "fig14")
 
 
+class _PresetNames:
+    """The ``--preset`` choices, read from the simulator only when a value
+    is checked or the help is printed, so that building the parser (as
+    ``serve`` does) loads no simulator module."""
+
+    def __iter__(self):
+        from repro.fediverse import preset_names
+
+        return iter(preset_names())
+
+    def __contains__(self, name: object) -> bool:
+        return name in tuple(self)
+
+
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--preset",
-        choices=preset_names(),
+        choices=_PresetNames(),
+        metavar="PRESET",
         default="tiny",
         help=(
-            "scenario size preset (default: tiny; 'large' targets 1M+ toots, "
-            "'xlarge' 10M+ and needs --columnar)"
+            "scenario size preset: %(choices)s (default: tiny; 'large' targets "
+            "1M+ toots, 'xlarge' 10M+ and needs --columnar)"
         ),
     )
     parser.add_argument("--seed", type=int, default=7, help="scenario random seed (default: 7)")
@@ -184,7 +196,7 @@ def _retry_policy(args: argparse.Namespace):
         return None
     if args.retry_delay is None:
         return args.retries
-    from repro import RetryPolicy
+    from repro.crawler import RetryPolicy
 
     attempts = args.retries if args.retries is not None else 4
     return RetryPolicy(
@@ -430,6 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_scenario(args: argparse.Namespace) -> int:
+    from repro.fediverse import build_scenario
+    from repro.reporting import format_table
+
     network = build_scenario(args.preset, seed=args.seed)
     stats = network.stats()
     print(
@@ -443,6 +458,9 @@ def _command_scenario(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
+    from repro.experiments import ExperimentContext, run_experiments
+    from repro.reporting import format_percentage, format_table
+
     ctx = ExperimentContext(
         preset=args.preset, seed=args.seed, monitor_interval_minutes=args.monitor_interval
     )
@@ -476,6 +494,10 @@ def _command_report(args: argparse.Namespace) -> int:
 
 
 def _command_export(args: argparse.Namespace) -> int:
+    from repro.crawler import FollowerGraphCrawler, InstanceMonitor, SimulatedTransport, TootCrawler
+    from repro.datasets import Anonymiser, save_edges, save_snapshots, save_toot_records
+    from repro.fediverse import build_scenario
+
     output = Path(args.output_dir)
     network = build_scenario(args.preset, seed=args.seed)
     transport = SimulatedTransport(network)
@@ -496,11 +518,8 @@ def _command_export(args: argparse.Namespace) -> int:
 
 def _collect_columnar(args: argparse.Namespace) -> "tuple[object, object | None]":
     """Scenario → corpus (→ graph) without materialising the object network."""
-    from repro.corpus import (
-        DEFAULT_CORPUS_SHARD_SIZE,
-        CorpusWriter,
-        GraphWriter,
-    )
+    from repro.corpus import DEFAULT_CORPUS_SHARD_SIZE, CorpusWriter, GraphWriter
+    from repro.fediverse import build_columnar_scenario
 
     scenario = build_columnar_scenario(args.preset, seed=args.seed)
     minute = scenario.config.window_minutes - 1
@@ -518,6 +537,10 @@ def _collect_columnar(args: argparse.Namespace) -> "tuple[object, object | None]
 
 
 def _command_collect(args: argparse.Namespace) -> int:
+    from repro.collect import CrawlSession
+    from repro.fediverse import build_scenario
+    from repro.reporting import format_percentage, format_table
+
     if not args.resume:
         if (Path(args.corpus_dir) / "manifest.json").exists():
             print(
@@ -612,6 +635,9 @@ def _command_collect(args: argparse.Namespace) -> int:
 
 
 def _command_experiments(args: argparse.Namespace) -> int:
+    from repro.experiments import has_runner
+    from repro.reporting import EXPERIMENTS, format_table
+
     rows = [
         [
             experiment.experiment_id,
@@ -627,6 +653,9 @@ def _command_experiments(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from repro.experiments import ExperimentContext, run_experiments
+    from repro.reporting import EXPERIMENTS
+
     if args.run_all and args.experiment_ids:
         print("error: pass experiment ids or --all, not both", file=sys.stderr)
         return 2

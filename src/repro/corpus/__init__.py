@@ -36,13 +36,15 @@ the corpus columnar from the first crawled page onward:
   (untrusted input: a malformed value raises a :class:`DatasetError`
   naming the directory and key), shard bounds, ``nbytes``, ``coverage`` and ``content_digest``.  The
   corpus and graph classes add only their spool columns, merge and
-  interning rules, schema, and column queries;
-* :mod:`repro.corpus.placement` — placement construction straight from
-  columns: :meth:`PlacementArrays.from_corpus
-  <repro.engine.placement.PlacementArrays.from_corpus>` builds home
-  codes and replica CSR arrays shard by shard, and the corpus shard
-  boundaries flow through to :func:`~repro.engine.sharding.toot_ranges`,
-  so by default every fold runs over exactly the shards the crawl wrote.
+  interning rules, schema, and column queries.
+
+The package is the data plane and imports nothing above it: no engine,
+crawler or simulator module.  Placements are built from its columns by
+:meth:`PlacementArrays.from_corpus
+<repro.engine.placement.PlacementArrays.from_corpus>` (home codes and
+replica CSR arrays, shard by shard), and the corpus shard boundaries
+flow through to :func:`~repro.engine.sharding.toot_ranges`, so by
+default every fold runs over exactly the shards the crawl wrote.
 
 The merge order (instances sorted by domain, pages in crawl order,
 first-seen URL wins) reproduces ``TootCrawlResult.unique_toots()`` of
@@ -61,11 +63,6 @@ from repro.corpus.graph import (
 )
 from repro.corpus.store import CorpusStore, CorpusUrls
 from repro.corpus.writer import DEFAULT_CORPUS_SHARD_SIZE, CorpusWriter
-from repro.corpus.placement import (
-    build_no_replication_from_corpus,
-    build_random_replication_from_corpus,
-    build_subscription_replication_from_corpus,
-)
 
 __all__ = [
     "COLUMN_NAMES",
@@ -82,7 +79,4 @@ __all__ = [
     "GraphStore",
     "GraphWriter",
     "TootColumns",
-    "build_no_replication_from_corpus",
-    "build_random_replication_from_corpus",
-    "build_subscription_replication_from_corpus",
 ]

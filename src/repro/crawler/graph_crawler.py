@@ -12,34 +12,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro import obs
-from repro.errors import DatasetError
+from repro.corpus.graph import GraphWriter, split_handle
 from repro.crawler.faults import classify_error
 from repro.crawler.http import SimulatedTransport
 from repro.crawler.scheduler import CrawlScheduler, RateLimiter
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.corpus.graph import GraphWriter
-
 _log = logging.getLogger("repro.crawler.graph")
-
-
-def split_handle(handle: str) -> tuple[str, str]:
-    """Split a ``user@domain`` handle into its username and domain parts.
-
-    Malformed handles (no ``@``, or an empty side) raise
-    :class:`~repro.errors.DatasetError` naming the offending handle, so
-    corrupt crawl output fails loudly instead of silently passing the
-    whole handle off as a "domain".
-    """
-    username, separator, domain = handle.rpartition("@")
-    if not separator or not username or not domain:
-        raise DatasetError(
-            f"malformed account handle (expected 'user@domain'): {handle!r}"
-        )
-    return username, domain
 
 
 @dataclass(frozen=True, slots=True)

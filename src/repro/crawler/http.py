@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 from urllib.parse import parse_qs, urlparse
@@ -216,14 +217,16 @@ class SimulatedTransport:
         usernames = sorted(instance.users)
         start = (page - 1) * per_page
         selected = usernames[start : start + per_page]
+        if not selected:
+            return []
+        # one pass over the instance's toots per page, not one per listed user
+        statuses = Counter(toot.author.username for toot in instance.toots.values())
         return [
             {
                 "username": username,
                 "domain": instance.domain,
                 "created_at": instance.users[username].created_at,
-                "statuses_count": sum(
-                    1 for toot in instance.toots.values() if toot.author.username == username
-                ),
+                "statuses_count": statuses[username],
             }
             for username in selected
         ]

@@ -23,52 +23,80 @@ orders.  ``tests/engine/test_equivalence.py`` holds the engine to
 *bit-identical* outputs against the reference loops and the CSR
 incidence kept in ``tests/reference/``.  New failure models subclass
 :class:`FailureModel` — see :mod:`repro.engine.failures`.
+
+The names below resolve on first use (a module-level ``__getattr__``,
+PEP 562), each by importing the module that defines it: the placement,
+kernel and sweep modules need only numpy, and networkx and
+``scipy.sparse.csgraph`` load with :mod:`repro.engine.resilience` alone.
 """
 
-from repro.engine.failures import (
-    ASRemoval,
-    CountryRemoval,
-    FailureModel,
-    GroupedRemoval,
-    HosterRemoval,
-    InstanceRemoval,
-    ScheduledDowntime,
-    TemporalChurn,
-    TemporalFailureModel,
-)
-from repro.engine.incidence import DomainLookup, NEVER_REMOVED
-from repro.engine.sharding import (
-    DEFAULT_SHARD_SIZE,
-    IncidenceShard,
-    ShardedIncidence,
-    kill_vector,
-    streaming_losses,
-)
-from repro.engine.placement import PlacementArrays
-from repro.engine.kernels import (
-    availability_from_losses,
-    losses_per_step,
-    losses_per_step_batch,
-    temporal_availability_from_counts,
-    temporal_removal_matrix,
-)
-from repro.engine.resilience import (
-    GraphMatrix,
-    RemovalStep,
-    as_removal_sweep_matrix,
-    ranked_removal_sweep_matrix,
-    user_removal_sweep_matrix,
-)
-from repro.engine.sweep import (
-    AvailabilityPoint,
-    StrategySpec,
-    SweepResult,
-    availability_at,
-    availability_curve,
-    availability_curves,
-    random_strategy_grid,
-    run_availability_sweep,
-)
+from __future__ import annotations
+
+import importlib
+
+#: The module that defines each name re-exported here; ``__getattr__``
+#: imports it the first time the name is looked up.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "ASRemoval",
+            "CountryRemoval",
+            "FailureModel",
+            "GroupedRemoval",
+            "HosterRemoval",
+            "InstanceRemoval",
+            "ScheduledDowntime",
+            "TemporalChurn",
+            "TemporalFailureModel",
+        ),
+        "repro.engine.failures",
+    ),
+    **dict.fromkeys(("DomainLookup", "NEVER_REMOVED"), "repro.engine.incidence"),
+    **dict.fromkeys(
+        (
+            "DEFAULT_SHARD_SIZE",
+            "IncidenceShard",
+            "ShardedIncidence",
+            "kill_vector",
+            "streaming_losses",
+        ),
+        "repro.engine.sharding",
+    ),
+    "PlacementArrays": "repro.engine.placement",
+    **dict.fromkeys(
+        (
+            "availability_from_losses",
+            "losses_per_step",
+            "losses_per_step_batch",
+            "temporal_availability_from_counts",
+            "temporal_removal_matrix",
+        ),
+        "repro.engine.kernels",
+    ),
+    **dict.fromkeys(
+        (
+            "GraphMatrix",
+            "RemovalStep",
+            "as_removal_sweep_matrix",
+            "ranked_removal_sweep_matrix",
+            "user_removal_sweep_matrix",
+        ),
+        "repro.engine.resilience",
+    ),
+    **dict.fromkeys(
+        (
+            "AvailabilityPoint",
+            "StrategySpec",
+            "SweepResult",
+            "availability_at",
+            "availability_curve",
+            "availability_curves",
+            "random_strategy_grid",
+            "run_availability_sweep",
+        ),
+        "repro.engine.sweep",
+    ),
+}
 
 __all__ = [
     "ASRemoval",
@@ -107,3 +135,12 @@ __all__ = [
     "temporal_removal_matrix",
     "user_removal_sweep_matrix",
 ]
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.engine' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -22,9 +22,10 @@ import time
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from repro import CollectedDatasets, RetryPolicy, build_scenario, collect_datasets
 from repro import obs
+from repro.collect import CollectedDatasets, collect_datasets
 from repro.core import resilience
+from repro.crawler import RetryPolicy
 from repro.errors import AnalysisError
 from repro.datasets import TwitterBaselines
 from repro.engine.failures import (
@@ -42,6 +43,7 @@ from repro.engine.sweep import (
     SweepResult,
     availability_curves,
 )
+from repro.fediverse import build_scenario
 from repro.fediverse.geo import hoster_of_asn
 
 T = TypeVar("T")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Iterable
 
 from repro.errors import (
@@ -34,6 +35,9 @@ from repro.simtime import MINUTES_PER_DAY
 FOLLOWERS_PAGE_SIZE = 12
 
 MINUTES_PER_WEEK = 7 * MINUTES_PER_DAY
+
+#: Sort key giving :class:`UserRef`'s dataclass order: its fields in order.
+_USER_ORDER = attrgetter("username", "domain")
 
 
 @dataclass(slots=True)
@@ -259,7 +263,10 @@ class InstanceServer:
         """Return one page of ``username``'s follower list (paged like the HTML UI)."""
         if page < 1:
             raise SimulationError("follower pages are numbered from 1")
-        ordered = sorted(self.followers_of(username))
+        if username not in self.users:
+            raise UnknownUserError(f"{username}@{self.domain}")
+        # the dataclass's own order, compared in C instead of through __lt__
+        ordered = sorted(self.followers[username], key=_USER_ORDER)
         start = (page - 1) * per_page
         return ordered[start : start + per_page]
 

@@ -4,11 +4,15 @@ Mastodon presents three timelines (home, local, federated).  The crawler
 in the paper iterated over the *federated* timeline of every instance via
 the public API, paging backwards with ``max_id``.  This module provides a
 single :class:`Timeline` class with exactly that paging behaviour.
+The object generator fills every timeline one toot at a time, with ids
+almost always increasing, so :meth:`Timeline.add` appends those and
+bisects only the rare older arrival.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -18,14 +22,18 @@ from repro.fediverse.entities import Toot
 #: Default page size used by the Mastodon public timeline API.
 DEFAULT_PAGE_SIZE = 40
 
+_TOOT_ID = attrgetter("toot_id")
+
 
 class Timeline:
     """An append-only, id-ordered collection of toots with API-style paging.
 
     Toots are kept sorted by ``toot_id`` (ids are allocated monotonically
-    by the network, so id order equals chronological order).  Paging uses
-    the Mastodon convention: ``page(max_id=x)`` returns the ``limit``
-    newest toots whose id is strictly smaller than ``x``.
+    by the network, so id order equals chronological order).  A toot whose
+    id is above the newest — almost every toot, since ids reach a timeline
+    in increasing order — is appended; only an older one is bisected into
+    place.  Paging uses the Mastodon convention: ``page(max_id=x)`` returns
+    the ``limit`` newest toots whose id is strictly smaller than ``x``.
     """
 
     def __init__(self) -> None:
@@ -43,10 +51,15 @@ class Timeline:
 
     def add(self, toot: Toot) -> bool:
         """Insert a toot, keeping id order.  Returns ``False`` on duplicates."""
-        if toot.toot_id in self._ids:
+        toot_id = toot.toot_id
+        if toot_id in self._ids:
             return False
-        self._ids.add(toot.toot_id)
-        insort(self._toots, toot, key=lambda t: t.toot_id)
+        self._ids.add(toot_id)
+        toots = self._toots
+        if not toots or toot_id > toots[-1].toot_id:
+            toots.append(toot)
+        else:
+            insort(toots, toot, key=_TOOT_ID)
         return True
 
     def newest_id(self) -> int | None:
@@ -76,7 +89,7 @@ class Timeline:
         if max_id is None:
             stop = len(self._toots)
         else:
-            stop = bisect_left(self._toots, max_id, key=lambda t: t.toot_id)
+            stop = bisect_left(self._toots, max_id, key=_TOOT_ID)
         results: list[Toot] = []
         for index in range(stop - 1, -1, -1):
             toot = self._toots[index]

@@ -44,7 +44,7 @@ from repro.fediverse.entities import (
 )
 from repro.fediverse.geo import DEFAULT_COUNTRIES, IPAllocator, WELL_KNOWN_ASES
 from repro.fediverse.network import FediverseNetwork
-from repro.fediverse.uptime import ASOutageEvent, Outage, OutageCause
+from repro.fediverse.uptime import ASOutageEvent, OutageCause
 from repro.simtime import MINUTES_PER_DAY, PAPER_START_DATE, SimClock, TimeWindow
 from repro.stats.distributions import sample_power_law
 
@@ -908,28 +908,25 @@ class ScenarioGenerator:
                 median_minutes, sigma = 1.5 * MINUTES_PER_DAY, 1.0
             else:
                 median_minutes, sigma = 150.0, 0.9
+            log_median = np.log(median_minutes)
+            rows = []
             while accumulated < budget and guard < 300:
                 guard += 1
-                duration = float(
-                    np.clip(
-                        self.rng.lognormal(mean=np.log(median_minutes), sigma=sigma),
-                        5,
-                        45 * MINUTES_PER_DAY,
-                    )
+                # the same double as np.clip(draw, 5, 45 days) for any non-NaN draw
+                duration = min(
+                    max(self.rng.lognormal(mean=log_median, sigma=sigma), 5.0),
+                    45.0 * MINUTES_PER_DAY,
                 )
                 duration = min(duration, budget - accumulated + 30)
                 start = int(self.rng.uniform(0, max(1, window - duration)))
                 end = int(min(window, start + duration))
                 if end <= start:
                     continue
-                schedule.add_outage(
-                    Outage(
-                        domain=descriptor.domain,
-                        window=TimeWindow(start, end),
-                        cause=OutageCause.INSTANCE,
-                    )
-                )
+                rows.append((descriptor.domain, start, end, OutageCause.INSTANCE))
                 accumulated += end - start
+            # one batch per instance: the schedule sorts the domain once, and
+            # domains() keeps listing domains in generation order
+            schedule.add_outage_rows(rows)
 
         self._generate_as_outages(schedule, descriptors)
 

@@ -1,9 +1,14 @@
-"""The engine sits below the analyses: it imports nothing from ``repro.core``.
+"""Each layer imports only what sits below it, and only what it runs.
 
 ``repro.core`` supplies the rankings that order removal schedules and
 may import the engine; the engine never imports back, at module level
 or inside a function, so importing the engine or the query service
-loads no ``repro.core`` module.
+loads no ``repro.core`` module.  The corpus stores are the data plane:
+they import no engine, crawler or simulator module.  A query server
+(``import repro.serve``, or the CLI parsing a ``serve`` command) loads
+neither the simulator, the crawler, the datasets nor networkx and scipy.
+The package roots resolve their names lazily, so none of this may move
+an import into a timed phase of the benchmark workloads.
 """
 
 from __future__ import annotations
@@ -19,16 +24,53 @@ import repro
 ENGINE_DIR = Path(repro.__file__).parent / "engine"
 
 
-def test_engine_and_serve_load_no_core_module():
-    code = (
-        "import sys, repro.engine, repro.serve; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['repro', 'core']))"
+def loaded_modules(code: str, packages: tuple[str, ...]) -> list[str]:
+    """The modules of ``packages`` that ``code`` loads in a fresh interpreter."""
+    probe = (
+        f"{code}\nimport sys\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({packages!r})))"
     )
     env = dict(os.environ, PYTHONPATH=str(ENGINE_DIR.parents[1]))
-    loaded = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout.strip()
-    assert loaded == "[]"
+    return ast.literal_eval(
+        subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        ).stdout.strip()
+    )
+
+
+#: What a query server never runs: the simulator, the crawler, the
+#: record datasets, the analyses, and the graph sweeps' networkx and scipy.
+NOT_SERVED = (
+    "networkx",
+    "scipy",
+    "repro.core",
+    "repro.crawler",
+    "repro.datasets",
+    "repro.experiments",
+    "repro.fediverse",
+)
+
+
+def test_engine_and_serve_load_no_core_module():
+    assert loaded_modules("import repro.engine, repro.serve", ("repro.core",)) == []
+
+
+def test_serve_loads_no_simulator_crawler_or_graph_library():
+    assert loaded_modules("import repro.serve", NOT_SERVED) == []
+
+
+def test_cli_serve_parse_loads_no_simulator_crawler_or_graph_library():
+    code = (
+        "from repro.cli import build_parser, main\n"
+        "build_parser().parse_args(['serve', 'c', '--graph', 'g'])"
+    )
+    assert loaded_modules(code, NOT_SERVED) == []
+
+
+def test_corpus_imports_nothing_above_the_data_plane():
+    assert loaded_modules(
+        "import repro.corpus", ("repro.engine", "repro.crawler", "repro.fediverse")
+    ) == []
 
 
 def test_no_engine_module_imports_core():

@@ -165,7 +165,7 @@ class TestCommands:
         def no_collect(*args, **kwargs):
             raise AssertionError("export ran a collect crawl session")
 
-        monkeypatch.setattr("repro.cli.CrawlSession", no_collect)
+        monkeypatch.setattr("repro.collect.CrawlSession", no_collect)
         out = tmp_path / "dump"
         assert main(["export", str(out), "--preset", "tiny", "--seed", "7",
                      "--salt", "fixedsalt"]) == 0
