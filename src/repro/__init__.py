@@ -12,13 +12,16 @@ The package is organised in layers:
 * :mod:`repro.datasets` — the paper's three datasets plus the Twitter
   baselines, read from the columnar stores the crawlers write
   (:mod:`repro.corpus`);
+* :mod:`repro.collect` — :func:`collect_datasets`, the whole measurement
+  pipeline from a simulated network to those datasets;
 * :mod:`repro.core` — the analyses behind every figure and table;
 * :mod:`repro.engine` — the sparse-matrix failure-simulation engine the
   resilience/replication hot paths (Figs. 11-16) dispatch through;
 * :mod:`repro.reporting` — table/figure rendering and the experiment index.
 
 The names below resolve on first use (a module-level ``__getattr__``,
-PEP 562): ``from repro import collect_datasets`` loads the crawl stack,
+PEP 562), each by importing the module that defines it:
+``from repro import collect_datasets`` loads the crawl stack, while
 ``import repro.serve`` loads only the corpus, the engine kernels and the
 HTTP front, never the simulator, the crawler or networkx.
 

@@ -13,12 +13,13 @@ Seven subcommands cover the common workflows::
     repro-mastodon serve corpus/ --graph graph/ --warm    # availability queries
 
 The CLI is a thin wrapper over the public API, and each command imports
-only the modules it runs: ``serve`` loads the stores, the engine kernels
-and the HTTP front, never the simulator, the crawler or networkx.  ``run`` dispatches
-through :func:`repro.experiments.run_experiments` (one shared, memoised
-pipeline for any subset of the paper's experiments), ``report`` is a
-view over the same runners' headline scalars, and anything printed here
-can also be produced programmatically.  Every crawl streams into the
+only the modules it runs (``serve`` loads the stores, the engine kernels
+and the HTTP front, never the simulator, the crawler or networkx).
+``run`` dispatches through :func:`repro.experiments.run_experiments`
+(one shared, memoised pipeline for any subset of the paper's
+experiments), ``report`` is a view over the same runners' headline
+scalars, and anything printed here can also be produced
+programmatically.  Every crawl streams into the
 columnar corpus store (:mod:`repro.corpus`) and the follower crawl into
 on-disk edge shards, in temporary directories unless ``--corpus DIR`` /
 ``--graph DIR`` name them; ``run`` reuses a store that ``collect``
@@ -196,7 +197,7 @@ def _retry_policy(args: argparse.Namespace):
         return None
     if args.retry_delay is None:
         return args.retries
-    from repro.crawler import RetryPolicy
+    from repro import RetryPolicy
 
     attempts = args.retries if args.retries is not None else 4
     return RetryPolicy(

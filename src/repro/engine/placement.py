@@ -10,9 +10,9 @@ operations over integer columns, never one Python object per toot:
   (:mod:`repro.engine.kernels`) folds it directly, range by range.
   :meth:`PlacementArrays.from_corpus` is the one way to build it: the
   per-toot home and author codes come from a columnar corpus, shard by
-  shard (the ``build_*_from_corpus`` builders next to it), and the
-  replica arrays from the two cores below.  The corpus store is only
-  read here: :mod:`repro.corpus` imports nothing from the engine;
+  shard (the ``build_*_from_corpus`` builders after the class; the
+  corpus package itself imports nothing from the engine), and the
+  replica arrays from the two cores below;
 * :func:`subscription_arrays_from_columns` — the author→follower-domain
   table (:func:`follower_domain_sets`, one pass over the follower
   graph's edges), then pure array expansion per toot;
