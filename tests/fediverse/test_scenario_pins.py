@@ -3,7 +3,8 @@
 Both scenario generators draw every instance's outages through one
 :class:`~repro.fediverse.uptime.AvailabilitySchedule`, and the object
 generator fills every instance's timelines one toot at a time.  These
-pins hold both containers to exact contents: every domain's outage rows in
+pins hold both containers to the exact contents the generators produced
+before either container's storage changed: every domain's outage rows in
 ``domains()`` order (``FaultInjector.from_schedule`` reads that order),
 the AS-wide events, the permanent-down minutes, and each instance's
 federated and local timeline id order.  A pin that moves means a seeded
