@@ -7,7 +7,12 @@ the two resilience contracts on a tiny scenario:
    (``--fault-rate`` / ``--fault-seed``) with retries enabled produces
    corpus *and* graph stores whose content digests are bit-identical to
    a fault-free collect of the same scenario, and the chaos corpus
-   records complete crawl coverage.
+   records complete crawl coverage.  The two runs take different paths
+   through ``CrawlSession``: the clean collect crawls on one worker and
+   skips the monitor pass, while the chaos collect runs the monitor
+   first and crawls on ``CRAWL_THREADS`` (8) workers, because its
+   retries sleep.  So the comparison also shows that neither the crawl
+   width nor the skipped monitor moves a digest.
 2. **Resume** — a collect killed with SIGKILL mid-crawl leaves a crawl
    journal behind, and re-running with ``--resume`` completes the corpus
    to the same content digest without losing sealed work.  The kill is

@@ -20,14 +20,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import build_scenario
+from repro import CrawlSession, build_scenario
 from repro.corpus import CorpusWriter
-from repro.crawler import (
-    FollowerGraphCrawler,
-    InstanceMonitor,
-    SimulatedTransport,
-    TootCrawler,
-)
+from repro.crawler import FollowerGraphCrawler, TootCrawler
 from repro.datasets import (
     Anonymiser,
     GraphDataset,
@@ -45,11 +40,12 @@ def main(output_dir: str = "dataset_export") -> None:
     network = build_scenario("tiny", seed=99)
 
     # The monitor's snapshots, and the crawls in record mode: the export
-    # writes one row per observation, which no store keeps.
-    transport = SimulatedTransport(network)
-    log = InstanceMonitor(transport, network.domains(), 24 * 60).run()
-    toot_crawl = TootCrawler(transport, threads=4).crawl()
-    graph_crawl = FollowerGraphCrawler(transport, threads=4).crawl()
+    # writes one row per observation, which no store keeps.  The session
+    # supplies the transport and the crawl width.
+    crawl = CrawlSession(network)
+    log = crawl.monitor(24 * 60)
+    toot_crawl = TootCrawler(crawl.transport, **crawl.crawl_options).crawl()
+    graph_crawl = FollowerGraphCrawler(crawl.transport, **crawl.crawl_options).crawl()
 
     anonymiser = Anonymiser()
     toot_records = anonymiser.anonymise_toots(toot_crawl.all_records())

@@ -495,16 +495,17 @@ def _command_report(args: argparse.Namespace) -> int:
 
 
 def _command_export(args: argparse.Namespace) -> int:
-    from repro.crawler import FollowerGraphCrawler, InstanceMonitor, SimulatedTransport, TootCrawler
+    from repro.collect import CrawlSession
+    from repro.crawler import FollowerGraphCrawler, TootCrawler
     from repro.datasets import Anonymiser, save_edges, save_snapshots, save_toot_records
     from repro.fediverse import build_scenario
 
     output = Path(args.output_dir)
-    network = build_scenario(args.preset, seed=args.seed)
-    transport = SimulatedTransport(network)
-    log = InstanceMonitor(transport, network.domains(), args.monitor_interval).run()
-    toot_crawl = TootCrawler(transport, threads=4).crawl()
-    graph_crawl = FollowerGraphCrawler(transport, threads=4).crawl()
+    crawl = CrawlSession(build_scenario(args.preset, seed=args.seed))
+    log = crawl.monitor(args.monitor_interval)
+    # record mode: the export writes one row per observation, which no store keeps
+    toot_crawl = TootCrawler(crawl.transport, **crawl.crawl_options).crawl()
+    graph_crawl = FollowerGraphCrawler(crawl.transport, **crawl.crawl_options).crawl()
 
     anonymiser = Anonymiser(salt=args.salt)
     snapshots = save_snapshots(output / "instance_snapshots.jsonl", log)
@@ -586,9 +587,10 @@ def _command_collect(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 politeness_delay=args.politeness,
             )
-            # the snapshots are not kept, but the monitor's requests come
-            # first, so a seeded --fault-rate faults the same crawl requests
-            crawl.monitor(args.monitor_interval)
+            if crawl.monitor_shapes_crawl:
+                # the snapshots are not kept, but the monitor's requests come
+                # first, so a seeded --fault-rate faults the same crawl requests
+                crawl.monitor(args.monitor_interval)
             store, coverage = crawl.toots(args.corpus_dir, args.shard_toots)
             graph_store = (
                 crawl.followers(args.graph_dir)[0] if args.graph_dir is not None else None

@@ -9,6 +9,7 @@ import pytest
 
 from repro import obs
 from repro.cli import build_parser, main
+from repro.crawler import InstanceMonitor
 from repro.experiments import ExperimentResult
 
 #: SHA-256 of each file of ``export OUT --preset tiny --seed 7 --salt fixedsalt``.
@@ -159,13 +160,13 @@ class TestCommands:
         assert (tmp_path / "dump" / "follower_edges.jsonl").exists()
 
     def test_export_is_pinned_and_runs_no_dataset_collect(self, tmp_path, monkeypatch, capsys):
-        """The monitor log comes from ``InstanceMonitor`` itself: export runs
-        no store-writing crawl session whose crawls it would throw away."""
+        """Export crawls in record mode over a ``CrawlSession``'s transport
+        and width: it writes no store whose crawls it would throw away."""
 
         def no_collect(*args, **kwargs):
-            raise AssertionError("export ran a collect crawl session")
+            raise AssertionError("export wrote a collect store")
 
-        monkeypatch.setattr("repro.collect.CrawlSession", no_collect)
+        monkeypatch.setattr("repro.collect._collect_store", no_collect)
         out = tmp_path / "dump"
         assert main(["export", str(out), "--preset", "tiny", "--seed", "7",
                      "--salt", "fixedsalt"]) == 0
@@ -250,6 +251,26 @@ class TestRunCommand:
             payload["metadata"].pop("elapsed_seconds", None)
             payload["metadata"].pop("corpus_dir", None)
         assert corpus == legacy
+
+    @pytest.mark.parametrize("flags", [["--fault-rate", "0.1"], ["--retries", "2"]])
+    def test_collect_runs_the_monitor_only_when_it_shapes_the_crawl(
+        self, tmp_path, monkeypatch, capsys, flags
+    ):
+        """``collect`` keeps no snapshots.  Over the bare transport the
+        monitor's requests change nothing the crawl sees, so it is skipped;
+        a seeded fault stream or the retry state needs them first."""
+
+        class MonitorRan(Exception):
+            pass
+
+        def monitor_ran(self):
+            raise MonitorRan
+
+        monkeypatch.setattr(InstanceMonitor, "run", monitor_ran)
+        argv = ["--preset", "tiny", "--seed", "11"]
+        assert main(["collect", "--corpus", str(tmp_path / "plain"), *argv]) == 0
+        with pytest.raises(MonitorRan):
+            main(["collect", "--corpus", str(tmp_path / "shaped"), *argv, *flags])
 
     def test_xlarge_without_columnar_is_an_error(self, capsys):
         assert main(["collect", "--corpus", "nowhere", "--preset", "xlarge"]) == 2

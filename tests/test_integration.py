@@ -12,7 +12,7 @@ import tempfile
 
 import pytest
 
-from repro import build_scenario, collect_datasets
+from repro import CRAWL_THREADS, CrawlSession, build_scenario, collect_datasets
 from repro.core import availability, centralisation, hosting, resilience
 from repro.datasets import TwitterBaselines
 from repro.engine import InstanceRemoval, StrategySpec, availability_curve
@@ -40,6 +40,15 @@ class TestPipeline:
     def test_federation_graph_smaller_than_follower_graph(self, datasets):
         assert datasets.graphs.instance_count() < datasets.graphs.user_count()
         assert datasets.graphs.federation_edge_count() < datasets.graphs.follow_edge_count()
+
+
+class TestCrawlWidth:
+    def test_one_worker_when_no_request_can_wait(self, tiny_network):
+        assert CrawlSession(tiny_network).crawl_options["threads"] == 1
+
+    @pytest.mark.parametrize("knob", [{"politeness_delay": 0.001}, {"retry_policy": 2}])
+    def test_crawl_threads_when_a_request_can_sleep(self, tiny_network, knob):
+        assert CrawlSession(tiny_network, **knob).crawl_options["threads"] == CRAWL_THREADS
 
 
 class TestTemporaryStores:
