@@ -676,20 +676,33 @@ class _Archive:
     Opening the file and reading a member both turn a damaged archive
     into a :class:`DatasetError` naming the store directory and the file,
     so callers that catch library errors (serve answers 400) never see a
-    raw ``zipfile`` or ``numpy`` exception.
+    raw ``zipfile`` or ``numpy`` exception.  An eager archive holds no
+    open file between reads: it lists the members and closes, then opens
+    the file again for each member it reads (as :class:`MappedNpz
+    <repro.corpus.npzmap.MappedNpz>` does), so a handle kept alive by a
+    traceback or a cache never leaves a file for the garbage collector.
     """
 
     def __init__(self, store: ShardedStore, name: str, what: str) -> None:
         self._where = f"{store.path}: unreadable {store.kind} {what} file {name!r}"
+        self._path = store.path / name
+        self._mapped = None
         try:
-            self._handle = open_npz(store.path / name, mmap=store.mmap)
+            if store.mmap:
+                self._mapped = open_npz(self._path, mmap=True)
+                self.files = list(self._mapped.files)
+            else:
+                with open_npz(self._path) as handle:
+                    self.files = list(handle.files)
         except _ARCHIVE_ERRORS as exc:
             raise DatasetError(f"{self._where}: {exc}") from exc
-        self.files = list(self._handle.files)
 
     def __getitem__(self, member: str) -> np.ndarray:
         try:
-            return self._handle[member]
+            if self._mapped is not None:
+                return self._mapped[member]
+            with open_npz(self._path) as handle:
+                return handle[member]
         except _ARCHIVE_ERRORS as exc:
             raise DatasetError(f"{self._where} (member {member!r}): {exc}") from exc
 

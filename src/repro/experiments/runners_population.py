@@ -9,6 +9,7 @@ returns a structured :class:`~repro.experiments.results.ExperimentResult`.
 from __future__ import annotations
 
 from repro.core import categories, centralisation, growth, hosting
+from repro.errors import AnalysisError
 from repro.experiments.context import ExperimentContext
 from repro.experiments.registry import register_runner
 from repro.experiments.results import ExperimentResult, ResultSeries, ResultTable
@@ -56,6 +57,12 @@ def run_fig2(ctx: ExperimentContext) -> ExperimentResult:
     count_cdfs = centralisation.per_instance_count_cdfs(ctx.data.instances)
     split = centralisation.registration_split(ctx.data.instances)
     activity_cdfs = centralisation.activity_level_cdfs(ctx.data.instances)
+    for group in ("open", "closed"):
+        if f"users_{group}" not in count_cdfs or group not in activity_cdfs:
+            raise AnalysisError(
+                f"fig2 compares open and closed registrations, but no {group} "
+                f"instance was observed"
+            )
     return ExperimentResult.build(
         "fig2",
         "Open vs closed registrations",

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.core import federation_analysis, resilience
 from repro.engine import resilience as removal
+from repro.errors import AnalysisError
 from repro.experiments.context import ExperimentContext
 from repro.experiments.registry import register_runner
 from repro.experiments.results import ExperimentResult, ResultSeries, ResultTable
@@ -22,6 +23,8 @@ from repro.stats.distributions import fit_power_law_exponent
 FIG12_ROUNDS = 10
 FIG13_INSTANCE_STEPS = 30
 FIG13_AS_STEPS = 15
+#: The removal round fig13's scalars read (its "after 5" values).
+FIG13_SCALAR_ROUND = 5
 
 
 @register_runner("fig11")
@@ -133,6 +136,13 @@ def run_fig13(ctx: ExperimentContext) -> ExperimentResult:
         federation, ctx.asn_of, ctx.as_ranking("users"), steps=FIG13_AS_STEPS
     )
 
+    rounds = min(len(steps) for steps in (by_instances, by_users, *instance_sweeps.values()))
+    if rounds <= FIG13_SCALAR_ROUND:
+        raise AnalysisError(
+            f"fig13 reads the graph after {FIG13_SCALAR_ROUND} removals, but a sweep "
+            f"stopped after {rounds - 1}"
+        )
+
     instance_rows = []
     for removed in (0, 5, 10, 20, 30):
         row: list[object] = [removed]
@@ -144,9 +154,9 @@ def run_fig13(ctx: ExperimentContext) -> ExperimentResult:
 
     scalars: dict[str, object] = {
         "as_by_instances_initial_lcc": by_instances[0].lcc_fraction,
-        "as_by_instances_lcc_after_5": by_instances[5].lcc_fraction,
-        "as_by_instances_components_after_5": by_instances[5].components,
-        "as_by_users_components_after_5": by_users[5].components,
+        "as_by_instances_lcc_after_5": by_instances[FIG13_SCALAR_ROUND].lcc_fraction,
+        "as_by_instances_components_after_5": by_instances[FIG13_SCALAR_ROUND].components,
+        "as_by_users_components_after_5": by_users[FIG13_SCALAR_ROUND].components,
     }
     for criterion, steps in instance_sweeps.items():
         fractions = [step.lcc_fraction for step in steps]
@@ -154,7 +164,7 @@ def run_fig13(ctx: ExperimentContext) -> ExperimentResult:
             a >= b - 1e-9 for a, b in zip(fractions, fractions[1:])
         )
         scalars[f"instance_{criterion}_initial_lcc"] = fractions[0]
-        scalars[f"instance_{criterion}_lcc_after_5"] = fractions[5]
+        scalars[f"instance_{criterion}_lcc_after_5"] = fractions[FIG13_SCALAR_ROUND]
 
     return ExperimentResult.build(
         "fig13",

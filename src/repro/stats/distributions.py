@@ -131,7 +131,10 @@ def fit_power_law_exponent(sample: Sequence[float], minimum: float | None = None
     tail = data[data >= xmin]
     if tail.size < 2:
         raise AnalysisError("not enough tail observations to fit a power law")
-    return 1.0 + tail.size / float(np.sum(np.log(tail / xmin)))
+    log_excess = float(np.sum(np.log(tail / xmin)))
+    if log_excess <= 0.0:
+        raise AnalysisError("cannot fit a power law when every tail value equals xmin")
+    return 1.0 + tail.size / log_excess
 
 
 def lorenz_curve(sample: Iterable[float]) -> tuple[list[float], list[float]]:

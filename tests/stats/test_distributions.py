@@ -89,6 +89,10 @@ class TestPowerLawSampling:
         with pytest.raises(AnalysisError):
             fit_power_law_exponent([1.0], minimum=5.0)
 
+    def test_fit_rejects_a_tail_at_xmin(self):
+        with pytest.raises(AnalysisError, match="equals xmin"):
+            fit_power_law_exponent([2.0, 2.0, 2.0])
+
 
 class TestLognormal:
     def test_median_close_to_target(self):
