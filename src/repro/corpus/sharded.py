@@ -34,12 +34,16 @@ shape, offset, nbytes), then a fixed 16-byte trailer (index length +
 magic).  String columns are two members each, newline-joined UTF-8
 bytes plus an ``int64`` offset array, which is ~4× smaller than numpy's
 fixed-width unicode arrays and sliceable by row range without decoding
-the rest.  A seal writes each member as it is encoded, so it holds one
-encoded column at a time; a read maps the file once and hands out
-zero-copy member views.  The spool is read back as untrusted input:
-:class:`SpoolReader` turns any malformed file into a
-:class:`DatasetError` naming it, and ``resume=True`` quarantines such a
-spool (or a spool directory of the older one-``.npy``-per-member
+the rest.  A *coded* string column, for values that repeat across rows,
+is a per-spool table of its values (an ordinary string column with the
+same framing checks) plus one ``int32`` code per row (``<name>_codes``),
+so the merge compares and maps integers and decodes only the table.  A
+seal writes each member as it is encoded, so it holds one encoded
+column at a time; a read maps the file once and hands out zero-copy
+member views.  The spool is read back as untrusted input:
+:class:`SpoolReader` turns any malformed file (a code outside its
+table included) into a :class:`DatasetError` naming it, and
+``resume=True`` quarantines such a spool (or a spool of an older
 layout) instead of merging it.
 """
 
@@ -210,17 +214,24 @@ class SpoolFile:
         del encoded, data, separators
         self.add(f"{name}_offsets", offsets)
 
+    def add_coded(self, name: str, table: list[str], codes: np.ndarray) -> None:
+        """A coded string column: its ``table`` of values plus a code per row."""
+        self.add_strings(name, table)
+        self.add(f"{name}_codes", codes.astype(np.int32, copy=False))
+
 
 class SpoolReader:
     """Zero-copy, row-range access to one sealed spool file.
 
     The file is untrusted input.  It must hold exactly the ``strings``
-    columns (a ``_bytes``/``_offsets`` member pair each) and the
-    ``values`` members with their declared dtypes, every member range
-    must lie inside the file and match its shape, and every string
-    column's offsets must frame its bytes.  Anything else is a
-    :class:`DatasetError` naming the file.  The file is mapped once;
-    :meth:`values` and the string members are views of that mapping.
+    columns (a ``_bytes``/``_offsets`` member pair each), the ``coded``
+    columns (that pair for the table plus an ``int32`` ``_codes``
+    member) and the ``values`` members with their declared dtypes, every
+    member range must lie inside the file and match its shape, every
+    string column's offsets must frame its bytes, and every code must
+    index its table.  Anything else is a :class:`DatasetError` naming the
+    file.  The file is mapped once; :meth:`values`, :meth:`codes` and the
+    string members are views of that mapping.
     """
 
     def __init__(
@@ -228,19 +239,30 @@ class SpoolReader:
         path: Path,
         strings: Iterable[str],
         values: Mapping[str, Any],
+        coded: Iterable[str] = (),
     ) -> None:
         self.path = path
-        strings = tuple(strings)
+        coded = tuple(coded)
+        strings = tuple(strings) + coded
         expected = {name: np.dtype(dtype) for name, dtype in values.items()}
         for name in strings:
             expected[f"{name}_bytes"] = np.dtype(np.uint8)
             expected[f"{name}_offsets"] = np.dtype(np.int64)
+        for name in coded:
+            expected[f"{name}_codes"] = np.dtype(np.int32)
         try:
             mapped = np.memmap(path, dtype=np.uint8, mode="r").view(np.ndarray)
         except (OSError, ValueError) as exc:
             raise self.error(f"cannot be mapped ({exc})") from exc
         self._members = self._parse(mapped, expected)
         self._rows = {name: self._check_strings(name) for name in strings}
+        for name in coded:
+            codes = self.codes(name)
+            if codes.size and (codes.min() < 0 or codes.max() >= self._rows[name]):
+                raise self.error(
+                    f"coded column {name!r} holds a code outside its table of "
+                    f"{self._rows[name]}"
+                )
 
     def error(self, problem: str) -> DatasetError:
         return DatasetError(f"corrupt spool {self.path}: {problem}")
@@ -311,7 +333,7 @@ class SpoolReader:
         return rows
 
     def rows(self, name: str) -> int:
-        """Rows in string column ``name``."""
+        """Rows in string column ``name`` (a coded column's table rows)."""
         return self._rows[name]
 
     def strings(self, name: str, start: int, stop: int) -> list[str]:
@@ -331,6 +353,14 @@ class SpoolReader:
     def values(self, name: str) -> np.ndarray:
         """A numeric member (a read-only view of the mapping)."""
         return self._members[name]
+
+    def codes(self, name: str) -> np.ndarray:
+        """A coded column's per-row codes into :meth:`table`."""
+        return self._members[f"{name}_codes"]
+
+    def table(self, name: str) -> list[str]:
+        """A coded column's table, decoded."""
+        return self.strings(name, 0, self._rows[name])
 
 
 class Interner:

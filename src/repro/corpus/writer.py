@@ -14,12 +14,17 @@ which is the reference the corpus tests check the store against.
 Memory model: while crawling, only the pages of in-flight instances are
 buffered (sealed spools live on disk); the merge streams each spool in
 bounded row chunks, so at any moment it holds one chunk of decoded
-strings, the URL intern table, and at most one pending shard of
-columns — the full corpus never exists in memory, as Python objects or
-otherwise.  The spool format, the journaled seal/resume lifecycle and
-the shard flushing are shared with the follower graph
-(:mod:`repro.corpus.sharded`); this module holds what is corpus-only:
-the toot spool columns and the URL-dedup merge.
+URLs, one spool's decoded account, domain and hashtag tables, the URL
+intern table, and at most one pending shard of columns — the full
+corpus never exists in memory, as Python objects or otherwise.  Spools
+hold accounts, author domains and hashtags as per-spool codes, so the
+merge tells home from remote rows by one gather over the domain codes
+and maps only new rows' codes onto the store's intern tables; only URLs
+are decoded row by row, for the exact first-seen dedup.  The spool
+format, the journaled seal/resume lifecycle and the shard flushing are
+shared with the follower graph (:mod:`repro.corpus.sharded`); this
+module holds what is corpus-only: the toot spool columns and the
+URL-dedup merge.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import logging
 import time
 from itertools import repeat
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -93,21 +98,51 @@ _SPOOL_DTYPES = dict(
     favourites=np.int32,
 )
 
-#: The spool's string columns: one row per toot, except ``hashtag_flat``
-#: (one row per hashtag, framed by the ``hashtag_indptr`` member).
-_SPOOL_STRINGS = ("url", "account", "author_domain", "hashtag_flat")
+#: The spool's coded string columns (a per-spool table of values plus one
+#: ``int32`` code per row): one row per toot, except ``hashtag_flat`` (one
+#: row per hashtag, framed by the ``hashtag_indptr`` member).  ``url``,
+#: unique within a spool, stays a plain string column.
+_SPOOL_CODED = ("account", "author_domain", "hashtag_flat")
+
+#: A coded column as :meth:`_InstanceSpool.add_columns` takes it: a table
+#: of values the caller owns, and one integer code into it per row.
+CodedColumn = tuple[Sequence[str], np.ndarray]
+
+
+def _intern_rows(values: list[str]) -> tuple[list[str], np.ndarray]:
+    """A row-mode column as its distinct values (first seen first) and codes."""
+    table = list(dict.fromkeys(values))
+    code = dict(zip(table, range(len(table))))
+    return table, np.fromiter(map(code.__getitem__, values), np.int32, len(values))
+
+
+def _used_entries(table: Sequence[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Column-mode codes into ``table``, narrowed to the entries they use.
+
+    A presence mask and a running count renumber the used entries in
+    table order, so the seal costs two passes over the codes and no sort.
+    """
+    used = np.zeros(len(table), dtype=np.bool_)
+    used[codes] = True
+    local = np.cumsum(used, dtype=np.int32) - 1
+    return list(map(table.__getitem__, np.flatnonzero(used).tolist())), local[codes]
 
 
 class _InstanceSpool:
     """Column buffers for one instance's federated-timeline crawl.
 
     Two ingestion styles share the buffers: row-at-a-time (``add_page``
-    / ``add_records``, the crawler path) appends scalars, while the
-    vectorised path (``add_columns``, the scenario-to-corpus stream)
-    appends whole numpy chunks for the value columns so no per-toot
-    Python object is ever built.  Value rows are ordered scalar rows
-    first, then chunk rows, so mixing the two styles within one instance
-    is rejected to keep row order well-defined.
+    / ``add_records``, the crawler path) appends scalars and strings,
+    while the vectorised path (``add_columns``, the scenario-to-corpus
+    stream) appends whole numpy chunks, with the ``account``,
+    ``author_domain`` and ``hashtag_flat`` columns as integer codes into
+    tables the caller owns, so no per-toot Python object but the URL is
+    ever built.  The seal writes those three as coded columns (see
+    :mod:`repro.corpus.sharded`): row mode interns each column's strings
+    per spool, column mode narrows the caller's table to the entries its
+    codes use.  Value rows are ordered scalar rows first, then chunk
+    rows, so mixing the two styles within one instance is rejected to
+    keep row order well-defined.
     """
 
     def __init__(self, domain: str) -> None:
@@ -127,6 +162,8 @@ class _InstanceSpool:
             name: [] for name in _SPOOL_VALUE_COLUMNS
         }
         self._length_chunks: list[np.ndarray] = []
+        self._code_tables: dict[str, Sequence[str]] = {}
+        self._code_chunks: dict[str, list[np.ndarray]] = {name: [] for name in _SPOOL_CODED}
         self._mode: str | None = None
 
     def _enter_mode(self, mode: str) -> None:
@@ -180,22 +217,26 @@ class _InstanceSpool:
         self,
         *,
         urls: list[str],
-        accounts: list[str],
-        author_domains: list[str],
+        accounts: CodedColumn,
+        author_domains: CodedColumn,
         toot_id: np.ndarray,
         created_minute: np.ndarray,
         is_boost: np.ndarray,
         sensitive: np.ndarray,
         media_attachments: np.ndarray,
         favourites: np.ndarray,
-        hashtag_flat: list[str],
+        hashtag_flat: CodedColumn,
         hashtag_lengths: np.ndarray,
     ) -> int:
         """Append whole columns (the vectorised scenario-to-corpus path).
 
-        String columns arrive as Python lists (the spool's string format
-        joins them once at seal time); value columns arrive as numpy
-        arrays and are buffered as chunks — no per-toot scalars.
+        ``urls`` arrive as a Python list (the spool's string format joins
+        them once at seal time).  ``accounts``, ``author_domains`` and
+        ``hashtag_flat`` arrive as ``(table, codes)`` pairs: a table of
+        values the caller owns, the same one on every call for this
+        instance, and an integer code into it per row (per hashtag).
+        Value columns arrive as numpy arrays.  All are buffered as
+        chunks — no per-toot scalars — after every column is checked.
         """
         self._enter_mode("columns")
         rows = len(urls)
@@ -207,6 +248,7 @@ class _InstanceSpool:
             media_attachments=media_attachments,
             favourites=favourites,
         )
+        arrays = {}
         for name, column in values.items():
             array = np.asarray(column)
             if array.shape != (rows,):
@@ -214,20 +256,38 @@ class _InstanceSpool:
                     f"column {name!r} has {array.shape[0] if array.ndim else 0} rows, "
                     f"expected {rows}"
                 )
-            self._value_chunks[name].append(array.astype(_SPOOL_DTYPES[name], copy=False))
+            arrays[name] = array.astype(_SPOOL_DTYPES[name], copy=False)
         lengths = np.asarray(hashtag_lengths)
         if lengths.shape != (rows,):
             raise DatasetError("hashtag_lengths must have one entry per row")
-        if int(lengths.sum()) != len(hashtag_flat):
-            raise DatasetError("hashtag_lengths do not sum to len(hashtag_flat)")
-        if len(accounts) != rows or len(author_domains) != rows:
-            raise DatasetError("string columns must have one entry per row")
+        coded = {
+            "account": self._checked_codes("account", accounts, rows),
+            "author_domain": self._checked_codes("author_domain", author_domains, rows),
+            "hashtag_flat": self._checked_codes("hashtag_flat", hashtag_flat, int(lengths.sum())),
+        }
+        for name, array in arrays.items():
+            self._value_chunks[name].append(array)
+        for name, (table, codes) in coded.items():
+            self._code_tables.setdefault(name, table)
+            self._code_chunks[name].append(codes)
         self._length_chunks.append(lengths.astype(np.int64, copy=False))
         self.url.extend(urls)
-        self.account.extend(accounts)
-        self.author_domain.extend(author_domains)
-        self.hashtag_flat.extend(hashtag_flat)
         return rows
+
+    def _checked_codes(self, name: str, column: CodedColumn, rows: int) -> CodedColumn:
+        """One ``(table, codes)`` column, its ``rows`` codes checked against its table."""
+        table, codes = column
+        codes = np.asarray(codes)
+        if codes.shape != (rows,) or codes.dtype.kind not in "iu":
+            raise DatasetError(f"column {name!r} needs {rows} integer codes")
+        known = self._code_tables.get(name, table)
+        if known is not table and list(known) != list(table):
+            raise DatasetError(f"column {name!r} must code every call into one table")
+        if codes.size and (codes.min() < 0 or codes.max() >= len(table)):
+            raise DatasetError(
+                f"column {name!r} holds a code outside its table of {len(table)}"
+            )
+        return table, codes
 
     def seal(self, path: Path) -> None:
         """Write the buffers to one spool file, one column at a time.
@@ -252,30 +312,70 @@ class _InstanceSpool:
             spool.add("hashtag_indptr", indptr)
             self.hashtag_lengths = []
             self._length_chunks = []
-            for name in _SPOOL_STRINGS:
-                spool.add_strings(name, getattr(self, name))
+            spool.add_strings("url", self.url)
+            self.url = []
+            for name in _SPOOL_CODED:
+                chunks = self._code_chunks[name]
+                if chunks:
+                    codes = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+                    table, local = _used_entries(self._code_tables[name], codes)
+                else:
+                    table, local = _intern_rows(getattr(self, name))
+                spool.add_coded(name, table, local)
                 setattr(self, name, [])
+                self._code_chunks[name] = []
 
     @staticmethod
     def open(path: Path) -> SpoolReader:
         """Map a sealed spool file, checking that its columns agree."""
         spool = SpoolReader(
-            path, _SPOOL_STRINGS, {**_SPOOL_DTYPES, "hashtag_indptr": np.int64}
+            path,
+            ("url",),
+            {**_SPOOL_DTYPES, "hashtag_indptr": np.int64},
+            coded=_SPOOL_CODED,
         )
         rows = spool.rows("url")
-        if spool.rows("account") != rows or spool.rows("author_domain") != rows or any(
-            spool.values(name).size != rows for name in _SPOOL_VALUE_COLUMNS
+        if (
+            spool.codes("account").size != rows
+            or spool.codes("author_domain").size != rows
+            or any(spool.values(name).size != rows for name in _SPOOL_VALUE_COLUMNS)
         ):
             raise spool.error("columns disagree on the row count")
         indptr = spool.values("hashtag_indptr")
         if (
             indptr.size != rows + 1
             or indptr[0] != 0
-            or indptr[-1] != spool.rows("hashtag_flat")
+            or indptr[-1] != spool.codes("hashtag_flat").size
             or bool(np.any(indptr[1:] < indptr[:-1]))
         ):
             raise spool.error("hashtag_indptr does not frame the hashtag column")
         return spool
+
+
+class _SpoolCodes:
+    """One coded spool column, its local codes mapped onto a store-wide table.
+
+    A local code is interned, by its string, the first time a new row
+    uses it, in the order the new rows first use them: exactly the codes
+    :meth:`Interner.intern` would give over the new rows' decoded
+    strings, with only the spool's table ever decoded.
+    """
+
+    def __init__(self, spool: SpoolReader, name: str, interner: Interner) -> None:
+        self.local = spool.codes(name)
+        self.table = spool.table(name)
+        self._interner = interner
+        self._global = np.full(len(self.table), -1, dtype=np.int64)
+
+    def globalise(self, local: np.ndarray) -> np.ndarray:
+        """The store-wide codes of ``local`` codes, interning unseen values."""
+        codes = self._global[local]
+        unseen = codes < 0
+        if unseen.any():
+            for code in dict.fromkeys(local[unseen].tolist()):
+                self._global[code] = self._interner.intern_one(self.table[code])
+            codes = self._global[local]
+        return codes
 
 
 class CorpusWriter(ShardedWriter):
@@ -320,10 +420,13 @@ class CorpusWriter(ShardedWriter):
         """Append whole columns observed on ``domain`` (vectorised ingestion).
 
         Accepts the keyword columns of :meth:`_InstanceSpool.add_columns`
-        — string columns as Python lists, value columns as numpy arrays
-        — and is how :meth:`ColumnarScenario.write_corpus
+        — URLs as a Python list; accounts, author domains and hashtags as
+        ``(table, codes)`` pairs into tables the caller owns; value
+        columns as numpy arrays — and is how
+        :meth:`ColumnarScenario.write_corpus
         <repro.fediverse.columnar.ColumnarScenario.write_corpus>` streams
-        generated timelines without building payload dicts.
+        generated timelines without building payload dicts or per-row
+        account, domain and hashtag strings.
         """
         return self._spool(domain).add_columns(**columns)
 
@@ -402,6 +505,11 @@ class CorpusWriter(ShardedWriter):
                 observations[domain] = (0, 0)
                 continue
             collected = domains.intern_one(domain)
+            home = _SpoolCodes(spool, "author_domain", domains)
+            author = _SpoolCodes(spool, "account", authors)
+            tag = _SpoolCodes(spool, "hashtag_flat", hashtags)
+            # which author_domain codes name the collecting instance
+            is_home = np.fromiter(map(domain.__eq__, home.table), np.bool_, len(home.table))
             tag_indptr = spool.values("hashtag_indptr")
             home_observed = 0
 
@@ -409,9 +517,8 @@ class CorpusWriter(ShardedWriter):
                 stop = min(start + MERGE_CHUNK_ROWS, n_rows)
                 rows = stop - start
                 urls = spool.strings("url", start, stop)
-                author_domains = spool.strings("author_domain", start, stop)
-                home_mask = np.fromiter(map(domain.__eq__, author_domains), np.bool_, rows)
-                home_observed += int(home_mask.sum())
+                home_mask = is_home[home.local[start:stop]]
+                home_observed += int(np.count_nonzero(home_mask))
 
                 # URL dedup, first seen wins: known URLs resolve in C, and
                 # only the misses (new URLs, and repeats of a URL that is
@@ -431,24 +538,19 @@ class CorpusWriter(ShardedWriter):
                     continue
                 new_count = len(new_rows)
                 taken = np.asarray(new_rows, dtype=np.int64)
+                spool_rows = taken + start
+                home_codes = home.globalise(home.local[spool_rows])
+                author_codes = author.globalise(author.local[spool_rows])
 
-                home_codes = domains.intern(list(map(author_domains.__getitem__, new_rows)))
-                accounts = spool.strings("account", start, stop)
-                author_codes = authors.intern(list(map(accounts.__getitem__, new_rows)))
-                del accounts, author_domains
-
-                # hashtags: decode the chunk's tag range, keep the new rows'
-                chunk_ptr = tag_indptr[start : stop + 1]
-                tag_lo = int(chunk_ptr[0])
-                tags = spool.strings("hashtag_flat", tag_lo, int(chunk_ptr[-1]))
-                lengths = (chunk_ptr[1:] - chunk_ptr[:-1])[taken]
+                # hashtags: the new rows' ranges of the flat tag codes
+                starts = tag_indptr[spool_rows]
+                lengths = tag_indptr[spool_rows + 1] - starts
                 local_indptr = np.zeros(new_count + 1, dtype=np.int64)
                 np.cumsum(lengths, out=local_indptr[1:])
-                positions = np.repeat(
-                    chunk_ptr[:-1][taken] - tag_lo - local_indptr[:-1], lengths
-                ) + np.arange(local_indptr[-1], dtype=np.int64)
-                flat_codes = hashtags.intern(list(map(tags.__getitem__, positions.tolist())))
-                del tags
+                positions = np.repeat(starts - local_indptr[:-1], lengths) + np.arange(
+                    local_indptr[-1], dtype=np.int64
+                )
+                flat_codes = tag.globalise(tag.local[positions])
 
                 home_toots.ensure(len(domains))
                 home_toots.add_at(home_codes)

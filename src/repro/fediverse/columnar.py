@@ -13,8 +13,8 @@ anything: :meth:`ColumnarScenario.timeline_page` serves
 ``Timeline.page``-shaped payload pages straight from the columns,
 :meth:`ColumnarScenario.write_corpus` streams the federated-timeline
 crawl of every online instance into a
-:class:`~repro.corpus.writer.CorpusWriter` (never holding more than one
-instance's render chunk), and :meth:`ColumnarScenario.write_graph`
+:class:`~repro.corpus.writer.CorpusWriter` (rendering each toot's URL
+once, and otherwise one instance's chunk at a time), and :meth:`ColumnarScenario.write_graph`
 streams the follower crawl into a
 :class:`~repro.corpus.graph.GraphWriter`.  For differential testing,
 :meth:`ColumnarScenario.to_network` materialises the *same* columns into
@@ -673,14 +673,22 @@ class ColumnarScenario:
         Produces exactly what :class:`~repro.crawler.toot_crawler.TootCrawler`
         collects from :meth:`to_network`'s materialisation at the same
         minute: per reachable, non-blocked instance, the public federated
-        timeline newest-first.  Rows render in bounded chunks, so peak
-        memory is one instance's row indices plus one chunk of strings.
-        Returns rows written per instance; the caller finalises.
+        timeline newest-first.  Accounts, author domains and hashtags go
+        to the writer as codes into the scenario's handle, domain and tag
+        tables.  Each toot's URL is rendered once, on its first
+        observation, and reused by every later instance that observes
+        it, so the rendered URLs (one string per observed toot, plus a
+        row mask) live for the whole call; beyond them, rows go out in
+        bounded chunks.  Returns rows written per instance; the caller
+        finalises.
         """
         minute = self.config.window_minutes - 1 if at_minute is None else at_minute
-        handles, user_domains = self._user_handle_tables()
+        handles, _ = self._user_handle_tables()
+        domains = self._instance_domains()
         url_prefixes = self._url_prefixes()
         tag_names = self._tag_names()
+        urls = np.empty(self.n_toots, dtype=object)
+        unrendered = np.ones(self.n_toots, dtype=np.bool_)
         written: dict[str, int] = {}
         for descriptor in sorted(self.descriptors, key=lambda d: d.domain):
             if not self._crawlable(descriptor, minute):
@@ -693,28 +701,32 @@ class ColumnarScenario:
             total = int(rows.size)
             for start in range(0, total, chunk_rows):
                 chunk = rows[start : start + chunk_rows]
-                authors = self.toot_author[chunk].tolist()
+                fresh = chunk[unrendered[chunk]]
+                if fresh.size:
+                    urls[fresh] = list(
+                        map(
+                            str.__add__,
+                            map(url_prefixes.__getitem__, self.toot_author[fresh].tolist()),
+                            map(str, (fresh + 1).tolist()),
+                        )
+                    )
+                    unrendered[fresh] = False
+                authors = self.toot_author[chunk]
                 ids = chunk + 1
                 tags = self.toot_tag[chunk]
                 tagged = tags >= 0
                 writer.add_columns(
                     domain,
-                    urls=list(
-                        map(
-                            str.__add__,
-                            map(url_prefixes.__getitem__, authors),
-                            map(str, ids.tolist()),
-                        )
-                    ),
-                    accounts=list(map(handles.__getitem__, authors)),
-                    author_domains=list(map(user_domains.__getitem__, authors)),
+                    urls=urls[chunk].tolist(),
+                    accounts=(handles, authors),
+                    author_domains=(domains, self.user_instance[authors]),
                     toot_id=ids,
                     created_minute=self.toot_created[chunk],
                     is_boost=self.toot_boost_of[chunk] > 0,
                     sensitive=self.toot_cw[chunk],
                     media_attachments=self.toot_media[chunk].astype(np.int32),
                     favourites=np.zeros(chunk.size, dtype=np.int32),
-                    hashtag_flat=[tag_names[tag] for tag in tags[tagged].tolist()],
+                    hashtag_flat=(tag_names, tags[tagged]),
                     hashtag_lengths=tagged.astype(np.int64),
                 )
             writer.end_instance(domain)

@@ -173,12 +173,56 @@ def index_past_eof(path: Path) -> None:
     path.write_bytes(members + encoded + SPOOL_TRAILER.pack(len(encoded), SPOOL_MAGIC))
 
 
+def code_outside_table(path: Path) -> None:
+    """Point the first row's author-domain code one past the end of its table."""
+    data = bytearray(path.read_bytes())
+    _, index = split_spool(path)
+    offset = index["author_domain_codes"]["offset"]
+    table_rows = index["author_domain_offsets"]["shape"][0] - 1
+    data[offset : offset + 4] = np.int32(table_rows).tobytes()
+    path.write_bytes(bytes(data))
+
+
 #: Ways a journal-sealed spool file can be damaged after its seal.
 SPOOL_DAMAGE = {
     "truncated": truncate_spool,
     "bad-trailer": corrupt_trailer,
     "index-past-eof": index_past_eof,
+    "code-outside-table": code_outside_table,
 }
+
+#: Damage to a coded column, which only the corpus spool has.
+CORPUS_ONLY_DAMAGE = {"code-outside-table"}
+
+#: Every (writer kind, damage) pair that applies.
+DAMAGE_CASES = [
+    (kind, damage)
+    for kind in sorted(WRITER_KINDS)
+    for damage in sorted(SPOOL_DAMAGE)
+    if kind == "corpus" or damage not in CORPUS_ONLY_DAMAGE
+]
+
+#: The numeric members of a corpus spool.
+VALUE_MEMBERS = (
+    "toot_id", "created_minute", "is_boost", "sensitive", "media_attachments",
+    "favourites", "hashtag_indptr",
+)
+
+
+def rewrite_in_string_layout(path: Path) -> None:
+    """Rewrite a corpus spool as sealed before coded columns: four string columns."""
+    spool = CorpusWriter.spool_class.open(path)
+    members = {name: np.array(spool.values(name)) for name in VALUE_MEMBERS}
+    strings = {"url": spool.strings("url", 0, spool.rows("url"))}
+    for name in ("account", "author_domain", "hashtag_flat"):
+        table = spool.table(name)
+        strings[name] = [table[code] for code in spool.codes(name).tolist()]
+    del spool
+    with sharded.SpoolFile(path) as old:
+        for name, array in members.items():
+            old.add(name, array)
+        for name, values in strings.items():
+            old.add_strings(name, values)
 
 
 @pytest.fixture(params=sorted(WRITER_KINDS))
@@ -222,7 +266,7 @@ class TestWriterRecovery:
         ])
         resumed._journal.close()
 
-    @pytest.mark.parametrize("damage", sorted(SPOOL_DAMAGE))
+    @pytest.mark.parametrize(("kind", "damage"), DAMAGE_CASES, indirect=["kind"])
     def test_damaged_sealed_spool_is_quarantined_and_recrawled(
         self, tmp_path, kind, damage
     ):
@@ -241,7 +285,7 @@ class TestWriterRecovery:
         store = resumed.finalise(crawl_minute=result.crawl_minute)
         assert store.content_digest() == clean_digest(kind, network, tmp_path / "clean")
 
-    @pytest.mark.parametrize("damage", sorted(SPOOL_DAMAGE))
+    @pytest.mark.parametrize(("kind", "damage"), DAMAGE_CASES, indirect=["kind"])
     def test_damaged_sealed_spool_fails_finalise_by_name(self, tmp_path, kind, damage):
         network = chaos_network()
         writer = kind.writer(tmp_path, shard_size=40)
@@ -272,6 +316,23 @@ class TestWriterRecovery:
         assert quarantined == ["beta.example"]
         result = kind.crawl(network, resumed)
         assert result.resumed == ["alpha.example"]
+        store = resumed.finalise(crawl_minute=result.crawl_minute)
+        assert store.content_digest() == clean_digest(kind, network, tmp_path / "clean")
+
+    def test_string_layout_corpus_spool_is_quarantined_and_recrawled(self, tmp_path):
+        kind = WRITER_KINDS["corpus"]
+        network = chaos_network()
+        first = kind.writer(tmp_path / "interrupted", shard_size=40)
+        assert kind.crawl_one(network, first, "alpha.example") > 0
+        first._journal.close()  # "crash" before the other instances
+        rewrite_in_string_layout(tmp_path / "interrupted" / "spool" / "alpha.example.spool")
+
+        resumed = kind.writer(tmp_path / "interrupted", shard_size=40, resume=True)
+        assert resumed.sealed_domains() == set()
+        quarantined = [p.name for p in (tmp_path / "interrupted" / "quarantine").iterdir()]
+        assert quarantined == ["alpha.example.spool"]
+        result = kind.crawl(network, resumed)
+        assert result.resumed == []
         store = resumed.finalise(crawl_minute=result.crawl_minute)
         assert store.content_digest() == clean_digest(kind, network, tmp_path / "clean")
 

@@ -72,9 +72,29 @@ def crawls(draw):
     return order, instances, draw(st.integers(1, 20)), draw(st.integers(1, 8))
 
 
+def coded(table: list[str], values: list[str]) -> tuple[list[str], np.ndarray]:
+    """``values`` as ``add_columns`` takes a coded column: codes into ``table``."""
+    code = {value: index for index, value in enumerate(table)}
+    return table, np.array([code[value] for value in values], dtype=np.int64)
+
+
 def ingest(writer: CorpusWriter, domain: str, style: str, rows: list[TootRecord]) -> None:
-    """Feed ``rows`` in two calls of one ingestion style, then seal."""
+    """Feed ``rows`` in two calls of one ingestion style, then seal.
+
+    The columns style codes accounts, author domains and hashtags into one
+    table per column for the instance, as a caller that owns its tables
+    does: here each holds the instance's values in reverse first-seen
+    order plus an entry no row uses.
+    """
     half = len(rows) // 2
+    tables = {
+        name: list(dict.fromkeys(reversed(values))) + ["unused"]
+        for name, values in (
+            ("account", [r.account for r in rows]),
+            ("author_domain", [r.author_domain for r in rows]),
+            ("hashtag", [tag for r in rows for tag in r.hashtags]),
+        )
+    }
     for part in (rows[:half], rows[half:]):
         if not part:
             continue
@@ -95,15 +115,15 @@ def ingest(writer: CorpusWriter, domain: str, style: str, rows: list[TootRecord]
             writer.add_columns(
                 domain,
                 urls=[r.url for r in part],
-                accounts=[r.account for r in part],
-                author_domains=[r.author_domain for r in part],
+                accounts=coded(tables["account"], [r.account for r in part]),
+                author_domains=coded(tables["author_domain"], [r.author_domain for r in part]),
                 toot_id=np.array([r.toot_id for r in part]),
                 created_minute=np.array([r.created_at for r in part]),
                 is_boost=np.array([r.is_boost for r in part]),
                 sensitive=np.array([r.sensitive for r in part]),
                 media_attachments=np.array([r.media_attachments for r in part]),
                 favourites=np.array([r.favourites for r in part]),
-                hashtag_flat=[tag for r in part for tag in r.hashtags],
+                hashtag_flat=coded(tables["hashtag"], [tag for r in part for tag in r.hashtags]),
                 hashtag_lengths=np.array([len(r.hashtags) for r in part], dtype=np.int64),
             )
     writer.end_instance(domain)
@@ -259,10 +279,11 @@ def test_a_string_the_spool_cannot_hold_is_a_dataset_error(tmp_path, bad):
     corpus = CorpusWriter(tmp_path / "corpus")
     corpus.add_columns(
         "a.example", urls=[bad],
-        accounts=["u@a.example"], author_domains=["a.example"],
+        accounts=coded(["u@a.example"], ["u@a.example"]),
+        author_domains=coded(["a.example"], ["a.example"]),
         toot_id=np.array([1]), created_minute=np.array([0]), is_boost=np.array([False]),
         sensitive=np.array([False]), media_attachments=np.array([0]),
-        favourites=np.array([0]), hashtag_flat=[], hashtag_lengths=np.array([0]),
+        favourites=np.array([0]), hashtag_flat=coded([], []), hashtag_lengths=np.array([0]),
     )
     with pytest.raises(DatasetError, match="corpus url values"):
         corpus.end_instance("a.example")
@@ -273,3 +294,33 @@ def test_a_string_the_spool_cannot_hold_is_a_dataset_error(tmp_path, bad):
     with pytest.raises(DatasetError, match="corpus followed values"):
         graph.end_instance("a.example")
     assert graph.finalise().n_edges == 0
+
+
+def test_add_columns_checks_each_coded_column(tmp_path):
+    """A code outside its table, or a second table for one column, is refused."""
+    writer = CorpusWriter(tmp_path)
+    accounts = ["u@a.example"]
+
+    def add(**coded_columns):
+        columns = dict(
+            urls=["https://a.example/1"],
+            accounts=coded(accounts, accounts),
+            author_domains=coded(["a.example"], ["a.example"]),
+            toot_id=np.array([1]), created_minute=np.array([0]), is_boost=np.array([False]),
+            sensitive=np.array([False]), media_attachments=np.array([0]),
+            favourites=np.array([0]), hashtag_flat=coded([], []),
+            hashtag_lengths=np.array([0]),
+        )
+        return writer.add_columns("a.example", **{**columns, **coded_columns})
+
+    with pytest.raises(DatasetError, match="'account' holds a code outside its table of 1"):
+        add(accounts=(accounts, np.array([1])))
+    with pytest.raises(DatasetError, match="'hashtag_flat' needs 0 integer codes"):
+        add(hashtag_flat=(["t"], np.array([0])))
+    assert add() == 1
+    with pytest.raises(DatasetError, match="'account' must code every call into one table"):
+        add(accounts=(["v@a.example"], np.array([0])))
+    writer.end_instance("a.example")
+    store = writer.finalise()
+    assert store.authors.tolist() == accounts
+    assert store.n_observations == 1
