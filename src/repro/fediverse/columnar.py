@@ -675,20 +675,30 @@ class ColumnarScenario:
         minute: per reachable, non-blocked instance, the public federated
         timeline newest-first.  Accounts, author domains and hashtags go
         to the writer as codes into the scenario's handle, domain and tag
-        tables.  Each toot's URL is rendered once, on its first
-        observation, and reused by every later instance that observes
-        it, so the rendered URLs (one string per observed toot, plus a
-        row mask) live for the whole call; beyond them, rows go out in
-        bounded chunks.  Returns rows written per instance; the caller
-        finalises.
+        tables.  Every public toot's URL is rendered once, before the
+        first instance, and reused by every instance that observes the
+        toot, so the rendered URLs (one string per public toot) live for
+        the whole call; beyond them, rows go out in bounded chunks.  One
+        burst keeps the strings together in memory: rendered on first
+        observation, they would sit between each instance's buffers and
+        leave the allocator holding more memory after the call.  Returns
+        rows written per instance; the caller finalises.
         """
         minute = self.config.window_minutes - 1 if at_minute is None else at_minute
         handles, _ = self._user_handle_tables()
         domains = self._instance_domains()
         url_prefixes = self._url_prefixes()
         tag_names = self._tag_names()
+        public = np.flatnonzero(~self.toot_private)
         urls = np.empty(self.n_toots, dtype=object)
-        unrendered = np.ones(self.n_toots, dtype=np.bool_)
+        urls[public] = list(
+            map(
+                str.__add__,
+                map(url_prefixes.__getitem__, self.toot_author[public].tolist()),
+                map(str, (public + 1).tolist()),
+            )
+        )
+        del public
         written: dict[str, int] = {}
         for descriptor in sorted(self.descriptors, key=lambda d: d.domain):
             if not self._crawlable(descriptor, minute):
@@ -701,16 +711,6 @@ class ColumnarScenario:
             total = int(rows.size)
             for start in range(0, total, chunk_rows):
                 chunk = rows[start : start + chunk_rows]
-                fresh = chunk[unrendered[chunk]]
-                if fresh.size:
-                    urls[fresh] = list(
-                        map(
-                            str.__add__,
-                            map(url_prefixes.__getitem__, self.toot_author[fresh].tolist()),
-                            map(str, (fresh + 1).tolist()),
-                        )
-                    )
-                    unrendered[fresh] = False
                 authors = self.toot_author[chunk]
                 ids = chunk + 1
                 tags = self.toot_tag[chunk]
