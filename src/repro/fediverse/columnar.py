@@ -14,8 +14,8 @@ anything: :meth:`ColumnarScenario.timeline_page` serves
 :meth:`ColumnarScenario.write_corpus` streams the federated-timeline
 crawl of every online instance into a
 :class:`~repro.corpus.writer.CorpusWriter` (rendering each toot's URL
-once, and otherwise one instance's chunk at a time), and :meth:`ColumnarScenario.write_graph`
-streams the follower crawl into a
+once, and otherwise one instance's chunk at a time), and
+:meth:`ColumnarScenario.write_graph` streams the follower crawl into a
 :class:`~repro.corpus.graph.GraphWriter`.  For differential testing,
 :meth:`ColumnarScenario.to_network` materialises the *same* columns into
 a real :class:`FediverseNetwork`, so the streamed corpus/graph can be
