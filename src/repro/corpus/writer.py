@@ -276,6 +276,8 @@ class _InstanceSpool:
 
     def _checked_codes(self, name: str, column: CodedColumn, rows: int) -> CodedColumn:
         """One ``(table, codes)`` column, its ``rows`` codes checked against its table."""
+        if not (isinstance(column, tuple) and len(column) == 2):
+            raise DatasetError(f"column {name!r} must be a (table, codes) pair")
         table, codes = column
         codes = np.asarray(codes)
         if codes.shape != (rows,) or codes.dtype.kind not in "iu":

@@ -297,7 +297,8 @@ def test_a_string_the_spool_cannot_hold_is_a_dataset_error(tmp_path, bad):
 
 
 def test_add_columns_checks_each_coded_column(tmp_path):
-    """A code outside its table, or a second table for one column, is refused."""
+    """A column that is no (table, codes) pair, a code outside its table,
+    a wrong code count, or a second table for one column, is refused."""
     writer = CorpusWriter(tmp_path)
     accounts = ["u@a.example"]
 
@@ -313,6 +314,8 @@ def test_add_columns_checks_each_coded_column(tmp_path):
         )
         return writer.add_columns("a.example", **{**columns, **coded_columns})
 
+    with pytest.raises(DatasetError, match=r"'account' must be a \(table, codes\) pair"):
+        add(accounts=accounts)
     with pytest.raises(DatasetError, match="'account' holds a code outside its table of 1"):
         add(accounts=(accounts, np.array([1])))
     with pytest.raises(DatasetError, match="'hashtag_flat' needs 0 integer codes"):
