@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import availability
+from repro.errors import AnalysisError
 from repro.experiments.context import ExperimentContext
 from repro.experiments.registry import register_runner
 from repro.experiments.results import ExperimentResult, ResultSeries, ResultTable
@@ -25,6 +26,11 @@ def run_fig7(ctx: ExperimentContext) -> ExperimentResult:
     cdf = availability.downtime_cdf(ctx.data.instances)
     headlines = availability.downtime_headlines(ctx.data.instances)
     impacts = availability.unavailability_impact(ctx.data.instances)
+    if not impacts:
+        raise AnalysisError(
+            "fig7 reports what a failing instance takes down, but no instance "
+            "that came back had an outage"
+        )
     correlation = availability.popularity_downtime_correlation(ctx.data.instances)
     users = [impact.users for impact in impacts]
     toots = [impact.toots for impact in impacts]
