@@ -1,13 +1,19 @@
-"""Fail unless every perfbench smoke log's stores match the committed snapshot.
+"""Fail unless every perfbench smoke log matches the committed snapshot.
 
 Each workload of ``perfbench/run.py`` prints one ``{"provenance": ...}``
 line naming the corpus and graph stores it built.  Their content
 digests and row counts are fixed by the workloads' dataset seed, not by
 ``--seed``, so a change that moves one has changed what collect writes.
-This reads ``perfbench-<workload>.log`` in LOG_DIR for every workload in
-the snapshot, compares each snapshot field with the log's provenance
-line, and exits 1 naming the workload and field of every difference,
-and every log or provenance line that is missing.
+A traced run (``--trace 1``) ends with a JSON line of per-layer
+metrics; the snapshot's ``counts`` are the ones that are exact work
+counts at the smoke run's ``--seed 1 --seconds 5`` (requests crawled,
+column reads, replicas placed, ...), so a change that moves one has
+changed how much work a layer does.  This reads
+``perfbench-<workload>.log`` in LOG_DIR for every workload in the
+snapshot, compares each snapshot field with the log's provenance line
+and each count with the log's last line, and exits 1 naming the
+workload and field of every difference, and every log, provenance line
+or metric that is missing.
 
 Usage::
 
@@ -31,6 +37,16 @@ def provenance(log: Path) -> dict | None:
     return found
 
 
+def metrics(log: Path) -> dict:
+    """``{name: value}`` from the run's last line (empty if it is no JSON)."""
+    lines = log.read_text().splitlines()
+    try:
+        last = json.loads(lines[-1]) if lines else {}
+    except json.JSONDecodeError:
+        return {}
+    return {name: metric["value"] for name, metric in last.get("metrics", {}).items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("snapshot", type=Path)
@@ -44,16 +60,24 @@ def main(argv: list[str] | None = None) -> int:
         if found is None:
             problems.append(f"{workload}: no provenance line in {log}")
             continue
+        expected = dict(expected)
+        counts = expected.pop("counts", {})
         problems += [
             f"{workload}: {field} is {found.get(field)!r}, the snapshot holds {value!r}"
             for field, value in sorted(expected.items())
             if found.get(field) != value
         ]
+        measured = metrics(log)
+        problems += [
+            f"{workload}: count {name} is {measured.get(name)!r}, the snapshot holds {value!r}"
+            for name, value in sorted(counts.items())
+            if measured.get(name) != value
+        ]
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         return 1
-    print(f"{len(snapshot)} workloads' stores equal {args.snapshot}")
+    print(f"{len(snapshot)} workloads' stores and work counts equal {args.snapshot}")
     return 0
 
 
