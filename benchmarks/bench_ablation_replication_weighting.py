@@ -22,7 +22,7 @@ STEPS = 40
 
 def test_ablation_weighted_replication(benchmark, data):
     ranking = resilience.rank_instances(
-        data.graphs.federation_graph,
+        data.graphs,
         toots_per_instance=data.toots.toots_per_instance(),
         by="toots",
     )

@@ -32,7 +32,7 @@ def main(preset: str = "tiny", seed: int = 55) -> None:
     instances = data.instances
 
     ranking = resilience.rank_instances(
-        data.graphs.federation_graph,
+        data.graphs,
         toots_per_instance=toots.toots_per_instance(),
         by="toots",
     )

@@ -36,10 +36,10 @@ def main(preset: str = "tiny", seed: int = 33) -> None:
     # -- Fig. 12: removing top user accounts -------------------------------------
     twitter = TwitterBaselines.generate(days=30, n_users=graphs.user_count(), seed=seed)
     mastodon_steps = removal.user_removal_sweep_matrix(
-        graphs.follower_graph, rounds=10, fraction_per_round=0.01
+        graphs.follower_matrix, rounds=10, fraction_per_round=0.01
     )
     twitter_steps = removal.user_removal_sweep_matrix(
-        twitter.follower_graph, rounds=10, fraction_per_round=0.01
+        twitter.follower_matrix, rounds=10, fraction_per_round=0.01
     )
     rows = [
         [
@@ -60,8 +60,8 @@ def main(preset: str = "tiny", seed: int = 33) -> None:
     # -- Fig. 13(a): removing top instances --------------------------------------
     users = instances.users_per_instance()
     toots = instances.toots_per_instance()
-    ranking = resilience.rank_instances(graphs.federation_graph, users, toots, by="users")
-    steps = removal.ranked_removal_sweep_matrix(graphs.federation_graph, ranking, steps=20)
+    ranking = resilience.rank_instances(graphs, users, toots, by="users")
+    steps = removal.ranked_removal_sweep_matrix(graphs.federation_matrix, ranking, steps=20)
     rows = [
         [step.removed_count, format_percentage(step.lcc_fraction), step.components]
         for step in steps[::4]
@@ -79,7 +79,7 @@ def main(preset: str = "tiny", seed: int = 33) -> None:
     asn_of = {d: instances.metadata_for(d).asn for d in instances.domains()}
     as_ranking = resilience.rank_ases(asn_of, users, by="users")
     as_steps = removal.as_removal_sweep_matrix(
-        graphs.federation_graph, asn_of, as_ranking, steps=8
+        graphs.federation_matrix, asn_of, as_ranking, steps=8
     )
     rows = [
         [index, format_percentage(step.lcc_fraction), step.components]

@@ -23,7 +23,7 @@ The names below resolve on first use (a module-level ``__getattr__``,
 PEP 562), each by importing the module that defines it:
 ``from repro import collect_datasets`` loads the crawl stack, while
 ``import repro.serve`` loads only the corpus, the engine kernels and the
-HTTP front, never the simulator, the crawler or networkx.
+HTTP front, never the simulator, the crawler or scipy.
 
 Quick start::
 

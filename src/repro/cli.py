@@ -14,7 +14,7 @@ Seven subcommands cover the common workflows::
 
 The CLI is a thin wrapper over the public API, and each command imports
 only the modules it runs (``serve`` loads the stores, the engine kernels
-and the HTTP front, never the simulator, the crawler or networkx).
+and the HTTP front, never the simulator, the crawler or scipy).
 ``run`` dispatches through :func:`repro.experiments.run_experiments`
 (one shared, memoised pipeline for any subset of the paper's
 experiments), ``report`` is a view over the same runners' headline

@@ -66,7 +66,7 @@ class CollectedDatasets:
     #: The columnar corpus the toot crawl streamed into (``toots`` reads it).
     corpus: "CorpusStore"
     #: The edge-shard store the follower crawl streamed into (``graphs``
-    #: is rebuilt from its edges).
+    #: holds its columns).
     graph_store: "GraphStore"
     #: Fetched-versus-attempted accounting of the toot crawl
     #: (:meth:`CrawlCoverage.as_dict
@@ -107,11 +107,11 @@ def collect_datasets(
     (:mod:`repro.corpus.graph`) at ``graph_dir``; ``corpus`` and
     ``graph_store`` carry the opened stores.  The ``toots`` dataset
     answers from the corpus columns, placements and availability sweeps
-    build from them directly, and the networkx-backed ``graphs`` dataset
-    is rebuilt from the store's decoded edges (identical graph, since the
-    store preserves crawl order).  Without a directory, a store is written
-    to a temporary directory that is removed once the store object is
-    garbage-collected, or at interpreter exit.  A directory that already
+    build from them directly, and the ``graphs`` dataset holds the graph
+    store's integer columns (no edge is decoded to its handles).  Without
+    a directory, a store is written to a temporary directory that is
+    removed once the store object is garbage-collected, or at interpreter
+    exit.  A directory that already
     holds a manifest (a previous ``collect``) is **reused** instead of
     re-crawled, after checking its crawled instances belong to this
     scenario — collect once, run many.  ``corpus_shard_size`` overrides
@@ -146,7 +146,7 @@ def collect_datasets(
     return CollectedDatasets(
         instances=instances,
         toots=TootsDataset.from_corpus(corpus),
-        graphs=GraphDataset.from_edges(graph_store.iter_edge_handles()),
+        graphs=GraphDataset.from_store(graph_store),
         network=network,
         corpus=corpus,
         graph_store=graph_store,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import AnalysisError
 from repro.datasets.graphs import GraphDataset
 from repro.datasets.instances import InstancesDataset
@@ -113,41 +115,47 @@ def top_instances_report(
     ranked = sorted(home_counts, key=lambda d: home_counts[d], reverse=True)[:top]
     toots_per_author = toots.toots_per_author()
 
+    # every cross-instance follow edge, as (follower's, followed's) domain
+    source = graphs.node_domain_codes[graphs.follower]
+    target = graphs.node_domain_codes[graphs.followed]
+    cross = source != target
+    source, target = source[cross], target[cross]
+    followed_toots = np.array(
+        [toots_per_author.get(handle, 0) for handle in graphs.handles.tolist()],
+        dtype=np.float64,
+    )[graphs.followed[cross]]
+    n = graphs.instance_count()
+    cross_degrees = dict(
+        zip(
+            graphs.domains.tolist(),
+            zip(
+                np.bincount(source, minlength=n).tolist(),
+                np.bincount(target, minlength=n).tolist(),
+                np.bincount(target, weights=followed_toots, minlength=n).astype(np.int64).tolist(),
+                np.bincount(source, weights=followed_toots, minlength=n).astype(np.int64).tolist(),
+            ),
+        )
+    )
+    instance_degrees = graphs.instance_degree_table()
+
     rows: list[TopInstanceRow] = []
     for domain in ranked:
-        local_accounts = set(graphs.users_on_instance(domain))
-        user_out = 0
-        user_in = 0
-        toot_out = 0
-        toot_in = 0
-        for account in local_accounts:
-            for _, followed in graphs.follower_graph.out_edges(account):
-                if graphs.follower_graph.nodes[followed].get("domain") != domain:
-                    user_out += 1
-                    toot_in += toots_per_author.get(followed, 0)
-            for follower, _ in graphs.follower_graph.in_edges(account):
-                if graphs.follower_graph.nodes[follower].get("domain") != domain:
-                    user_in += 1
-                    toot_out += toots_per_author.get(account, 0)
+        user_out, user_in, toot_out, toot_in = cross_degrees.get(domain, (0, 0, 0, 0))
+        degrees = instance_degrees.get(domain, {})
         metadata = None
         if domain in instances.metadata:
             metadata = instances.metadata_for(domain)
-        federation = graphs.federation_graph
         rows.append(
             TopInstanceRow(
                 domain=domain,
                 home_toots=home_counts[domain],
-                users=len(local_accounts),
+                users=degrees.get("users", 0),
                 user_out_degree=user_out,
                 user_in_degree=user_in,
                 toot_out_degree=toot_out,
                 toot_in_degree=toot_in,
-                instance_out_degree=(
-                    federation.out_degree(domain) if federation.has_node(domain) else 0
-                ),
-                instance_in_degree=(
-                    federation.in_degree(domain) if federation.has_node(domain) else 0
-                ),
+                instance_out_degree=degrees.get("instance_out_degree", 0),
+                instance_in_degree=degrees.get("instance_in_degree", 0),
                 operator=metadata.operator if metadata else "unknown",
                 as_name=metadata.as_name if metadata else "",
                 country=metadata.country if metadata else "",

@@ -9,8 +9,7 @@ centralisation".
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import Mapping
 
 from repro.errors import AnalysisError
 from repro.datasets.instances import InstancesDataset
@@ -107,23 +106,25 @@ class CountryFlow:
 
 
 def country_federation_flows(
-    federation_graph: nx.DiGraph,
+    federation: Mapping[tuple[str, str], int],
     dataset: InstancesDataset,
     top_sources: int = 5,
 ) -> list[CountryFlow]:
     """Cross-country federated subscription flows (Fig. 6 Sankey data).
 
-    Every edge of the federation graph is attributed to the hosting
-    countries of its two endpoint instances and weighted by the number of
-    underlying follow relationships (the edge ``weight``).
+    ``federation`` maps each federation-graph edge ``(source, target)``
+    to its weight, the number of underlying follow relationships
+    (:meth:`~repro.corpus.graph.GraphColumns.federation_edge_counts`).
+    Every edge is attributed to the hosting countries of its two endpoint
+    instances; flows with equal link counts keep the order in which
+    their first edge appears.
     """
     country_of: dict[str, str] = {
         domain: dataset.metadata_for(domain).country or "unknown"
         for domain in dataset.domains()
     }
     outgoing: dict[str, dict[str, int]] = {}
-    for source, target, data in federation_graph.edges(data=True):
-        weight = int(data.get("weight", 1))
+    for (source, target), weight in federation.items():
         source_country = country_of.get(source, "unknown")
         target_country = country_of.get(target, "unknown")
         outgoing.setdefault(source_country, {}).setdefault(target_country, 0)
@@ -150,7 +151,7 @@ def country_federation_flows(
 
 
 def federation_homophily(
-    federation_graph: nx.DiGraph, dataset: InstancesDataset
+    federation: Mapping[tuple[str, str], int], dataset: InstancesDataset
 ) -> dict[str, float]:
     """Same-country share of federated links and top-5-country concentration.
 
@@ -164,8 +165,7 @@ def federation_homophily(
     total_links = 0
     same_country_links = 0
     links_touching_country: dict[str, int] = {}
-    for source, target, data in federation_graph.edges(data=True):
-        weight = int(data.get("weight", 1))
+    for (source, target), weight in federation.items():
         total_links += weight
         source_country = country_of.get(source, "unknown")
         target_country = country_of.get(target, "unknown")

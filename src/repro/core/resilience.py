@@ -10,12 +10,14 @@ themselves are the engine's (:mod:`repro.engine.resilience`).
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import networkx as nx
-
+from repro.engine.failures import rank_by_count
 from repro.errors import AnalysisError
 from repro.stats.distributions import ECDF
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.corpus.graph import GraphColumns
 
 
 def degree_cdf(degrees: Sequence[int]) -> ECDF:
@@ -26,28 +28,30 @@ def degree_cdf(degrees: Sequence[int]) -> ECDF:
 
 
 def rank_instances(
-    federation_graph: nx.DiGraph,
+    graphs: "GraphColumns",
     users_per_instance: Mapping[str, int] | None = None,
     toots_per_instance: Mapping[str, int] | None = None,
     by: str = "users",
 ) -> list[str]:
-    """Rank instances for removal experiments (Fig. 13a, Fig. 15).
+    """Rank the graph's instances for removal experiments (Fig. 13a, Fig. 15).
 
     ``by`` is one of ``"users"``, ``"toots"`` or ``"connections"`` (total
-    degree in the federation graph).
+    degree in the federation graph).  Ties keep the graph's domain order
+    (:func:`~repro.engine.failures.rank_by_count`).
     """
-    nodes = list(federation_graph.nodes())
     if by == "users":
         if users_per_instance is None:
             raise AnalysisError("ranking by users requires users_per_instance")
-        return sorted(nodes, key=lambda d: users_per_instance.get(d, 0), reverse=True)
-    if by == "toots":
+        counts = users_per_instance
+    elif by == "toots":
         if toots_per_instance is None:
             raise AnalysisError("ranking by toots requires toots_per_instance")
-        return sorted(nodes, key=lambda d: toots_per_instance.get(d, 0), reverse=True)
-    if by == "connections":
-        return sorted(nodes, key=lambda d: federation_graph.degree(d), reverse=True)
-    raise AnalysisError(f"unknown instance ranking: {by!r}")
+        counts = toots_per_instance
+    elif by == "connections":
+        counts = graphs.federation_degrees()
+    else:
+        raise AnalysisError(f"unknown instance ranking: {by!r}")
+    return rank_by_count(graphs.domains.tolist(), counts)
 
 
 def rank_ases(

@@ -26,9 +26,11 @@ the corpus columnar from the first crawled page onward:
 * :class:`GraphWriter` / :class:`GraphStore` — the same treatment for
   the follower graph (:mod:`repro.corpus.graph`): the graph crawler
   streams edges into per-instance spools, ``finalise()`` interns the
-  handles in first-appearance order and flushes integer edge shards, and
-  the store answers the placement/resilience queries (follower-domain
-  sets, adjacency matrices) without ever building a networkx graph;
+  handles in first-appearance order and flushes integer edge shards; its
+  columns are the follower graph's one form, from which the store and
+  the in-memory graphs dataset answer every graph query (follower-domain
+  sets, per-instance users, the federation edge table) with one
+  implementation (:class:`~repro.corpus.graph.GraphColumns`);
 * :mod:`repro.corpus.sharded` — the one store lifecycle both datasets
   share: the journaled spool-per-instance writer with crash recovery
   and quarantine, the sorted-domain merge into fixed-size shards with

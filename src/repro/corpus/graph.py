@@ -11,16 +11,17 @@ order — into fixed-size edge shards plus a node intern table and a
 JSON manifest.
 
 Node codes are assigned in first-appearance order over the merged edge
-stream (follower before followed within each edge, self-loops skipped),
-which is exactly the node insertion order of
-:func:`repro.datasets.graphs.build_follower_graph` over the same edges.
-That makes :meth:`GraphMatrix.from_graph_store
-<repro.engine.resilience.GraphMatrix.from_graph_store>` bit-compatible
-with the networkx round-trip, and lets
-:meth:`GraphStore.follower_domain_sets` feed
-:func:`~repro.engine.placement.subscription_arrays_from_columns`
-without a ``networkx`` graph (or a ``FollowEdgeRecord`` list) ever
-existing.
+stream (follower before followed within each edge, self-loops skipped;
+:class:`EdgeInterner`), and domain codes in first-appearance order over
+the nodes.  These integer columns are the one form of the follower
+graph ``G(V, E)``: :class:`GraphColumns` answers every graph question
+from them — per-instance users, follower-domain sets for the
+subscription placement, and the federation graph ``GF(I, E)`` as a
+``(source, target, weight)`` edge table over the domain codes — for the
+store and for the in-memory :class:`~repro.datasets.graphs.GraphDataset`
+alike, and the removal sweeps build their CSR adjacency from them
+(:meth:`GraphMatrix.from_codes
+<repro.engine.resilience.GraphMatrix.from_codes>`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -99,7 +100,176 @@ class _EdgeSpool:
         return spool
 
 
-class GraphStore(ShardedStore):
+class EdgeInterner:
+    """Interns follower edges into node and domain codes, as the merge does.
+
+    Nodes get codes in first-appearance order, follower before followed
+    within each edge, and each new node's domain a code in
+    first-appearance order over the nodes; self-loops are skipped and
+    counted.  :meth:`GraphWriter._merge` feeds it each spool chunk, and
+    :meth:`GraphDataset.from_edges
+    <repro.datasets.graphs.GraphDataset.from_edges>` any handle list.
+    """
+
+    def __init__(self) -> None:
+        self.nodes = Interner()
+        self.domains = Interner()
+        self.node_domains: list[np.ndarray] = []
+        self.self_loops = 0
+
+    def add(self, followers: list[str], followed: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The ``int32`` (follower, followed) codes of the non-loop edges."""
+        kept = list(map(str.__ne__, followers, followed))
+        n_kept = kept.count(True)
+        self.self_loops += len(kept) - n_kept
+        # follower before followed within each edge: intern the
+        # interleaved handle sequence, first seen in order
+        handles: list[str] = [""] * (2 * n_kept)
+        handles[0::2] = compress(followers, kept)
+        handles[1::2] = compress(followed, kept)
+        known = len(self.nodes)
+        codes = self.nodes.intern(handles)
+        if len(self.nodes) > known:
+            self.node_domains.append(
+                self.domains.intern([split_handle(h)[1] for h in self.nodes.values[known:]])
+            )
+        return codes[0::2].astype(np.int32), codes[1::2].astype(np.int32)
+
+    def tables(self) -> dict[str, np.ndarray]:
+        """The ``handles``, ``node_domains`` and ``domains`` intern tables."""
+        return dict(
+            handles=string_array(self.nodes.values),
+            node_domains=(
+                np.concatenate(self.node_domains)
+                if self.node_domains
+                else np.empty(0, np.int64)
+            ).astype(np.int32),
+            domains=string_array(self.domains.values),
+        )
+
+
+class GraphColumns:
+    """The follower-graph questions, answered from the integer columns.
+
+    A subclass provides the node tables (:attr:`handles`,
+    :attr:`node_domain_codes`, :attr:`domains`) and :meth:`edge_codes`.
+    :class:`GraphStore` reads them from its files and
+    :class:`~repro.datasets.graphs.GraphDataset` holds them in memory, so
+    both answer every question below with this one implementation.
+    """
+
+    handles: np.ndarray
+    node_domain_codes: np.ndarray
+    domains: np.ndarray
+
+    _node_index: dict[str, int] | None = None
+    _federation: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def edge_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge's ``(follower_code, followed_code)``, in store order."""
+        raise NotImplementedError
+
+    def node_index(self) -> dict[str, int]:
+        """Handle → node code (built once, cached)."""
+        if self._node_index is None:
+            self._node_index = {
+                handle: code for code, handle in enumerate(self.handles.tolist())
+            }
+        return self._node_index
+
+    def follower_domain_sets(self, authors: Sequence[str]) -> dict[str, set[str]]:
+        """Author → the domains of the author's followers.
+
+        Keys keep first-appearance order over ``authors`` (duplicates
+        collapse), authors absent from the graph get empty sets, and
+        follower domains are *not* filtered against the author's own home
+        (the subscription expansion drops those later).
+        """
+        result: dict[str, set[str]] = {author: set() for author in authors}
+        if not result or not len(self.handles):
+            return result
+        index = self.node_index()
+        author_flag = np.zeros(len(self.handles), dtype=bool)
+        author_of_code: dict[int, str] = {}
+        for author in result:
+            code = index.get(author)
+            if code is not None:
+                author_flag[code] = True
+                author_of_code[code] = author
+        if not author_of_code:
+            return result
+        follower, followed = self.edge_codes()
+        mask = author_flag[followed]
+        domain_values = self.domains.tolist()
+        n_domains = max(1, len(domain_values))
+        keys = followed[mask].astype(np.int64) * n_domains + self.node_domain_codes[
+            follower[mask]
+        ].astype(np.int64)
+        for key in np.unique(keys).tolist():
+            result[author_of_code[key // n_domains]].add(domain_values[key % n_domains])
+        return result
+
+    def users_per_instance(self) -> dict[str, int]:
+        """Accounts observed in the graph per domain (node counts)."""
+        counts = np.bincount(self.node_domain_codes, minlength=self.domains.shape[0])
+        return {
+            str(domain): int(count)
+            for domain, count in zip(self.domains.tolist(), counts.tolist())
+        }
+
+    def federation_edge_codes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The federation graph ``GF(I, E)`` as ``(source, target, weight)`` columns.
+
+        One row per ordered pair of distinct domains with a follow edge
+        between them: the follower's domain, the followed account's
+        domain (both codes into :attr:`domains`) and the number of follow
+        edges.  Rows run by source code, then by where the pair's first
+        edge falls once the edges are stably sorted by follower code —
+        the order in which a follower-keyed adjacency lists them.  Fig.
+        6's flows keep first-seen order among equal link counts, so this
+        order is part of the output.
+        """
+        if self._federation is None:
+            follower, followed = self.edge_codes()
+            by_follower = np.argsort(follower, kind="stable")
+            source = self.node_domain_codes[follower[by_follower]].astype(np.int64)
+            target = self.node_domain_codes[followed[by_follower]].astype(np.int64)
+            cross = source != target
+            n_domains = max(1, self.domains.shape[0])
+            keys, first, weight = np.unique(
+                source[cross] * n_domains + target[cross],
+                return_index=True,
+                return_counts=True,
+            )
+            order = np.lexsort((first, keys // n_domains))
+            keys = keys[order]
+            self._federation = (keys // n_domains, keys % n_domains, weight[order])
+        return self._federation
+
+    def federation_edge_counts(self) -> dict[tuple[str, str], int]:
+        """``(follower_domain, followed_domain)`` → follow edges, in row order."""
+        source, target, weight = self.federation_edge_codes()
+        domains = self.domains.tolist()
+        return {
+            (domains[s], domains[t]): w
+            for s, t, w in zip(source.tolist(), target.tolist(), weight.tolist())
+        }
+
+    def federation_degrees(self) -> dict[str, int]:
+        """Domain → its distinct federation partners, counted in and out.
+
+        The degree of the domain in ``GF(I, E)``: an instance-removal
+        schedule ranks "by connections" on it.
+        """
+        source, target, _ = self.federation_edge_codes()
+        n_domains = self.domains.shape[0]
+        degrees = np.bincount(source, minlength=n_domains) + np.bincount(
+            target, minlength=n_domains
+        )
+        return dict(zip(self.domains.tolist(), degrees.tolist()))
+
+
+class GraphStore(GraphColumns, ShardedStore):
     """Read-side handle on a columnar follower-graph directory."""
 
     kind = "graph"
@@ -111,8 +281,6 @@ class GraphStore(ShardedStore):
     shard_prefix = "edges"
     code_tables = {"follower_code": "handles", "followed_code": "handles"}
     manifest_keys = {"n_nodes": int, "n_self_loops": int, "edges_collected": dict}
-
-    _node_index: dict[str, int] | None = None
 
     # -- structure -------------------------------------------------------------
 
@@ -153,14 +321,6 @@ class GraphStore(ShardedStore):
         """Every domain hosting at least one node (intern order)."""
         return self._table("domains")
 
-    def node_index(self) -> dict[str, int]:
-        """Handle → node code (built once, cached)."""
-        if self._node_index is None:
-            self._node_index = {
-                handle: code for code, handle in enumerate(self.handles.tolist())
-            }
-        return self._node_index
-
     # -- shard access ----------------------------------------------------------
 
     def shard_edges(self, index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,97 +330,13 @@ class GraphStore(ShardedStore):
             self._checked_column(index, name, handle[name]) for name in EDGE_COLUMNS
         )
 
-    def iter_edges(self) -> Iterator[tuple[tuple[int, int], np.ndarray, np.ndarray]]:
-        """Stream ``((start, stop), follower_code, followed_code)`` per shard."""
-        for index, bounds in enumerate(self.shard_bounds()):
-            follower, followed = self.shard_edges(index)
-            yield bounds, follower, followed
-
-    def iter_edge_handles(self) -> Iterator[tuple[str, str]]:
-        """Stream decoded ``(follower, followed)`` handle pairs, shard by shard.
-
-        The compatibility escape hatch for networkx consumers
-        (:meth:`GraphDataset.from_edges
-        <repro.datasets.graphs.GraphDataset.from_edges>`); the scale
-        paths use the integer columns directly.
-        """
-        handles = self.handles.tolist()
-        for _, follower, followed in self.iter_edges():
-            for src, dst in zip(follower.tolist(), followed.tolist()):
-                yield handles[src], handles[dst]
-
-    # -- columnar consumers ----------------------------------------------------
-
-    def follower_domain_sets(self, authors: Sequence[str]) -> dict[str, set[str]]:
-        """Author → follower-domain sets, straight from the edge columns.
-
-        Equivalent to :func:`repro.engine.placement.follower_domain_sets`
-        over the networkx graph of the same edges: keys keep
-        first-appearance order over ``authors`` (duplicates collapse),
-        authors absent from the graph get empty sets, and follower
-        domains are *not* filtered against the author's own home (the
-        subscription expansion drops those later).
-        """
-        result: dict[str, set[str]] = {author: set() for author in authors}
-        if not result or self.n_nodes == 0:
-            return result
-        index = self.node_index()
-        author_flag = np.zeros(self.n_nodes, dtype=bool)
-        author_of_code: dict[int, str] = {}
-        for author in result:
-            code = index.get(author)
-            if code is not None:
-                author_flag[code] = True
-                author_of_code[code] = author
-        if not author_of_code:
-            return result
-        node_domains = self.node_domain_codes
-        domain_values = self.domains.tolist()
-        n_domains = max(1, len(domain_values))
-        for _, follower, followed in self.iter_edges():
-            mask = author_flag[followed]
-            if not mask.any():
-                continue
-            keys = followed[mask].astype(np.int64) * n_domains + node_domains[
-                follower[mask]
-            ].astype(np.int64)
-            for key in np.unique(keys).tolist():
-                result[author_of_code[key // n_domains]].add(
-                    domain_values[key % n_domains]
-                )
-        return result
-
-    def users_per_instance(self) -> dict[str, int]:
-        """Accounts observed in the graph per domain (node counts)."""
-        counts = np.bincount(self.node_domain_codes, minlength=self.domains.shape[0])
-        return {
-            str(domain): int(count)
-            for domain, count in zip(self.domains.tolist(), counts.tolist())
-        }
-
-    def federation_edge_counts(self) -> dict[tuple[str, str], int]:
-        """Cross-instance follow counts ``(follower_domain, followed_domain)``.
-
-        Same-domain edges are skipped, mirroring
-        :func:`repro.datasets.graphs.build_federation_graph`.
-        """
-        domain_values = self.domains.tolist()
-        n_domains = max(1, len(domain_values))
-        node_domains = self.node_domain_codes
-        totals: dict[int, int] = {}
-        for _, follower, followed in self.iter_edges():
-            src = node_domains[follower].astype(np.int64)
-            dst = node_domains[followed].astype(np.int64)
-            mask = src != dst
-            if not mask.any():
-                continue
-            keys, counts = np.unique(src[mask] * n_domains + dst[mask], return_counts=True)
-            for key, count in zip(keys.tolist(), counts.tolist()):
-                totals[key] = totals.get(key, 0) + count
-        return {
-            (domain_values[key // n_domains], domain_values[key % n_domains]): count
-            for key, count in totals.items()
-        }
+    def edge_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge's ``(follower_code, followed_code)``, shards concatenated."""
+        shards = [self.shard_edges(index) for index in range(self.n_shards)]
+        if not shards:
+            return np.empty(0, np.int32), np.empty(0, np.int32)
+        follower, followed = zip(*shards)
+        return np.concatenate(follower), np.concatenate(followed)
 
 
 class GraphWriter(ShardedWriter):
@@ -296,59 +372,33 @@ class GraphWriter(ShardedWriter):
 
         Instances merge in sorted-domain order (the scheduler returns
         outcomes in that order too, so this reproduces the legacy
-        ``GraphCrawlResult.edges`` stream); nodes intern first-seen,
-        follower before followed, and self-loop edges are skipped with a
-        count — exactly ``build_follower_graph``'s behaviour.
+        ``GraphCrawlResult.edges`` stream); :class:`EdgeInterner` codes
+        the nodes first-seen, follower before followed, and skips
+        self-loop edges with a count.
         """
-        nodes = Interner()
-        domains = Interner()
-        node_domains: list[np.ndarray] = []
+        interner = EdgeInterner()
         edges_collected: dict[str, int] = {}
-        self_loops = 0
         for domain in sorted(self._sealed):
             spool = _EdgeSpool.open(self._sealed[domain])
             n_rows = spool.rows("follower")
             edges_collected[domain] = n_rows
             for start in range(0, n_rows, MERGE_CHUNK_ROWS):
                 stop = min(start + MERGE_CHUNK_ROWS, n_rows)
-                followers = spool.strings("follower", start, stop)
-                followed = spool.strings("followed", start, stop)
-                kept = list(map(str.__ne__, followers, followed))
-                n_kept = kept.count(True)
-                self_loops += len(kept) - n_kept
-                if not n_kept:
-                    continue
-                # follower before followed within each edge: intern the
-                # interleaved handle sequence, first seen in order
-                handles: list[str] = [""] * (2 * n_kept)
-                handles[0::2] = compress(followers, kept)
-                handles[1::2] = compress(followed, kept)
-                del followers, followed
-                known = len(nodes)
-                codes = nodes.intern(handles)
-                if len(nodes) > known:
-                    node_domains.append(
-                        domains.intern([split_handle(h)[1] for h in nodes.values[known:]])
-                    )
-                sink.add(
-                    n_kept,
-                    {
-                        "follower_code": codes[0::2].astype(np.int32),
-                        "followed_code": codes[1::2].astype(np.int32),
-                    },
+                follower, followed = interner.add(
+                    spool.strings("follower", start, stop),
+                    spool.strings("followed", start, stop),
                 )
+                if follower.size:
+                    sink.add(
+                        follower.size,
+                        {"follower_code": follower, "followed_code": followed},
+                    )
         sink.flush(everything=True)
 
-        tables = dict(
-            handles=string_array(nodes.values),
-            node_domains=(
-                np.concatenate(node_domains) if node_domains else np.empty(0, np.int64)
-            ).astype(np.int32),
-            domains=string_array(domains.values),
-        )
+        tables = interner.tables()
         fields = {
-            "n_nodes": len(nodes),
-            "n_self_loops": self_loops,
+            "n_nodes": len(interner.nodes),
+            "n_self_loops": interner.self_loops,
             "edges_collected": {
                 domain: int(count) for domain, count in sorted(edges_collected.items())
             },

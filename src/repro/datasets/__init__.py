@@ -8,11 +8,7 @@ with the follower graphs.
 
 from repro.datasets.instances import InstanceMetadata, InstancesDataset
 from repro.datasets.toots import TootsDataset
-from repro.datasets.graphs import (
-    GraphDataset,
-    build_federation_graph,
-    build_follower_graph,
-)
+from repro.datasets.graphs import GraphDataset
 from repro.datasets.twitter import TwitterBaselines, build_twitter_follower_graph, twitter_daily_downtime
 from repro.datasets.io import (
     read_jsonl,
@@ -33,8 +29,6 @@ __all__ = [
     "InstancesDataset",
     "TootsDataset",
     "TwitterBaselines",
-    "build_federation_graph",
-    "build_follower_graph",
     "build_twitter_follower_graph",
     "load_edges",
     "load_snapshots",

@@ -8,196 +8,156 @@ The paper induces two graphs from its crawl:
   from instance ``Ia`` to ``Ib`` when at least one account on ``Ia``
   follows an account on ``Ib``.
 
-Both are represented as :class:`networkx.DiGraph` objects; this module
-provides the builders plus the handful of degree/LCC helpers the
-resilience analysis relies on.
+:class:`GraphDataset` holds both as the graph store's integer columns:
+node handles, per-node domain codes, the domain table and the edge
+code columns.  ``GF`` is the ``(source, target, weight)`` edge table
+over the domain codes that :class:`~repro.corpus.graph.GraphColumns`
+derives from them, and the removal sweeps' CSR matrices are built from
+the same columns on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
+import numpy as np
 
-from repro.errors import DatasetError
+from repro.corpus.graph import EdgeInterner, GraphColumns, GraphStore
 from repro.crawler.graph_crawler import FollowEdgeRecord
+from repro.engine.resilience import GraphMatrix
+from repro.errors import DatasetError
 
 
-def _domain_of(handle: str) -> str:
-    if "@" not in handle:
-        raise DatasetError(f"handle without a domain part: {handle!r}")
-    return handle.rsplit("@", 1)[1]
+class GraphDataset(GraphColumns):
+    """The follower graph and the induced federation graph, as columns.
 
-
-def build_follower_graph(
-    edges: Iterable[FollowEdgeRecord | tuple[str, str]],
-) -> nx.DiGraph:
-    """Build the user-level follower graph ``G(V, E)``.
-
-    Accepts either :class:`FollowEdgeRecord` objects or plain
-    ``(follower, followed)`` handle tuples.  Every node is annotated with
-    its instance domain.
+    ``follower`` and ``followed`` code each follow edge into ``handles``,
+    in the store's order; a repeated edge is kept once (its first copy),
+    since ``G(V, E)`` is a simple graph.
     """
-    graph = nx.DiGraph()
-    for edge in edges:
-        if isinstance(edge, FollowEdgeRecord):
-            follower, followed = edge.follower, edge.followed
-        else:
-            follower, followed = edge
-        if follower == followed:
-            continue
-        graph.add_node(follower, domain=_domain_of(follower))
-        graph.add_node(followed, domain=_domain_of(followed))
-        graph.add_edge(follower, followed)
-    return graph
 
+    def __init__(
+        self,
+        handles: np.ndarray,
+        node_domain_codes: np.ndarray,
+        domains: np.ndarray,
+        follower: np.ndarray,
+        followed: np.ndarray,
+    ) -> None:
+        if not len(handles):
+            raise DatasetError("cannot build a graph dataset without edges")
+        self.handles = handles
+        self.node_domain_codes = node_domain_codes
+        self.domains = domains
+        keys = follower.astype(np.int64) * len(handles) + followed
+        first = np.unique(keys, return_index=True)[1]
+        if first.size < keys.size:
+            first.sort()
+            follower, followed = follower[first], followed[first]
+        self.follower = follower
+        self.followed = followed
+        self._follower_matrix: GraphMatrix | None = None
+        self._federation_matrix: GraphMatrix | None = None
 
-def build_federation_graph(follower_graph: nx.DiGraph) -> nx.DiGraph:
-    """Induce the instance-level federation graph ``GF(I, E)``.
-
-    An edge ``(a, b)`` exists when at least one account on instance ``a``
-    follows an account on instance ``b``.  Nodes carry ``users`` (number
-    of accounts observed on the instance) and edges carry ``weight`` (the
-    number of underlying follow relationships).
-    """
-    federation = nx.DiGraph()
-    users_per_instance: dict[str, int] = {}
-    for node, data in follower_graph.nodes(data=True):
-        domain = data.get("domain") or _domain_of(node)
-        users_per_instance[domain] = users_per_instance.get(domain, 0) + 1
-    for domain, users in users_per_instance.items():
-        federation.add_node(domain, users=users)
-    for follower, followed in follower_graph.edges():
-        source = follower_graph.nodes[follower].get("domain") or _domain_of(follower)
-        target = follower_graph.nodes[followed].get("domain") or _domain_of(followed)
-        if source == target:
-            continue
-        if federation.has_edge(source, target):
-            federation[source][target]["weight"] += 1
-        else:
-            federation.add_edge(source, target, weight=1)
-    return federation
-
-
-@dataclass
-class GraphDataset:
-    """The follower graph, the induced federation graph and helpers."""
-
-    follower_graph: nx.DiGraph
-    federation_graph: nx.DiGraph
+    @classmethod
+    def from_store(cls, store: GraphStore) -> "GraphDataset":
+        """The graphs of a graph store, from its codes (no handle is decoded)."""
+        return cls(store.handles, store.node_domain_codes, store.domains, *store.edge_codes())
 
     @classmethod
     def from_edges(cls, edges: Iterable[FollowEdgeRecord | tuple[str, str]]) -> "GraphDataset":
-        """Build both graphs from raw follower edges."""
-        follower_graph = build_follower_graph(edges)
-        if follower_graph.number_of_nodes() == 0:
-            raise DatasetError("cannot build a graph dataset without edges")
-        return cls(
-            follower_graph=follower_graph,
-            federation_graph=build_federation_graph(follower_graph),
-        )
+        """Both graphs from ``(follower, followed)`` pairs or edge records.
+
+        The pairs are interned as the graph store's merge interns them:
+        follower before followed, self-loops skipped.
+        """
+        followers: list[str] = []
+        followed: list[str] = []
+        for edge in edges:
+            if isinstance(edge, FollowEdgeRecord):
+                edge = (edge.follower, edge.followed)
+            followers.append(edge[0])
+            followed.append(edge[1])
+        interner = EdgeInterner()
+        codes = interner.add(followers, followed)
+        tables = interner.tables()
+        return cls(tables["handles"], tables["node_domains"], tables["domains"], *codes)
+
+    def edge_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.follower, self.followed
 
     # -- user-level views -----------------------------------------------------
 
     def user_count(self) -> int:
         """Number of accounts in the follower graph."""
-        return self.follower_graph.number_of_nodes()
+        return len(self.handles)
 
     def follow_edge_count(self) -> int:
         """Number of follow edges."""
-        return self.follower_graph.number_of_edges()
+        return len(self.follower)
 
     def out_degrees(self) -> list[int]:
         """Out-degree (number of accounts followed) of every account."""
-        return [degree for _, degree in self.follower_graph.out_degree()]
+        return np.bincount(self.follower, minlength=self.user_count()).tolist()
 
     def in_degrees(self) -> list[int]:
         """In-degree (number of followers) of every account."""
-        return [degree for _, degree in self.follower_graph.in_degree()]
+        return np.bincount(self.followed, minlength=self.user_count()).tolist()
 
     def users_on_instance(self, domain: str) -> list[str]:
         """Accounts hosted on ``domain`` (as observed in the graph)."""
-        return [
-            node
-            for node, data in self.follower_graph.nodes(data=True)
-            if data.get("domain") == domain
-        ]
+        codes = np.flatnonzero(self.domains == domain)
+        return self.handles[np.isin(self.node_domain_codes, codes)].tolist()
 
-    def users_per_instance(self) -> dict[str, int]:
-        """Number of observed accounts per instance."""
-        counts: dict[str, int] = {}
-        for _, data in self.follower_graph.nodes(data=True):
-            domain = data.get("domain", "")
-            counts[domain] = counts.get(domain, 0) + 1
-        return counts
+    @property
+    def follower_matrix(self) -> GraphMatrix:
+        """``G(V, E)`` as the removal sweeps' adjacency (built once)."""
+        if self._follower_matrix is None:
+            self._follower_matrix = GraphMatrix.from_codes(
+                self.handles.tolist(), self.follower, self.followed
+            )
+        return self._follower_matrix
 
     # -- instance-level views ------------------------------------------------------
 
     def instance_count(self) -> int:
         """Number of instances in the federation graph."""
-        return self.federation_graph.number_of_nodes()
+        return len(self.domains)
 
     def federation_edge_count(self) -> int:
         """Number of instance-to-instance subscription edges."""
-        return self.federation_graph.number_of_edges()
+        return len(self.federation_edge_codes()[0])
 
     def federation_out_degrees(self) -> list[int]:
         """Out-degree of every instance in the federation graph."""
-        return [degree for _, degree in self.federation_graph.out_degree()]
+        source = self.federation_edge_codes()[0]
+        return np.bincount(source, minlength=self.instance_count()).tolist()
 
     def instance_degree_table(self) -> dict[str, dict[str, int]]:
         """Per-instance in/out degree and observed user count (Table 2 columns)."""
-        table: dict[str, dict[str, int]] = {}
-        users = self.users_per_instance()
-        for domain in self.federation_graph.nodes():
-            table[domain] = {
-                "users": users.get(domain, 0),
-                "instance_out_degree": self.federation_graph.out_degree(domain),
-                "instance_in_degree": self.federation_graph.in_degree(domain),
-            }
-        return table
-
-
-# -- LCC helpers shared by the resilience analysis -----------------------------
-
-
-def largest_connected_component_fraction(graph: nx.Graph | nx.DiGraph) -> float:
-    """Fraction of nodes inside the largest weakly connected component."""
-    n = graph.number_of_nodes()
-    if n == 0:
-        return 0.0
-    if graph.is_directed():
-        components = nx.weakly_connected_components(graph)
-    else:
-        components = nx.connected_components(graph)
-    return max((len(c) for c in components), default=0) / n
-
-
-def connected_component_count(graph: nx.Graph | nx.DiGraph, strongly: bool = False) -> int:
-    """Number of (weakly or strongly) connected components."""
-    if graph.number_of_nodes() == 0:
-        return 0
-    if graph.is_directed():
-        if strongly:
-            return nx.number_strongly_connected_components(graph)
-        return nx.number_weakly_connected_components(graph)
-    return nx.number_connected_components(graph)
-
-
-def top_nodes_by(graph: nx.Graph | nx.DiGraph, key: str = "degree", limit: int | None = None) -> list[str]:
-    """Rank nodes by ``degree``, ``out_degree``, ``in_degree`` or an attribute."""
-    if key == "degree":
-        ranking = sorted(graph.degree(), key=lambda kv: kv[1], reverse=True)
-    elif key == "out_degree" and graph.is_directed():
-        ranking = sorted(graph.out_degree(), key=lambda kv: kv[1], reverse=True)
-    elif key == "in_degree" and graph.is_directed():
-        ranking = sorted(graph.in_degree(), key=lambda kv: kv[1], reverse=True)
-    else:
-        ranking = sorted(
-            ((node, data.get(key, 0)) for node, data in graph.nodes(data=True)),
-            key=lambda kv: kv[1],
-            reverse=True,
+        source, target, _ = self.federation_edge_codes()
+        n = self.instance_count()
+        columns = zip(
+            self.domains.tolist(),
+            np.bincount(self.node_domain_codes, minlength=n).tolist(),
+            np.bincount(source, minlength=n).tolist(),
+            np.bincount(target, minlength=n).tolist(),
         )
-    nodes = [node for node, _ in ranking]
-    return nodes if limit is None else nodes[:limit]
+        return {
+            domain: {
+                "users": users,
+                "instance_out_degree": out_degree,
+                "instance_in_degree": in_degree,
+            }
+            for domain, users, out_degree, in_degree in columns
+        }
+
+    @property
+    def federation_matrix(self) -> GraphMatrix:
+        """``GF(I, E)`` as the removal sweeps' adjacency over the domains."""
+        if self._federation_matrix is None:
+            source, target, _ = self.federation_edge_codes()
+            self._federation_matrix = GraphMatrix.from_codes(
+                self.domains.tolist(), source, target
+            )
+        return self._federation_matrix

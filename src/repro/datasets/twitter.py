@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
+from repro.engine.resilience import GraphMatrix
 from repro.errors import ConfigurationError
 from repro.stats.distributions import sample_power_law
 
@@ -58,23 +58,20 @@ def build_twitter_follower_graph(
     n_users: int = 5_000,
     mean_out_degree: float = 12.0,
     seed: int = 2011,
-) -> nx.DiGraph:
+) -> GraphMatrix:
     """Synthesise a Twitter-like follower graph.
 
     The generator uses preferential attachment over a random arrival
     order, yielding the heavy-tailed in-degree distribution of Fig. 11 and
     the robust LCC behaviour of Fig. 12 (about 95% of accounts in the LCC,
     and most of the graph still connected after removing the top 10% of
-    accounts by degree).
+    accounts by degree).  Node ``i`` is ``twitter_user_{i}``.
     """
     if n_users < 10:
         raise ConfigurationError("the Twitter baseline needs at least 10 users")
     if mean_out_degree <= 0:
         raise ConfigurationError("mean out-degree must be positive")
     rng = np.random.default_rng(seed)
-    graph = nx.DiGraph()
-    nodes = [f"twitter_user_{i}" for i in range(n_users)]
-    graph.add_nodes_from(nodes)
 
     # In-degree attractiveness with a bounded heavy tail.
     attractiveness = sample_power_law(
@@ -89,18 +86,22 @@ def build_twitter_follower_graph(
     ).astype(int)
 
     # ~5% of accounts are isolated lurkers (the paper's Twitter LCC is ~95%).
-    lurkers = set(int(i) for i in rng.choice(n_users, size=max(1, n_users // 20), replace=False))
+    lurker = np.zeros(n_users, dtype=bool)
+    lurker[rng.choice(n_users, size=max(1, n_users // 20), replace=False)] = True
 
-    for index in range(n_users):
-        if index in lurkers:
-            continue
+    sources = []
+    targets = []
+    for index in np.flatnonzero(~lurker).tolist():
         k = int(min(out_degrees[index], n_users - 1))
-        targets = rng.choice(n_users, size=k, replace=False, p=probabilities)
-        for target in targets:
-            target = int(target)
-            if target != index and target not in lurkers:
-                graph.add_edge(nodes[index], nodes[target])
-    return graph
+        drawn = rng.choice(n_users, size=k, replace=False, p=probabilities)
+        kept = drawn[(drawn != index) & ~lurker[drawn]]
+        sources.append(np.full(kept.size, index))
+        targets.append(kept)
+    return GraphMatrix.from_codes(
+        [f"twitter_user_{i}" for i in range(n_users)],
+        np.concatenate(sources),
+        np.concatenate(targets),
+    )
 
 
 @dataclass
@@ -108,7 +109,7 @@ class TwitterBaselines:
     """Bundle of the two Twitter comparison datasets."""
 
     daily_downtime: list[float]
-    follower_graph: nx.DiGraph
+    follower_matrix: GraphMatrix
 
     @classmethod
     def generate(
@@ -120,7 +121,7 @@ class TwitterBaselines:
         """Generate both baselines with a single seed."""
         return cls(
             daily_downtime=twitter_daily_downtime(days, seed=seed),
-            follower_graph=build_twitter_follower_graph(n_users=n_users, seed=seed + 4),
+            follower_matrix=build_twitter_follower_graph(n_users=n_users, seed=seed + 4),
         )
 
     @property

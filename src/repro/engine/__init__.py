@@ -26,8 +26,9 @@ incidence kept in ``tests/reference/``.  New failure models subclass
 
 The names below resolve on first use (a module-level ``__getattr__``,
 PEP 562), each by importing the module that defines it: the placement,
-kernel and sweep modules need only numpy, and networkx and
-``scipy.sparse.csgraph`` load with :mod:`repro.engine.resilience` alone.
+kernel and sweep modules need only numpy, and ``scipy.sparse.csgraph``
+loads with :mod:`repro.engine.resilience` alone.  No engine module
+imports networkx.
 """
 
 from __future__ import annotations

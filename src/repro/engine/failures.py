@@ -38,7 +38,7 @@ Nothing else in the engine needs to change.
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,6 +88,16 @@ class FailureModel:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r}, steps={self.steps})"
+
+
+def rank_by_count(domains: Iterable[str], counts: Mapping[str, int]) -> list[str]:
+    """``domains`` by descending ``counts`` (0 when absent), ties in input order.
+
+    The one instance ranking behind every removal schedule: the batch
+    experiments and the query service both pass the graph's domain
+    order, so the two rank identically by construction.
+    """
+    return sorted(domains, key=lambda domain: counts.get(domain, 0), reverse=True)
 
 
 class InstanceRemoval(FailureModel):

@@ -14,8 +14,9 @@ operations over integer columns, never one Python object per toot:
   corpus package itself imports nothing from the engine), and the
   replica arrays from the two cores below;
 * :func:`subscription_arrays_from_columns` — the author→follower-domain
-  table (:func:`follower_domain_sets`, one pass over the follower
-  graph's edges), then pure array expansion per toot;
+  table (:meth:`GraphColumns.follower_domain_sets
+  <repro.corpus.graph.GraphColumns.follower_domain_sets>`, one pass over
+  the follower graph's edge codes), then pure array expansion per toot;
 * :func:`random_arrays_from_columns` — one batched draw for every toot,
   built on Gumbel top-k sampling: perturbing the log-weights with i.i.d.
   Gumbel noise and keeping the k largest keys per row samples without
@@ -55,14 +56,14 @@ toot-by-toot while remaining deterministic per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import AnalysisError, DatasetError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.corpus.graph import GraphStore
+    from repro.corpus.graph import GraphColumns
     from repro.corpus.store import CorpusStore
 
 #: Row-chunk sizing for the batched draws: keep the per-chunk key matrix
@@ -232,7 +233,7 @@ class PlacementArrays:
         store: "CorpusStore",
         kind: str = "none",
         *,
-        graphs: "GraphDataset | GraphStore | None" = None,
+        graphs: "GraphColumns | None" = None,
         candidate_domains: Sequence[str] | None = None,
         n_replicas: int = 0,
         seed: int = 0,
@@ -351,19 +352,19 @@ def build_random_replication_from_corpus(
 
 
 def build_subscription_replication_from_corpus(
-    store: "CorpusStore", graphs: "GraphDataset | GraphStore"
+    store: "CorpusStore", graphs: "GraphColumns"
 ) -> PlacementArrays:
     """Each toot is replicated to the instances hosting the author's followers.
 
     The corpus ``author_code`` column already encodes authors in
     first-appearance order, so the per-author follower table expands
-    over it directly.  ``graphs`` may be the networkx-backed
-    dataset or an on-disk :class:`~repro.corpus.graph.GraphStore`;
-    :func:`follower_domain_sets` dispatches and both produce the same
-    table, so the placements are identical either way.
+    over it directly.  ``graphs`` is the graph store or the graphs
+    dataset over it; both answer :meth:`follower_domain_sets
+    <repro.corpus.graph.GraphColumns.follower_domain_sets>` from the
+    same edge codes, so the placements are identical either way.
     """
     _require_toots(store)
-    follower_domains = follower_domain_sets(store.authors.tolist(), graphs)
+    follower_domains = graphs.follower_domain_sets(store.authors.tolist())
     extra = set().union(*follower_domains.values()) if follower_domains else set()
     home, domains = _remapped_homes(store, tuple(extra))
     toot_author = store.column("author_code").astype(np.int64)
@@ -384,36 +385,6 @@ def _encode(values: Sequence[str], code: Mapping[str, int]) -> np.ndarray:
     return np.fromiter(
         map(code.__getitem__, values), dtype=np.int64, count=len(values)
     )
-
-
-def follower_domain_sets(
-    authors: "Iterable[str]", graphs: "GraphDataset | GraphStore"
-) -> dict[str, set[str]]:
-    """Author → follower-domain sets in **one pass over the graph's edges**.
-
-    ``authors`` may contain duplicates; keys keep first-appearance
-    order, which is the corpus ``author_code`` order the subscription
-    builder expands over.
-
-    ``graphs`` is either the networkx-backed
-    :class:`~repro.datasets.graphs.GraphDataset` or an on-disk
-    :class:`~repro.corpus.graph.GraphStore`, whose integer edge shards
-    answer the same question without a networkx graph in memory — the
-    store computes the identical mapping itself.
-    """
-    columnar = getattr(graphs, "follower_domain_sets", None)
-    if callable(columnar):
-        return columnar(list(authors))
-    follower_graph = graphs.follower_graph
-    follower_domains: dict[str, set[str]] = {author: set() for author in authors}
-    nodes = follower_graph.nodes
-    for follower, followed in follower_graph.edges():
-        target = follower_domains.get(followed)
-        if target is not None:
-            domain = nodes[follower].get("domain")
-            if domain:
-                target.add(domain)
-    return follower_domains
 
 
 def subscription_arrays_from_columns(

@@ -6,16 +6,19 @@ disappear, using two metrics throughout: the size of the largest
 (weakly) connected component and the number of connected components.
 Each sweep returns one :class:`RemovalStep` per round.
 
-The graph is converted **once** to a binary CSR adjacency matrix
-(:class:`GraphMatrix`); each round is a boolean mask, a submatrix slice,
-and one :func:`scipy.sparse.csgraph.connected_components` call.  The
-networkx loops these replaced live on in ``tests/reference/resilience.py``,
-and ``tests/engine/test_equivalence.py`` holds every sweep to the same
+Each graph is a binary CSR adjacency matrix (:class:`GraphMatrix`),
+built once from integer edge columns (:meth:`GraphMatrix.from_codes`);
+each round is a boolean mask, a submatrix slice, and one
+:func:`scipy.sparse.csgraph.connected_components` call.  The networkx
+loops these replaced live on in ``tests/reference/resilience.py``, and
+``tests/engine/test_equivalence.py`` holds every sweep to the same
 trajectory.  Exact equivalence (including tie-breaking when degrees are
 equal) relies on two invariants:
 
-* node columns follow the graph's insertion order, which is also the
-  iteration order :func:`sorted` saw in the reference loops;
+* node columns follow the node codes, which are first-appearance order
+  over the edges — the insertion order of a networkx graph built from
+  the same edges, and so the iteration order :func:`sorted` saw in the
+  reference loops;
 * top-degree selection uses a *stable* descending argsort, matching
   Python's stable ``sorted(..., reverse=True)``.
 """
@@ -25,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
@@ -53,46 +55,31 @@ class GraphMatrix:
     directed: bool
 
     @classmethod
-    def from_networkx(cls, graph: nx.Graph | nx.DiGraph) -> "GraphMatrix":
-        nodes = tuple(graph.nodes())
-        if not nodes:
-            raise AnalysisError("cannot build a matrix from an empty graph")
-        adjacency = sparse.csr_matrix(
-            nx.to_scipy_sparse_array(graph, nodelist=list(nodes), weight=None, format="csr")
-        )
-        return cls(
-            adjacency=adjacency,
-            nodes=nodes,
-            index={node: i for i, node in enumerate(nodes)},
-            directed=graph.is_directed(),
-        )
+    def from_codes(
+        cls,
+        nodes: Sequence,
+        source: np.ndarray,
+        target: np.ndarray,
+        directed: bool = True,
+    ) -> "GraphMatrix":
+        """The adjacency of the edges ``source[i] → target[i]`` over ``nodes``.
 
-    @classmethod
-    def from_graph_store(cls, store, directed: bool = True) -> "GraphMatrix":
-        """Build the adjacency straight from an on-disk edge-shard store.
-
-        ``store`` is a :class:`repro.corpus.graph.GraphStore`; its node
-        intern order matches :func:`build_follower_graph` insertion
-        order, so the resulting matrix is bit-compatible with
-        :meth:`from_networkx` over the equivalent networkx graph.
+        ``source`` and ``target`` are codes into ``nodes``.  A repeated
+        edge is one entry of weight 1, as in a simple graph; undirected,
+        each edge is entered both ways.
         """
-        n = store.n_nodes
+        n = len(nodes)
         if n == 0:
             raise AnalysisError("cannot build a matrix from an empty graph")
-        sources = []
-        targets = []
-        for _, follower, followed in store.iter_edges():
-            sources.append(follower.astype(np.int64, copy=False))
-            targets.append(followed.astype(np.int64, copy=False))
-        src = np.concatenate(sources) if sources else np.empty(0, dtype=np.int64)
-        dst = np.concatenate(targets) if targets else np.empty(0, dtype=np.int64)
+        src = np.asarray(source, dtype=np.int64)
+        dst = np.asarray(target, dtype=np.int64)
         if not directed:
             src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
         adjacency = sparse.coo_matrix(
             (np.ones(src.size, dtype=np.int64), (src, dst)), shape=(n, n)
         ).tocsr()
         adjacency.data[:] = 1  # duplicate edges must not leave weights > 1
-        nodes = tuple(store.handles.tolist())
+        nodes = tuple(nodes)
         return cls(
             adjacency=adjacency,
             nodes=nodes,
@@ -100,17 +87,18 @@ class GraphMatrix:
             directed=directed,
         )
 
+    @classmethod
+    def from_graph_store(cls, store, directed: bool = True) -> "GraphMatrix":
+        """The follower graph of an on-disk :class:`~repro.corpus.graph.GraphStore`."""
+        return cls.from_codes(store.handles.tolist(), *store.edge_codes(), directed=directed)
+
     @property
     def n_nodes(self) -> int:
         return self.adjacency.shape[0]
 
-
-def _as_matrix(graph: "nx.Graph | nx.DiGraph | GraphMatrix") -> GraphMatrix:
-    if isinstance(graph, GraphMatrix):
-        return graph
-    if hasattr(graph, "shard_edges"):  # duck-typed GraphStore
-        return GraphMatrix.from_graph_store(graph)
-    return GraphMatrix.from_networkx(graph)
+    def out_degrees(self) -> np.ndarray:
+        """Each node's out-degree (its degree, undirected)."""
+        return np.diff(self.adjacency.indptr)
 
 
 def _lcc_and_components_from_sub(
@@ -127,14 +115,14 @@ def _lcc_and_components_from_sub(
 
 
 def _lcc_and_components(
-    gm: GraphMatrix, alive_index: np.ndarray, initial_nodes: int
+    graph: GraphMatrix, alive_index: np.ndarray, initial_nodes: int
 ) -> tuple[float, int]:
-    sub = gm.adjacency[alive_index][:, alive_index]
-    return _lcc_and_components_from_sub(sub, gm.directed, initial_nodes)
+    sub = graph.adjacency[alive_index][:, alive_index]
+    return _lcc_and_components_from_sub(sub, graph.directed, initial_nodes)
 
 
 def _total_degrees(sub: sparse.csr_matrix, directed: bool) -> np.ndarray:
-    """networkx-compatible total degrees (self-loops count twice)."""
+    """Total degrees, counted as networkx counts them (a self-loop twice)."""
     row = np.asarray(sub.sum(axis=1)).ravel()
     if directed:
         col = np.asarray(sub.sum(axis=0)).ravel()
@@ -142,8 +130,8 @@ def _total_degrees(sub: sparse.csr_matrix, directed: bool) -> np.ndarray:
     return row + sub.diagonal()
 
 
-def _step(gm: GraphMatrix, alive: np.ndarray, removed: int, initial: int) -> RemovalStep:
-    lcc, components = _lcc_and_components(gm, np.flatnonzero(alive), initial)
+def _step(graph: GraphMatrix, alive: np.ndarray, removed: int, initial: int) -> RemovalStep:
+    lcc, components = _lcc_and_components(graph, np.flatnonzero(alive), initial)
     return RemovalStep(
         removed_fraction=removed / initial,
         removed_count=removed,
@@ -153,7 +141,7 @@ def _step(gm: GraphMatrix, alive: np.ndarray, removed: int, initial: int) -> Rem
 
 
 def user_removal_sweep_matrix(
-    graph: "nx.DiGraph | GraphMatrix",
+    graph: GraphMatrix,
     rounds: int = 20,
     fraction_per_round: float = 0.01,
 ) -> list[RemovalStep]:
@@ -168,17 +156,14 @@ def user_removal_sweep_matrix(
         raise AnalysisError("need at least one removal round")
     if not 0.0 < fraction_per_round <= 1.0:
         raise AnalysisError("fraction_per_round must be in (0, 1]")
-    if isinstance(graph, nx.Graph) and graph.number_of_nodes() == 0:
-        raise AnalysisError("the follower graph is empty")
-    gm = _as_matrix(graph)
-    initial = gm.n_nodes
+    initial = graph.n_nodes
     alive = np.ones(initial, dtype=bool)
 
     # each round's end-of-round submatrix doubles as the next round's
     # degree source, so the alive×alive slice happens once per round
-    sub = gm.adjacency
+    sub = graph.adjacency
     alive_index = np.arange(initial)
-    lcc, components = _lcc_and_components_from_sub(sub, gm.directed, initial)
+    lcc, components = _lcc_and_components_from_sub(sub, graph.directed, initial)
     steps = [
         RemovalStep(
             removed_fraction=0.0, removed_count=0, lcc_fraction=lcc, components=components
@@ -190,14 +175,14 @@ def user_removal_sweep_matrix(
         if remaining == 0:
             break
         batch = max(1, int(round(float(fraction_per_round) * remaining)))
-        degrees = _total_degrees(sub, gm.directed)
+        degrees = _total_degrees(sub, graph.directed)
         order = np.argsort(-degrees, kind="stable")
         victims = alive_index[order[:batch]]
         alive[victims] = False
         removed_total += int(victims.size)
         alive_index = np.flatnonzero(alive)
-        sub = gm.adjacency[alive_index][:, alive_index]
-        lcc, components = _lcc_and_components_from_sub(sub, gm.directed, initial)
+        sub = graph.adjacency[alive_index][:, alive_index]
+        lcc, components = _lcc_and_components_from_sub(sub, graph.directed, initial)
         steps.append(
             RemovalStep(
                 removed_fraction=removed_total / initial,
@@ -210,7 +195,7 @@ def user_removal_sweep_matrix(
 
 
 def ranked_removal_sweep_matrix(
-    graph: "nx.Graph | nx.DiGraph | GraphMatrix",
+    graph: GraphMatrix,
     ranking: Sequence[str],
     steps: int = 20,
     per_step: int = 1,
@@ -224,13 +209,10 @@ def ranked_removal_sweep_matrix(
     """
     if steps < 1 or per_step < 1:
         raise AnalysisError("steps and per_step must be positive")
-    if isinstance(graph, nx.Graph) and graph.number_of_nodes() == 0:
-        raise AnalysisError("cannot run a removal sweep on an empty graph")
-    gm = _as_matrix(graph)
-    initial = gm.n_nodes
+    initial = graph.n_nodes
     alive = np.ones(initial, dtype=bool)
 
-    results = [_step(gm, alive, 0, initial)]
+    results = [_step(graph, alive, 0, initial)]
     removed = 0
     cursor = 0
     ranking = list(ranking)
@@ -240,17 +222,17 @@ def ranked_removal_sweep_matrix(
         if not batch:
             break
         present = [
-            gm.index[node] for node in batch if node in gm.index and alive[gm.index[node]]
+            graph.index[node] for node in batch if node in graph.index and alive[graph.index[node]]
         ]
         if present:
             alive[np.asarray(present, dtype=np.int64)] = False
         removed += len(present)
-        results.append(_step(gm, alive, removed, initial))
+        results.append(_step(graph, alive, removed, initial))
     return results
 
 
 def as_removal_sweep_matrix(
-    graph: "nx.DiGraph | GraphMatrix",
+    graph: GraphMatrix,
     asn_of_instance: Mapping[str, int],
     as_ranking: Sequence[int],
     steps: int = 20,
@@ -258,25 +240,22 @@ def as_removal_sweep_matrix(
     """Remove entire ASes (and every instance they host) from GF (Fig. 13b)."""
     if steps < 1:
         raise AnalysisError("steps must be positive")
-    if isinstance(graph, nx.Graph) and graph.number_of_nodes() == 0:
-        raise AnalysisError("cannot run a removal sweep on an empty graph")
-    gm = _as_matrix(graph)
-    initial = gm.n_nodes
+    initial = graph.n_nodes
     alive = np.ones(initial, dtype=bool)
     domains_per_asn: dict[int, list[str]] = {}
     for domain, asn in asn_of_instance.items():
         domains_per_asn.setdefault(asn, []).append(domain)
 
-    results = [_step(gm, alive, 0, initial)]
+    results = [_step(graph, alive, 0, initial)]
     removed = 0
     for asn in list(as_ranking)[:steps]:
         victims = [
-            gm.index[d]
+            graph.index[d]
             for d in domains_per_asn.get(asn, [])
-            if d in gm.index and alive[gm.index[d]]
+            if d in graph.index and alive[graph.index[d]]
         ]
         if victims:
             alive[np.asarray(victims, dtype=np.int64)] = False
         removed += len(victims)
-        results.append(_step(gm, alive, removed, initial))
+        results.append(_step(graph, alive, removed, initial))
     return results

@@ -202,15 +202,15 @@ class StrategySpec:
     def build_from_corpus(
         self,
         store: "CorpusStore",
-        graphs: "GraphDataset | GraphStore | None" = None,
+        graphs: "GraphColumns | None" = None,
         candidate_domains: Sequence[str] | None = None,
     ) -> PlacementArrays:
         """Build this strategy's placement arrays from a columnar corpus.
 
         Dispatches through :meth:`PlacementArrays.from_corpus
         <repro.engine.placement.PlacementArrays.from_corpus>`, so no
-        record is materialised.  ``graphs`` (the networkx-backed dataset
-        or the on-disk graph store) is needed by the subscription
+        record is materialised.  ``graphs`` (the graph store, or the
+        graphs dataset over its columns) is needed by the subscription
         strategy, ``candidate_domains`` by the random ones.
         """
         return PlacementArrays.from_corpus(
@@ -276,7 +276,7 @@ def run_availability_sweep(
     strategies: Sequence[StrategySpec],
     failures: Sequence[FailureModel],
     *,
-    graphs: "GraphDataset | GraphStore | None" = None,
+    graphs: "GraphColumns | None" = None,
     candidate_domains: Sequence[str] | None = None,
     keep_placements: bool = False,
     shard_size: int | None = None,

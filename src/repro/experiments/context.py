@@ -305,7 +305,7 @@ class ExperimentContext:
         return self.memo(
             ("instance_ranking", by),
             lambda: resilience.rank_instances(
-                self.data.graphs.federation_graph,
+                self.data.graphs,
                 self.users_per_instance,
                 self.toots_per_instance,
                 by=by,
@@ -407,7 +407,7 @@ class ExperimentContext:
         They build straight from the corpus columns
         (:meth:`StrategySpec.build_from_corpus`), and the subscription
         strategy reads follower-domain sets from the graph store's edge
-        shards — no records and no networkx pass on the placement path.
+        shards — no records on the placement path.
         """
         if spec not in self._placements:
             data = self.data  # collect in its own phase, not under placement

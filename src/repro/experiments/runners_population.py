@@ -227,10 +227,9 @@ def run_fig5(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig6")
 def run_fig6(ctx: ExperimentContext) -> ExperimentResult:
-    flows = hosting.country_federation_flows(
-        ctx.data.graphs.federation_graph, ctx.data.instances, top_sources=5
-    )
-    metrics = hosting.federation_homophily(ctx.data.graphs.federation_graph, ctx.data.instances)
+    federation = ctx.data.graphs.federation_edge_counts()
+    flows = hosting.country_federation_flows(federation, ctx.data.instances, top_sources=5)
+    metrics = hosting.federation_homophily(federation, ctx.data.instances)
     return ExperimentResult.build(
         "fig6",
         "Cross-country federation flows",

@@ -31,7 +31,7 @@ FIG13_SCALAR_ROUND = 5
 def run_fig11(ctx: ExperimentContext) -> ExperimentResult:
     follower_degrees = ctx.data.graphs.out_degrees()
     federation_degrees = ctx.data.graphs.federation_out_degrees()
-    twitter_degrees = [degree for _, degree in ctx.twitter.follower_graph.out_degree()]
+    twitter_degrees = ctx.twitter.follower_matrix.out_degrees().tolist()
     cdfs = {
         "mastodon_users": resilience.degree_cdf([d for d in follower_degrees if d > 0]),
         "mastodon_instances": resilience.degree_cdf([d for d in federation_degrees if d > 0]),
@@ -71,10 +71,10 @@ def run_fig11(ctx: ExperimentContext) -> ExperimentResult:
 @register_runner("fig12")
 def run_fig12(ctx: ExperimentContext) -> ExperimentResult:
     mastodon_steps = removal.user_removal_sweep_matrix(
-        ctx.data.graphs.follower_graph, rounds=FIG12_ROUNDS, fraction_per_round=0.01
+        ctx.data.graphs.follower_matrix, rounds=FIG12_ROUNDS, fraction_per_round=0.01
     )
     twitter_steps = removal.user_removal_sweep_matrix(
-        ctx.twitter.follower_graph, rounds=FIG12_ROUNDS, fraction_per_round=0.01
+        ctx.twitter.follower_matrix, rounds=FIG12_ROUNDS, fraction_per_round=0.01
     )
     return ExperimentResult.build(
         "fig12",
@@ -118,13 +118,14 @@ def run_fig12(ctx: ExperimentContext) -> ExperimentResult:
 
 @register_runner("fig13")
 def run_fig13(ctx: ExperimentContext) -> ExperimentResult:
-    federation = ctx.data.graphs.federation_graph
+    graphs = ctx.data.graphs
+    federation = graphs.federation_matrix
     users = ctx.users_per_instance
     reported_toots = ctx.data.instances.toots_per_instance()
 
     instance_sweeps: dict[str, list[removal.RemovalStep]] = {}
     for criterion in ("users", "toots", "connections"):
-        ranking = resilience.rank_instances(federation, users, reported_toots, by=criterion)
+        ranking = resilience.rank_instances(graphs, users, reported_toots, by=criterion)
         instance_sweeps[criterion] = removal.ranked_removal_sweep_matrix(
             federation, ranking, steps=FIG13_INSTANCE_STEPS, per_step=1
         )

@@ -24,14 +24,17 @@ suite in ``tests/serve/`` holds the service to exact equality against
 :func:`~repro.engine.sweep.availability_curves` and against the CSR
 incidence oracle in ``tests/reference/incidence.py``.
 
-Failure rankings are derived from the stores alone, mirroring the batch
-pipeline's :func:`~repro.core.resilience.rank_instances` over the
-federation graph:
+Failure rankings are derived from the stores alone, by the batch
+pipeline's own ranking function
+(:func:`~repro.engine.failures.rank_by_count`) over the graph store's
+domain order:
 
-* ``instances/by_toots`` — graph-store domains (federation node order)
-  ranked by the corpus' home-toot counts: exactly the batch ranking.
+* ``instances/by_toots`` — ranked by the corpus' home-toot counts:
+  exactly the batch ranking.
 * ``instances/by_connections`` — ranked by distinct cross-instance
-  federation partners: exactly the batch federation-graph degree.
+  federation partners (:meth:`~repro.corpus.graph.GraphColumns.federation_degrees`,
+  which the batch ranking reads from the same columns): exactly the
+  batch ranking.
 * ``instances/by_users`` — ranked by accounts observed in the follower
   graph.  The batch pipeline ranks by the *monitor's* registered-user
   counts, which no store records, so this ranking is the store-derivable
@@ -54,7 +57,7 @@ import numpy as np
 
 from repro import obs
 from repro.corpus import CorpusStore, GraphStore
-from repro.engine.failures import FailureModel, InstanceRemoval
+from repro.engine.failures import FailureModel, InstanceRemoval, rank_by_count
 from repro.engine.incidence import DomainLookup
 from repro.engine.kernels import availability_from_losses, losses_per_step
 from repro.engine.placement import PlacementArrays
@@ -210,11 +213,10 @@ class AvailabilityService:
     def _ranked_nodes(self) -> list[str]:
         """The instance universe in the batch pipeline's ranking order.
 
-        With a graph store: the store's domain intern order, which equals
-        the federation graph's node order (both are first-appearance over
-        the same edge stream), so ``sorted(..., reverse=True)`` ties
-        break identically to the batch ranking.  Without one: the
-        corpus' authoring instances in manifest (sorted-domain) order.
+        With a graph store: the store's domain intern order, the order
+        every batch ranking starts from, so ties break identically.
+        Without one: the corpus' authoring instances in manifest
+        (sorted-domain) order.
         """
         if self.graph is not None:
             return [str(d) for d in self.graph.domains.tolist()]
@@ -229,34 +231,18 @@ class AvailabilityService:
 
     def _build_failures(self) -> dict[str, FailureModel]:
         nodes = self._ranked_nodes()
-        toots = self.corpus.home_toot_counts
+        counts = {"toots": self.corpus.home_toot_counts}
+        if self.graph is not None:
+            counts["users"] = self.graph.users_per_instance()
+            counts["connections"] = self.graph.federation_degrees()
         models = [
             InstanceRemoval(
-                sorted(nodes, key=lambda d: toots.get(d, 0), reverse=True),
+                rank_by_count(nodes, by_count),
                 steps=self.removal_steps,
-                name="instances/by_toots",
+                name=f"instances/by_{by}",
             )
+            for by, by_count in counts.items()
         ]
-        if self.graph is not None:
-            users = self.graph.users_per_instance()
-            models.append(
-                InstanceRemoval(
-                    sorted(nodes, key=lambda d: users.get(d, 0), reverse=True),
-                    steps=self.removal_steps,
-                    name="instances/by_users",
-                )
-            )
-            degree: dict[str, int] = {}
-            for source, target in self.graph.federation_edge_counts():
-                degree[source] = degree.get(source, 0) + 1
-                degree[target] = degree.get(target, 0) + 1
-            models.append(
-                InstanceRemoval(
-                    sorted(nodes, key=lambda d: degree.get(d, 0), reverse=True),
-                    steps=self.removal_steps,
-                    name="instances/by_connections",
-                )
-            )
         return {model.name: model for model in models}
 
     def add_failure(self, model: FailureModel) -> None:
@@ -407,17 +393,9 @@ class AvailabilityService:
             raise AnalysisError("timeline queries need a graph store (--graph)")
         with self._lock:
             if self._follow_index is None:
-                followers: list[np.ndarray] = []
-                followed: list[np.ndarray] = []
-                for _, src, dst in self.graph.iter_edges():
-                    followers.append(np.asarray(src, dtype=np.int64))
-                    followed.append(np.asarray(dst, dtype=np.int64))
-                if followers:
-                    src_all = np.concatenate(followers)
-                    dst_all = np.concatenate(followed)
-                else:
-                    src_all = np.empty(0, dtype=np.int64)
-                    dst_all = np.empty(0, dtype=np.int64)
+                src_all, dst_all = (
+                    codes.astype(np.int64) for codes in self.graph.edge_codes()
+                )
                 order = np.argsort(src_all, kind="stable")
                 counts = np.bincount(src_all, minlength=self.graph.n_nodes)
                 indptr = np.zeros(self.graph.n_nodes + 1, dtype=np.int64)

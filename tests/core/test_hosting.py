@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.core import hosting
@@ -31,14 +30,15 @@ def make_dataset() -> InstancesDataset:
     return InstancesDataset(log=log, metadata=metadata)
 
 
-def make_federation_graph() -> nx.DiGraph:
-    graph = nx.DiGraph()
-    graph.add_edge("jp1.example", "jp2.example", weight=10)
-    graph.add_edge("jp1.example", "us1.example", weight=5)
-    graph.add_edge("us1.example", "jp1.example", weight=8)
-    graph.add_edge("fr1.example", "fr2.example", weight=4)
-    graph.add_edge("fr2.example", "jp1.example", weight=3)
-    return graph
+def make_federation_graph() -> dict[tuple[str, str], int]:
+    """Federation edges ``(source, target)`` → follow links."""
+    return {
+        ("jp1.example", "jp2.example"): 10,
+        ("jp1.example", "us1.example"): 5,
+        ("us1.example", "jp1.example"): 8,
+        ("fr1.example", "fr2.example"): 4,
+        ("fr2.example", "jp1.example"): 3,
+    }
 
 
 class TestBreakdowns:
@@ -96,7 +96,7 @@ class TestCountryFlows:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(AnalysisError):
-            hosting.country_federation_flows(nx.DiGraph(), make_dataset())
+            hosting.country_federation_flows({}, make_dataset())
 
     def test_homophily_metrics(self):
         metrics = hosting.federation_homophily(make_federation_graph(), make_dataset())
@@ -106,7 +106,7 @@ class TestCountryFlows:
 
     def test_pipeline_homophily_positive(self, datasets):
         metrics = hosting.federation_homophily(
-            datasets.graphs.federation_graph, datasets.instances
+            datasets.graphs.federation_edge_counts(), datasets.instances
         )
         assert 0.0 < metrics["same_country_share"] <= 1.0
         assert metrics["top5_country_link_share"] > 0.5

@@ -191,7 +191,7 @@ class TestAvailabilityCurves:
         toots = datasets.toots
         graphs = datasets.graphs
         ranking = resilience.rank_instances(
-            graphs.federation_graph,
+            graphs,
             toots_per_instance=toots.toots_per_instance(),
             by="toots",
         )

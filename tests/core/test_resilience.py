@@ -10,24 +10,33 @@ import networkx as nx
 import pytest
 
 from repro.core import resilience
+from repro.datasets import GraphDataset
 from repro.engine import resilience as removal
+from repro.engine.resilience import GraphMatrix
 from repro.errors import AnalysisError
 
+from tests.reference.graphs import matrix_from_networkx
 
-def star_graph(leaves: int = 20) -> nx.DiGraph:
+EMPTY = ((), (), ())
+
+
+def star_graph(leaves: int = 20) -> GraphMatrix:
     """A hub-and-spoke follower graph: removing the hub shatters it."""
-    graph = nx.DiGraph()
-    for index in range(leaves):
-        graph.add_edge(f"leaf{index}@x.example", "hub@x.example")
-    return graph
+    return GraphDataset.from_edges(
+        [(f"leaf{index}@x.example", "hub@x.example") for index in range(leaves)]
+    ).follower_matrix
 
 
-def chain_federation_graph() -> nx.DiGraph:
-    graph = nx.DiGraph()
+def chain_graphs() -> GraphDataset:
+    """Graphs whose federation graph is the chain i0 → i1 → ... → i5."""
     domains = [f"i{i}.example" for i in range(6)]
-    for first, second in zip(domains, domains[1:]):
-        graph.add_edge(first, second)
-    return graph
+    return GraphDataset.from_edges(
+        [(f"u@{first}", f"u@{second}") for first, second in zip(domains, domains[1:])]
+    )
+
+
+def chain_federation_graph() -> GraphMatrix:
+    return chain_graphs().federation_matrix
 
 
 class TestDegreeCDF:
@@ -58,19 +67,21 @@ class TestUserRemoval:
                 star_graph(), rounds=1, fraction_per_round=0.0
             )
         with pytest.raises(AnalysisError):
-            removal.user_removal_sweep_matrix(nx.DiGraph(), rounds=1)
+            removal.user_removal_sweep_matrix(GraphMatrix.from_codes(*EMPTY), rounds=1)
 
     def test_lcc_fraction_monotonically_non_increasing(self):
         graph = nx.gnp_random_graph(200, 0.05, seed=3, directed=True)
         graph = nx.relabel_nodes(graph, {n: f"u{n}@x.example" for n in graph.nodes()})
-        steps = removal.user_removal_sweep_matrix(graph, rounds=10, fraction_per_round=0.05)
+        steps = removal.user_removal_sweep_matrix(
+            matrix_from_networkx(graph), rounds=10, fraction_per_round=0.05
+        )
         fractions = [step.lcc_fraction for step in steps]
         assert all(a >= b - 1e-9 for a, b in zip(fractions, fractions[1:]))
         assert steps[-1].removed_count > 0
 
     def test_pipeline_follower_graph_is_fragile(self, datasets):
         steps = removal.user_removal_sweep_matrix(
-            datasets.graphs.follower_graph, rounds=5, fraction_per_round=0.01
+            datasets.graphs.follower_matrix, rounds=5, fraction_per_round=0.01
         )
         assert steps[0].lcc_fraction > 0.9
         assert steps[-1].lcc_fraction < steps[0].lcc_fraction
@@ -78,7 +89,7 @@ class TestUserRemoval:
 
 class TestRankings:
     def test_rank_instances_by_each_criterion(self):
-        graph = chain_federation_graph()
+        graph = chain_graphs()
         users = {f"i{i}.example": i for i in range(6)}
         toots = {f"i{i}.example": 100 - i for i in range(6)}
         assert resilience.rank_instances(graph, users, toots, by="users")[0] == "i5.example"
@@ -87,7 +98,7 @@ class TestRankings:
         assert by_connections[0] in {"i1.example", "i2.example", "i3.example", "i4.example"}
 
     def test_rank_instances_requires_counts(self):
-        graph = chain_federation_graph()
+        graph = chain_graphs()
         with pytest.raises(AnalysisError):
             resilience.rank_instances(graph, by="users")
         with pytest.raises(AnalysisError):
@@ -123,7 +134,7 @@ class TestRankedRemoval:
         with pytest.raises(AnalysisError):
             removal.ranked_removal_sweep_matrix(chain_federation_graph(), [], steps=0)
         with pytest.raises(AnalysisError):
-            removal.ranked_removal_sweep_matrix(nx.DiGraph(), ["x"], steps=1)
+            removal.ranked_removal_sweep_matrix(GraphMatrix.from_codes(*EMPTY), ["x"], steps=1)
 
     def test_as_removal_takes_out_all_hosted_instances(self):
         graph = chain_federation_graph()
@@ -134,7 +145,7 @@ class TestRankedRemoval:
 
     def test_as_removal_validation(self):
         with pytest.raises(AnalysisError):
-            removal.as_removal_sweep_matrix(nx.DiGraph(), {}, [1], steps=1)
+            removal.as_removal_sweep_matrix(GraphMatrix.from_codes(*EMPTY), {}, [1], steps=1)
         with pytest.raises(AnalysisError):
             removal.as_removal_sweep_matrix(chain_federation_graph(), {}, [1], steps=0)
 
@@ -142,13 +153,13 @@ class TestRankedRemoval:
         graphs = datasets.graphs
         instances = datasets.instances
         users = instances.users_per_instance()
-        ranking = resilience.rank_instances(graphs.federation_graph, users, by="users")
+        ranking = resilience.rank_instances(graphs, users, by="users")
         instance_steps = removal.ranked_removal_sweep_matrix(
-            graphs.federation_graph, ranking, steps=5
+            graphs.federation_matrix, ranking, steps=5
         )
         asn_of = {d: instances.metadata_for(d).asn for d in instances.domains()}
         as_ranking = resilience.rank_ases(asn_of, users, by="users")
         as_steps = removal.as_removal_sweep_matrix(
-            graphs.federation_graph, asn_of, as_ranking, steps=5
+            graphs.federation_matrix, asn_of, as_ranking, steps=5
         )
         assert as_steps[-1].lcc_fraction <= instance_steps[-1].lcc_fraction + 1e-9

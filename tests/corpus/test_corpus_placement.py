@@ -22,7 +22,6 @@ from repro.engine import (
 )
 from repro.engine import sweep
 from repro.engine.placement import (
-    follower_domain_sets,
     random_arrays_from_columns,
     subscription_arrays_from_columns,
 )
@@ -113,7 +112,7 @@ class TestBuilderEquivalence:
 
     def test_subscription_replication(self, crawl_records, tiny_store, datasets):
         accounts = [record.account for record in crawl_records]
-        follower_domains = follower_domain_sets(accounts, datasets.graphs)
+        follower_domains = datasets.graphs.follower_domain_sets(accounts)
         urls, home, domains = encoded_homes(
             crawl_records, set().union(*follower_domains.values())
         )

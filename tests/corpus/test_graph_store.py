@@ -1,5 +1,6 @@
 """The on-disk follower graph: writer/store roundtrip, validation, and
-equivalence with the networkx-backed dataset over the same crawl."""
+equivalence with the networkx graph of the same crawl (the oracle in
+``tests/reference/graphs.py``)."""
 
 from __future__ import annotations
 
@@ -11,9 +12,11 @@ import pytest
 from repro.corpus import DEFAULT_GRAPH_SHARD_SIZE, GRAPH_SCHEMA, GraphStore, GraphWriter
 from repro.crawler import FollowerGraphCrawler, SimulatedTransport
 from repro.datasets import GraphDataset
-from repro.engine.placement import follower_domain_sets
 from repro.engine.resilience import GraphMatrix
 from repro.errors import DatasetError
+
+from tests.conftest import edge_handles
+from tests.reference.graphs import build_follower_graph, matrix_from_networkx
 
 
 @pytest.fixture(scope="module")
@@ -37,18 +40,23 @@ def graph_dataset(graph_crawl):
     return GraphDataset.from_edges(graph_crawl.edges)
 
 
+@pytest.fixture(scope="module")
+def networkx_graph(graph_crawl):
+    return build_follower_graph(graph_crawl.edges)
+
+
 class TestRoundtrip:
     def test_edge_and_node_counts(self, graph_store, graph_dataset):
         assert graph_store.n_edges == graph_dataset.follow_edge_count()
         assert graph_store.n_nodes == graph_dataset.user_count()
         assert graph_store.n_shards == -(-graph_store.n_edges // 500)
 
-    def test_edge_stream_matches_the_record_path(self, graph_store, graph_dataset):
-        decoded = list(graph_store.iter_edge_handles())
-        assert set(decoded) == set(graph_dataset.follower_graph.edges())
+    def test_edge_stream_matches_the_record_path(self, graph_store, networkx_graph):
+        decoded = edge_handles(graph_store)
+        assert set(decoded) == set(networkx_graph.edges())
         # node intern order == networkx insertion order (the resilience
         # sweeps' tie-breaking depends on it)
-        assert graph_store.handles.tolist() == list(graph_dataset.follower_graph.nodes())
+        assert graph_store.handles.tolist() == list(networkx_graph.nodes())
 
     def test_edge_counts_recorded_per_instance(self, graph_store, graph_crawl):
         assert sum(graph_store.edges_collected.values()) == len(graph_crawl.edges)
@@ -83,44 +91,53 @@ class TestRoundtrip:
 
 
 class TestColumnarQueries:
-    def test_follower_domain_sets_match_networkx(self, graph_store, graph_dataset):
+    def test_follower_domain_sets_match_networkx(self, graph_store, networkx_graph):
         authors = graph_store.handles.tolist()[:200]
         authors += authors[:10]  # duplicates must collapse, order kept
         authors += ["ghost@nowhere.example"]  # absent authors get empty sets
-        expected = follower_domain_sets(authors, graph_dataset)
+        expected: dict[str, set[str]] = {author: set() for author in authors}
+        for follower, followed in networkx_graph.edges():
+            if followed in expected:
+                expected[followed].add(networkx_graph.nodes[follower]["domain"])
         got = graph_store.follower_domain_sets(authors)
         assert list(got) == list(expected)
         assert got == expected
 
-    def test_dispatch_through_the_engine_helper(self, graph_store, graph_dataset):
+    def test_store_and_dataset_answer_alike(self, graph_store, graph_dataset):
         authors = graph_store.handles.tolist()[:50]
-        assert follower_domain_sets(authors, graph_store) == follower_domain_sets(
-            authors, graph_dataset
+        assert graph_store.follower_domain_sets(authors) == (
+            graph_dataset.follower_domain_sets(authors)
         )
+        assert graph_store.federation_edge_counts() == graph_dataset.federation_edge_counts()
 
     def test_users_per_instance_match(self, graph_store, graph_dataset):
         assert graph_store.users_per_instance() == graph_dataset.users_per_instance()
 
-    def test_federation_edge_counts_match(self, graph_store, graph_dataset):
-        federation = graph_dataset.federation_graph
-        expected = {
-            (source, target): data["weight"]
-            for source, target, data in federation.edges(data=True)
-        }
-        assert graph_store.federation_edge_counts() == expected
+    def test_federation_edge_counts_match(self, graph_store, networkx_graph):
+        from tests.reference.graphs import build_federation_graph
 
-    def test_graph_matrix_bit_compatible(self, graph_store, graph_dataset):
-        from_nx = GraphMatrix.from_networkx(graph_dataset.follower_graph)
+        federation = build_federation_graph(networkx_graph)
+        expected = [
+            ((source, target), data["weight"])
+            for source, target, data in federation.edges(data=True)
+        ]
+        # the order too: Fig. 6 keeps first-seen order among equal flows
+        assert list(graph_store.federation_edge_counts().items()) == expected
+
+    def test_graph_matrix_bit_compatible(self, graph_store, networkx_graph):
+        from_nx = matrix_from_networkx(networkx_graph)
         from_store = GraphMatrix.from_graph_store(graph_store)
         assert from_store.nodes == from_nx.nodes
         assert from_store.directed is True
         assert (from_store.adjacency != from_nx.adjacency).nnz == 0
 
-    def test_removal_sweep_accepts_the_store(self, graph_store, graph_dataset):
+    def test_removal_sweep_over_the_store_matrix(self, graph_store, networkx_graph):
         from repro.engine.resilience import user_removal_sweep_matrix
 
-        from_store = user_removal_sweep_matrix(graph_store, rounds=3)
-        from_nx = user_removal_sweep_matrix(graph_dataset.follower_graph, rounds=3)
+        from_store = user_removal_sweep_matrix(
+            GraphMatrix.from_graph_store(graph_store), rounds=3
+        )
+        from_nx = user_removal_sweep_matrix(matrix_from_networkx(networkx_graph), rounds=3)
         assert from_store == from_nx
 
     def test_empty_store_rejected_by_the_matrix(self, tmp_path):

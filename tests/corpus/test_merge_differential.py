@@ -22,8 +22,10 @@ from hypothesis import strategies as st
 
 from repro.corpus import CorpusWriter, GraphWriter
 from repro.crawler.toot_crawler import TootRecord
-from repro.datasets.graphs import build_follower_graph
 from repro.errors import DatasetError
+
+from tests.conftest import edge_handles
+from tests.reference.graphs import build_follower_graph
 
 DOMAINS = ("a.example", "b.example", "c.example", "dé.example", "e.example")
 
@@ -257,8 +259,8 @@ def test_graph_merge_matches_build_follower_graph(tmp_path_factory, crawl):
     graph = build_follower_graph(stream)
     handles_table = store.handles.tolist()
     assert handles_table == list(graph.nodes)
-    assert list(store.iter_edge_handles()) == kept
-    assert set(store.iter_edge_handles()) == set(graph.edges)
+    assert edge_handles(store) == kept
+    assert set(edge_handles(store)) == set(graph.edges)
     assert store.n_self_loops == len(stream) - len(kept)
     assert store.edges_collected == {d: len(e) for d, e in instances.items()}
     node_domains = [handle.rpartition("@")[2] for handle in handles_table]

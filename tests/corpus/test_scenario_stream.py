@@ -133,19 +133,17 @@ class TestPlacementIdentity:
         assert np.array_equal(from_store.replica_indices, from_nx.replica_indices)
         assert np.array_equal(from_store.replica_indptr, from_nx.replica_indptr)
 
-    def test_rebuilt_networkx_dataset_identical(self, tiny_network, tmp_path):
+    def test_rebuilt_graph_dataset_identical(self, tiny_network, tmp_path):
         data = collect_datasets(
             tiny_network,
             corpus_dir=tmp_path / "corpus",
             graph_dir=tmp_path / "graph",
         )
         reference = collect_datasets(build_scenario("tiny", seed=TINY_SEED))
-        assert list(data.graphs.follower_graph.nodes()) == list(
-            reference.graphs.follower_graph.nodes()
-        )
-        assert list(data.graphs.follower_graph.edges()) == list(
-            reference.graphs.follower_graph.edges()
-        )
+        assert data.graphs.handles.tolist() == reference.graphs.handles.tolist()
+        for got, expected in zip(data.graphs.edge_codes(), reference.graphs.edge_codes()):
+            assert np.array_equal(got, expected)
+        assert data.graphs.federation_edge_counts() == reference.graphs.federation_edge_counts()
 
 
 @pytest.mark.slow

@@ -13,7 +13,7 @@ from repro.crawler.http import SimulatedTransport
 from repro.errors import DatasetError
 from repro.fediverse.uptime import Outage
 from repro.simtime import TimeWindow
-from tests.conftest import build_mini_network, ref
+from tests.conftest import build_mini_network, edge_handles, ref
 
 
 @pytest.fixture()
@@ -103,7 +103,7 @@ class TestFullCrawl:
         store = writer.finalise(crawl_minute=sunk.crawl_minute)
         assert sunk.edges == []
         assert sum(sunk.edge_counts.values()) == len(record.edges)
-        assert set(store.iter_edge_handles()) == record.unique_edges()
+        assert set(edge_handles(store)) == record.unique_edges()
 
     def test_offline_instances_skipped(self, network):
         network.availability.add_outage(

@@ -1,19 +1,15 @@
-"""Tests for the follower / federation graph builders."""
+"""Tests for the follower / federation graphs of the graphs dataset."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import DatasetError
+from repro.core import resilience
+from repro.errors import AnalysisError, DatasetError
 from repro.crawler.graph_crawler import FollowEdgeRecord
-from repro.datasets.graphs import (
-    GraphDataset,
-    build_federation_graph,
-    build_follower_graph,
-    connected_component_count,
-    largest_connected_component_fraction,
-    top_nodes_by,
-)
+from repro.datasets.graphs import GraphDataset
+from repro.engine import resilience as removal
+from repro.engine.resilience import GraphMatrix
 
 EDGES = [
     ("a1@alpha.example", "a2@alpha.example"),
@@ -27,46 +23,57 @@ EDGES = [
 
 class TestFollowerGraph:
     def test_nodes_edges_and_domains(self):
-        graph = build_follower_graph(EDGES)
-        assert graph.number_of_nodes() == 6
-        assert graph.number_of_edges() == 6
-        assert graph.nodes["a1@alpha.example"]["domain"] == "alpha.example"
+        graph = GraphDataset.from_edges(EDGES)
+        assert graph.user_count() == 6
+        assert graph.follow_edge_count() == 6
+        code = graph.handles.tolist().index("a1@alpha.example")
+        assert graph.domains[graph.node_domain_codes[code]] == "alpha.example"
 
     def test_self_loops_dropped(self):
-        graph = build_follower_graph([("a@x.example", "a@x.example")])
-        assert graph.number_of_edges() == 0
+        graph = GraphDataset.from_edges(
+            [("a@x.example", "a@x.example"), ("a@x.example", "b@y.example")]
+        )
+        assert graph.follow_edge_count() == 1
+        with pytest.raises(DatasetError):
+            GraphDataset.from_edges([("a@x.example", "a@x.example")])
 
     def test_accepts_edge_records(self):
-        graph = build_follower_graph(
+        graph = GraphDataset.from_edges(
             [FollowEdgeRecord(follower="a@x.example", followed="b@y.example")]
         )
-        assert graph.has_edge("a@x.example", "b@y.example")
+        assert graph.handles.tolist() == ["a@x.example", "b@y.example"]
+        assert graph.follower.tolist() == [0] and graph.followed.tolist() == [1]
 
     def test_handle_without_domain_rejected(self):
         with pytest.raises(DatasetError):
-            build_follower_graph([("nodomain", "b@y.example")])
+            GraphDataset.from_edges([("nodomain", "b@y.example")])
 
 
 class TestFederationGraph:
     def test_induced_edges_and_weights(self):
-        follower = build_follower_graph(EDGES)
-        federation = build_federation_graph(follower)
-        assert set(federation.nodes()) == {
+        graphs = GraphDataset.from_edges(EDGES)
+        assert graphs.domains.tolist() == [
             "alpha.example",
             "beta.example",
             "gamma.example",
             "delta.example",
-        }
-        assert federation.has_edge("alpha.example", "beta.example")
-        assert federation["alpha.example"]["beta.example"]["weight"] == 2
+        ]
         # intra-instance follows do not create federation edges
-        assert not federation.has_edge("alpha.example", "alpha.example")
-        assert not federation.has_edge("delta.example", "delta.example")
+        assert graphs.federation_edge_counts() == {
+            ("alpha.example", "beta.example"): 2,
+            ("beta.example", "gamma.example"): 1,
+            ("gamma.example", "alpha.example"): 1,
+        }
 
     def test_node_user_counts(self):
-        federation = build_federation_graph(build_follower_graph(EDGES))
-        assert federation.nodes["alpha.example"]["users"] == 2
-        assert federation.nodes["delta.example"]["users"] == 2
+        users = GraphDataset.from_edges(EDGES).users_per_instance()
+        assert users["alpha.example"] == 2
+        assert users["delta.example"] == 2
+
+    def test_repeated_edge_kept_once(self):
+        graphs = GraphDataset.from_edges(EDGES + EDGES[:2])
+        assert graphs.follow_edge_count() == 6
+        assert graphs.federation_edge_counts()[("alpha.example", "beta.example")] == 2
 
 
 class TestGraphDataset:
@@ -110,26 +117,23 @@ class TestGraphDataset:
 class TestGraphHelpers:
     def test_lcc_fraction(self):
         dataset = GraphDataset.from_edges(EDGES)
-        fraction = largest_connected_component_fraction(dataset.follower_graph)
-        assert fraction == pytest.approx(4 / 6)
+        step = removal.user_removal_sweep_matrix(dataset.follower_matrix, rounds=1)[0]
+        assert step.lcc_fraction == pytest.approx(4 / 6)
 
     def test_component_count(self):
         dataset = GraphDataset.from_edges(EDGES)
-        assert connected_component_count(dataset.follower_graph) == 2
-        assert connected_component_count(dataset.follower_graph, strongly=True) >= 2
+        step = removal.user_removal_sweep_matrix(dataset.follower_matrix, rounds=1)[0]
+        assert step.components == 2
 
     def test_empty_graph_helpers(self):
-        import networkx as nx
-
-        empty = nx.DiGraph()
-        assert largest_connected_component_fraction(empty) == 0.0
-        assert connected_component_count(empty) == 0
+        with pytest.raises(AnalysisError):
+            GraphMatrix.from_codes([], [], [])
 
     def test_top_nodes_by_degree_and_attribute(self):
         dataset = GraphDataset.from_edges(EDGES)
-        by_degree = top_nodes_by(dataset.follower_graph, "degree", limit=2)
-        assert len(by_degree) == 2
-        by_users = top_nodes_by(dataset.federation_graph, "users", limit=1)
+        users = dataset.users_per_instance()
+        by_users = resilience.rank_instances(dataset, users, by="users")
         assert by_users[0] in {"alpha.example", "delta.example"}
-        by_out = top_nodes_by(dataset.federation_graph, "out_degree", limit=1)
-        assert by_out[0] in {"alpha.example", "beta.example", "gamma.example"}
+        by_connections = resilience.rank_instances(dataset, by="connections")
+        assert by_connections[0] in {"alpha.example", "beta.example", "gamma.example"}
+        assert dataset.federation_out_degrees() == [1, 1, 1, 0]

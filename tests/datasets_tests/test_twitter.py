@@ -5,14 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine.resilience import GraphMatrix, user_removal_sweep_matrix
 from repro.errors import ConfigurationError
-from repro.datasets.graphs import largest_connected_component_fraction
 from repro.datasets.twitter import (
     TWITTER_2007_MEAN_DOWNTIME,
     TwitterBaselines,
     build_twitter_follower_graph,
     twitter_daily_downtime,
 )
+
+from tests.reference.graphs import matrix_from_networkx, twitter_follower_graph
+
+
+def lcc_fraction(graph: GraphMatrix) -> float:
+    return user_removal_sweep_matrix(graph, rounds=1)[0].lcc_fraction
 
 
 class TestDowntimeBaseline:
@@ -41,23 +47,29 @@ class TestDowntimeBaseline:
 class TestFollowerGraphBaseline:
     def test_size_and_connectivity(self):
         graph = build_twitter_follower_graph(n_users=1200, seed=4)
-        assert graph.number_of_nodes() == 1200
+        assert graph.n_nodes == 1200
         # the paper's Twitter LCC covers ~95% of accounts
-        assert largest_connected_component_fraction(graph) > 0.9
+        assert lcc_fraction(graph) > 0.9
 
     def test_heavy_tailed_in_degree(self):
         graph = build_twitter_follower_graph(n_users=1500, seed=5)
-        in_degrees = sorted((d for _, d in graph.in_degree()), reverse=True)
+        in_degrees = sorted(np.bincount(graph.adjacency.indices, minlength=1500), reverse=True)
         assert in_degrees[0] > 10 * np.median([d for d in in_degrees if d > 0])
 
     def test_robust_to_removing_top_decile(self):
         graph = build_twitter_follower_graph(n_users=1000, seed=6)
-        ranked = sorted(graph.degree(), key=lambda kv: kv[1], reverse=True)
-        survivors = graph.copy()
-        survivors.remove_nodes_from([node for node, _ in ranked[:100]])
-        fraction = largest_connected_component_fraction(survivors)
+        steps = user_removal_sweep_matrix(graph, rounds=1, fraction_per_round=0.1)
+        fraction = steps[1].lcc_fraction * 1000 / (1000 - steps[1].removed_count)
         # the paper reports ~80% of users still connected after removing the top 10%
         assert fraction > 0.5
+
+    @pytest.mark.parametrize(("n_users", "seed"), [(10, 0), (300, 1), (1200, 4)])
+    def test_same_draws_as_the_networkx_builder(self, n_users, seed):
+        """The arrays hold the graph the one-``add_edge``-per-draw builder drew."""
+        graph = build_twitter_follower_graph(n_users=n_users, seed=seed)
+        expected = matrix_from_networkx(twitter_follower_graph(n_users, seed=seed))
+        assert graph.nodes == expected.nodes
+        assert (graph.adjacency != expected.adjacency).nnz == 0
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -70,5 +82,5 @@ class TestBundle:
     def test_generate(self):
         baselines = TwitterBaselines.generate(days=60, n_users=500, seed=11)
         assert len(baselines.daily_downtime) == 60
-        assert baselines.follower_graph.number_of_nodes() == 500
+        assert baselines.follower_matrix.n_nodes == 500
         assert baselines.mean_downtime == pytest.approx(TWITTER_2007_MEAN_DOWNTIME, rel=0.05)

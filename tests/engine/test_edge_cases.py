@@ -197,7 +197,5 @@ class TestEngineEdges:
             availability_curves(placements, [])
 
     def test_graph_matrix_rejects_empty_graph(self):
-        import networkx as nx
-
         with pytest.raises(AnalysisError):
-            GraphMatrix.from_networkx(nx.DiGraph())
+            GraphMatrix.from_codes([], [], [])

@@ -27,8 +27,13 @@ from repro.engine import (
 )
 from repro.engine import resilience as removal
 
-from tests.conftest import corpus_toots
+from tests.conftest import corpus_toots, edge_handles
 from tests.reference import resilience as reference
+from tests.reference.graphs import (
+    build_federation_graph,
+    build_follower_graph,
+    matrix_from_networkx,
+)
 from tests.reference.replication import availability_curve_python
 
 FAST_SEEDS = (0, 1, 2)
@@ -120,7 +125,7 @@ class TestAvailabilityEquivalence:
     def test_instance_removal_matches_legacy(self, seed):
         toots, graphs, domains, _ = random_scenario(seed)
         ranking = resilience.rank_instances(
-            graphs.federation_graph,
+            graphs,
             toots_per_instance=toots.toots_per_instance(),
             by="toots",
         )
@@ -135,7 +140,7 @@ class TestAvailabilityEquivalence:
     def test_every_instance_ranking_matches_legacy(self, seed, by):
         toots, graphs, domains, _ = random_scenario(seed)
         ranking = resilience.rank_instances(
-            graphs.federation_graph,
+            graphs,
             graphs.users_per_instance(),
             toots.toots_per_instance(),
             by=by,
@@ -164,7 +169,7 @@ class TestAvailabilityEquivalence:
         """A fold over explicit toot ranges is another route to the same exact curve."""
         toots, graphs, domains, asn_of = random_scenario(seed)
         ranking = resilience.rank_instances(
-            graphs.federation_graph,
+            graphs,
             toots_per_instance=toots.toots_per_instance(),
             by="toots",
         )
@@ -194,7 +199,7 @@ class TestAvailabilityEquivalence:
     def test_instance_and_as_removal_dense_grid(self, seed):
         toots, graphs, domains, asn_of = random_scenario(seed, scale=2)
         ranking = resilience.rank_instances(
-            graphs.federation_graph,
+            graphs,
             toots_per_instance=toots.toots_per_instance(),
             by="toots",
         )
@@ -217,6 +222,11 @@ def random_graph(seed: int, directed: bool = True, n: int = 120) -> nx.Graph:
     return nx.relabel_nodes(graph, {node: f"u{node}@x.example" for node in graph.nodes()})
 
 
+def networkx_federation(graphs) -> nx.DiGraph:
+    """The networkx federation graph of the dataset's decoded edges."""
+    return build_federation_graph(build_follower_graph(edge_handles(graphs)))
+
+
 class TestResilienceEquivalence:
     @pytest.mark.parametrize("seed", FAST_SEEDS)
     @pytest.mark.parametrize("directed", [True, False])
@@ -224,7 +234,7 @@ class TestResilienceEquivalence:
         graph = random_graph(seed, directed=directed)
         for rounds, fraction in ((3, 0.01), (6, 0.05), (2, 1.0)):
             engine = removal.user_removal_sweep_matrix(
-                graph, rounds=rounds, fraction_per_round=fraction
+                matrix_from_networkx(graph), rounds=rounds, fraction_per_round=fraction
             )
             legacy = reference._user_removal_sweep_python(
                 graph, rounds=rounds, fraction_per_round=fraction
@@ -240,7 +250,7 @@ class TestResilienceEquivalence:
         ranking.insert(3, "ghost.example")  # absent nodes consume a slot
         for steps, per_step in ((5, 1), (10, 3), (100, 7)):
             engine = removal.ranked_removal_sweep_matrix(
-                graph, ranking, steps=steps, per_step=per_step
+                matrix_from_networkx(graph), ranking, steps=steps, per_step=per_step
             )
             legacy = reference._ranked_removal_sweep_python(
                 graph, ranking, steps=steps, per_step=per_step
@@ -250,12 +260,14 @@ class TestResilienceEquivalence:
     @pytest.mark.parametrize("seed", FAST_SEEDS)
     def test_as_removal_sweep_matches_legacy(self, seed):
         toots, graphs, domains, asn_of = random_scenario(seed)
-        federation = graphs.federation_graph
+        federation = networkx_federation(graphs)
         for by in ("instances", "users"):
             as_ranking = resilience.rank_ases(
                 asn_of, graphs.users_per_instance() if by == "users" else None, by=by
             )
-            engine = removal.as_removal_sweep_matrix(federation, asn_of, as_ranking, steps=3)
+            engine = removal.as_removal_sweep_matrix(
+                graphs.federation_matrix, asn_of, as_ranking, steps=3
+            )
             legacy = reference._as_removal_sweep_python(
                 federation, asn_of, as_ranking, steps=3
             )
@@ -266,7 +278,9 @@ class TestResilienceEquivalence:
     def test_user_removal_dense_grid(self, seed):
         for directed in (True, False):
             graph = random_graph(seed, directed=directed, n=250)
-            engine = removal.user_removal_sweep_matrix(graph, rounds=12, fraction_per_round=0.04)
+            engine = removal.user_removal_sweep_matrix(
+                matrix_from_networkx(graph), rounds=12, fraction_per_round=0.04
+            )
             legacy = reference._user_removal_sweep_python(
                 graph, rounds=12, fraction_per_round=0.04
             )
@@ -275,18 +289,15 @@ class TestResilienceEquivalence:
     def test_pipeline_scenario_matches_legacy(self, datasets):
         """The generated fediverse pipeline goes through the same equivalence."""
         graphs = datasets.graphs
+        federation = networkx_federation(graphs)
         instances = datasets.instances
         users = instances.users_per_instance()
-        ranking = resilience.rank_instances(graphs.federation_graph, users, by="users")
+        ranking = resilience.rank_instances(graphs, users, by="users")
         assert removal.ranked_removal_sweep_matrix(
-            graphs.federation_graph, ranking, steps=8
-        ) == reference._ranked_removal_sweep_python(
-            graphs.federation_graph, ranking, steps=8
-        )
+            graphs.federation_matrix, ranking, steps=8
+        ) == reference._ranked_removal_sweep_python(federation, ranking, steps=8)
         asn_of = {d: instances.metadata_for(d).asn for d in instances.domains()}
         as_ranking = resilience.rank_ases(asn_of, users, by="users")
         assert removal.as_removal_sweep_matrix(
-            graphs.federation_graph, asn_of, as_ranking, steps=5
-        ) == reference._as_removal_sweep_python(
-            graphs.federation_graph, asn_of, as_ranking, steps=5
-        )
+            graphs.federation_matrix, asn_of, as_ranking, steps=5
+        ) == reference._as_removal_sweep_python(federation, asn_of, as_ranking, steps=5)

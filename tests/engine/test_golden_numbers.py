@@ -72,7 +72,7 @@ class TestReplicationHeadlines:
 
     def test_availability_after_top10_removal_pinned(self, datasets, subscription_placements):
         ranking = resilience.rank_instances(
-            datasets.graphs.federation_graph,
+            datasets.graphs,
             toots_per_instance=datasets.toots.toots_per_instance(),
             by="toots",
         )

@@ -6,9 +6,10 @@ or inside a function, so importing the engine or the query service
 loads no ``repro.core`` module.  The corpus stores are the data plane:
 they import no engine, crawler or simulator module.  A query server
 (``import repro.serve``, or the CLI parsing a ``serve`` command) loads
-neither the simulator, the crawler, the datasets nor networkx and scipy.
-The package roots resolve their names lazily, so none of this may move
-an import into a timed phase of the benchmark workloads.
+neither the simulator, the crawler, the datasets nor scipy.  No run
+loads networkx, which only the test oracles use.  The package roots
+resolve their names lazily, so none of this may move an import into a
+timed phase of the benchmark workloads.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def loaded_modules(code: str, packages: tuple[str, ...]) -> list[str]:
 
 
 #: What a query server never runs: the simulator, the crawler, the
-#: record datasets, the analyses, and the graph sweeps' networkx and scipy.
+#: record datasets, the analyses, the graph sweeps' scipy, and networkx.
 NOT_SERVED = (
     "networkx",
     "scipy",
@@ -65,6 +66,17 @@ def test_cli_serve_parse_loads_no_simulator_crawler_or_graph_library():
         "build_parser().parse_args(['serve', 'c', '--graph', 'g'])"
     )
     assert loaded_modules(code, NOT_SERVED) == []
+
+
+def test_run_all_loads_no_networkx():
+    """Every experiment runs on the graph columns; networkx is a test oracle."""
+    code = (
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['run', '--all', '--preset', 'tiny']) == 0"
+    )
+    assert loaded_modules(code, ("networkx",)) == []
 
 
 def test_corpus_imports_nothing_above_the_data_plane():

@@ -28,7 +28,7 @@ def scenario():
 def sweep(scenario):
     toots, graphs, domains, asn_of = scenario
     ranking = resilience.rank_instances(
-        graphs.federation_graph,
+        graphs,
         toots_per_instance=toots.toots_per_instance(),
         by="toots",
     )

@@ -22,6 +22,8 @@ from repro.engine.placement import PlacementArrays
 from repro.engine.sweep import AvailabilityPoint
 from repro.errors import AnalysisError
 
+from tests.conftest import edge_handles
+from tests.reference.graphs import build_follower_graph
 from tests.reference.incidence import TootIncidence, availability_curve_array
 
 
@@ -84,9 +86,12 @@ def no_replication_python(toots: TootsDataset) -> DictPlacementMap:
 def subscription_replication_python(
     toots: TootsDataset, graphs: GraphDataset
 ) -> DictPlacementMap:
-    """The original per-record loop — reference for the differential suite."""
+    """The original per-record loop — reference for the differential suite.
+
+    It walks the networkx graph of the dataset's edges, not the columns.
+    """
     follower_domains: dict[str, frozenset[str]] = {}
-    follower_graph = graphs.follower_graph
+    follower_graph = build_follower_graph(edge_handles(graphs))
     placements: dict[str, frozenset[str]] = {}
     for record in toots.corpus.iter_records():
         author = record.account

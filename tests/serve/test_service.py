@@ -238,7 +238,7 @@ class TestFailureRegistry:
         from repro.core.resilience import rank_instances
 
         batch = rank_instances(
-            datasets.graphs.federation_graph,
+            datasets.graphs,
             toots_per_instance=datasets.toots.toots_per_instance(),
             by="toots",
         )
@@ -248,7 +248,7 @@ class TestFailureRegistry:
     def test_by_connections_ranking_is_batch_exact(self, service, datasets):
         from repro.core.resilience import rank_instances
 
-        batch = rank_instances(datasets.graphs.federation_graph, by="connections")
+        batch = rank_instances(datasets.graphs, by="connections")
         served = service.failure("instances/by_connections").ranking
         assert list(served) == list(batch)
 

@@ -17,7 +17,6 @@ from repro.core import availability, centralisation, hosting, resilience
 from repro.datasets import TwitterBaselines
 from repro.engine import InstanceRemoval, StrategySpec, availability_curve
 from repro.engine import resilience as removal
-from repro.datasets.graphs import largest_connected_component_fraction
 
 
 class TestPipeline:
@@ -101,7 +100,7 @@ class TestPaperFindings:
         asn_of = {d: instances.metadata_for(d).asn for d in instances.domains()}
         as_ranking = resilience.rank_ases(asn_of, users, by="users")
         steps = removal.as_removal_sweep_matrix(
-            datasets.graphs.federation_graph, asn_of, as_ranking, steps=5
+            datasets.graphs.federation_matrix, asn_of, as_ranking, steps=5
         )
         assert steps[0].lcc_fraction > 0.85
         assert steps[-1].lcc_fraction < 0.7 * steps[0].lcc_fraction
@@ -109,7 +108,7 @@ class TestPaperFindings:
     def test_finding4_content_centralisation_and_replication_fix(self, datasets):
         toots = datasets.toots
         ranking = resilience.rank_instances(
-            datasets.graphs.federation_graph,
+            datasets.graphs,
             toots_per_instance=toots.toots_per_instance(),
             by="toots",
         )
@@ -135,10 +134,10 @@ class TestPaperFindings:
     def test_follower_graph_more_fragile_than_twitter(self, datasets):
         twitter = TwitterBaselines.generate(days=30, n_users=datasets.graphs.user_count(), seed=9)
         mastodon_steps = removal.user_removal_sweep_matrix(
-            datasets.graphs.follower_graph, rounds=5, fraction_per_round=0.01
+            datasets.graphs.follower_matrix, rounds=5, fraction_per_round=0.01
         )
         twitter_steps = removal.user_removal_sweep_matrix(
-            twitter.follower_graph, rounds=5, fraction_per_round=0.01
+            twitter.follower_matrix, rounds=5, fraction_per_round=0.01
         )
         drop_mastodon = mastodon_steps[0].lcc_fraction - mastodon_steps[-1].lcc_fraction
         drop_twitter = twitter_steps[0].lcc_fraction - twitter_steps[-1].lcc_fraction
@@ -156,4 +155,5 @@ class TestReproducibilityAcrossRuns:
         assert first.graphs.follow_edge_count() == second.graphs.follow_edge_count()
 
     def test_follower_graph_is_nearly_fully_connected(self, datasets):
-        assert largest_connected_component_fraction(datasets.graphs.follower_graph) > 0.9
+        steps = removal.user_removal_sweep_matrix(datasets.graphs.follower_matrix, rounds=1)
+        assert steps[0].lcc_fraction > 0.9
