@@ -125,17 +125,13 @@ def top_instances_report(
         dtype=np.float64,
     )[graphs.followed[cross]]
     n = graphs.instance_count()
-    cross_degrees = dict(
-        zip(
-            graphs.domains.tolist(),
-            zip(
-                np.bincount(source, minlength=n).tolist(),
-                np.bincount(target, minlength=n).tolist(),
-                np.bincount(target, weights=followed_toots, minlength=n).astype(np.int64).tolist(),
-                np.bincount(source, weights=followed_toots, minlength=n).astype(np.int64).tolist(),
-            ),
-        )
+    columns = (  # user out, user in, toot out, toot in
+        np.bincount(source, minlength=n),
+        np.bincount(target, minlength=n),
+        np.bincount(target, weights=followed_toots, minlength=n).astype(np.int64),
+        np.bincount(source, weights=followed_toots, minlength=n).astype(np.int64),
     )
+    cross_degrees = dict(zip(graphs.domains.tolist(), zip(*(c.tolist() for c in columns))))
     instance_degrees = graphs.instance_degree_table()
 
     rows: list[TopInstanceRow] = []

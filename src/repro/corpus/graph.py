@@ -127,6 +127,7 @@ class EdgeInterner:
         handles: list[str] = [""] * (2 * n_kept)
         handles[0::2] = compress(followers, kept)
         handles[1::2] = compress(followed, kept)
+        del followers, followed  # free the decoded chunk before interning
         known = len(self.nodes)
         codes = self.nodes.intern(handles)
         if len(self.nodes) > known:

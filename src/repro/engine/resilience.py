@@ -56,27 +56,22 @@ class GraphMatrix:
 
     @classmethod
     def from_codes(
-        cls,
-        nodes: Sequence,
-        source: np.ndarray,
-        target: np.ndarray,
-        directed: bool = True,
+        cls, nodes: Sequence, source: np.ndarray, target: np.ndarray
     ) -> "GraphMatrix":
-        """The adjacency of the edges ``source[i] → target[i]`` over ``nodes``.
+        """The directed adjacency of the edges ``source[i] → target[i]``.
 
-        ``source`` and ``target`` are codes into ``nodes``.  A repeated
-        edge is one entry of weight 1, as in a simple graph; undirected,
-        each edge is entered both ways.
+        ``source`` and ``target`` are codes into ``nodes``; a repeated
+        edge is one entry of weight 1, as in a simple graph.
         """
         n = len(nodes)
         if n == 0:
             raise AnalysisError("cannot build a matrix from an empty graph")
-        src = np.asarray(source, dtype=np.int64)
-        dst = np.asarray(target, dtype=np.int64)
-        if not directed:
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
         adjacency = sparse.coo_matrix(
-            (np.ones(src.size, dtype=np.int64), (src, dst)), shape=(n, n)
+            (
+                np.ones(len(source), dtype=np.int64),
+                (np.asarray(source, dtype=np.int64), np.asarray(target, dtype=np.int64)),
+            ),
+            shape=(n, n),
         ).tocsr()
         adjacency.data[:] = 1  # duplicate edges must not leave weights > 1
         nodes = tuple(nodes)
@@ -84,13 +79,13 @@ class GraphMatrix:
             adjacency=adjacency,
             nodes=nodes,
             index={node: i for i, node in enumerate(nodes)},
-            directed=directed,
+            directed=True,
         )
 
     @classmethod
-    def from_graph_store(cls, store, directed: bool = True) -> "GraphMatrix":
+    def from_graph_store(cls, store) -> "GraphMatrix":
         """The follower graph of an on-disk :class:`~repro.corpus.graph.GraphStore`."""
-        return cls.from_codes(store.handles.tolist(), *store.edge_codes(), directed=directed)
+        return cls.from_codes(store.handles.tolist(), *store.edge_codes())
 
     @property
     def n_nodes(self) -> int:
