@@ -232,16 +232,20 @@ class GraphColumns:
         """
         if self._federation is None:
             follower, followed = self.edge_codes()
-            by_follower = np.argsort(follower, kind="stable")
-            source = self.node_domain_codes[follower[by_follower]].astype(np.int64)
-            target = self.node_domain_codes[followed[by_follower]].astype(np.int64)
-            cross = source != target
+            source = self.node_domain_codes[follower].astype(np.int64)
+            target = self.node_domain_codes[followed].astype(np.int64)
+            cross = np.flatnonzero(source != target)
             n_domains = max(1, self.domains.shape[0])
-            keys, first, weight = np.unique(
+            keys, pair, weight = np.unique(
                 source[cross] * n_domains + target[cross],
-                return_index=True,
+                return_inverse=True,
                 return_counts=True,
             )
+            # an edge's place in the follower-sorted order ranks as its
+            # (follower code, position) pair, so each pair's first edge
+            # is its least follower * n_edges + position
+            first = np.full(keys.size, np.iinfo(np.int64).max)
+            np.minimum.at(first, pair, follower[cross].astype(np.int64) * follower.size + cross)
             order = np.lexsort((first, keys // n_domains))
             keys = keys[order]
             self._federation = (keys // n_domains, keys % n_domains, weight[order])
