@@ -87,13 +87,6 @@ def ref(handle: str) -> UserRef:
     return UserRef.parse(handle)
 
 
-def edge_handles(graph) -> list[tuple[str, str]]:
-    """A graph store's (or graphs dataset's) edges as handle pairs, in its order."""
-    handles = graph.handles
-    follower, followed = graph.edge_codes()
-    return list(zip(handles[follower].tolist(), handles[followed].tolist()))
-
-
 def corpus_toots(
     records: Iterable[TootRecord],
     *,

@@ -15,8 +15,7 @@ from repro.datasets import GraphDataset
 from repro.engine.resilience import GraphMatrix
 from repro.errors import DatasetError
 
-from tests.conftest import edge_handles
-from tests.reference.graphs import build_follower_graph, matrix_from_networkx
+from tests.reference.graphs import build_follower_graph, edge_handles, matrix_from_networkx
 
 
 @pytest.fixture(scope="module")

@@ -24,8 +24,7 @@ from repro.corpus import CorpusWriter, GraphWriter
 from repro.crawler.toot_crawler import TootRecord
 from repro.errors import DatasetError
 
-from tests.conftest import edge_handles
-from tests.reference.graphs import build_follower_graph
+from tests.reference.graphs import build_follower_graph, edge_handles
 
 DOMAINS = ("a.example", "b.example", "c.example", "dé.example", "e.example")
 

@@ -13,7 +13,8 @@ from repro.crawler.http import SimulatedTransport
 from repro.errors import DatasetError
 from repro.fediverse.uptime import Outage
 from repro.simtime import TimeWindow
-from tests.conftest import build_mini_network, edge_handles, ref
+from tests.conftest import build_mini_network, ref
+from tests.reference.graphs import edge_handles
 
 
 @pytest.fixture()

@@ -24,8 +24,8 @@ from repro.corpus import GraphWriter
 from repro.datasets import GraphDataset
 from repro.errors import AnalysisError, DatasetError
 
-from tests.conftest import edge_handles
 from tests.reference import graphs as reference
+from tests.reference.graphs import edge_handles
 
 COUNTRIES = ("JP", "US", "FR", "DE")
 

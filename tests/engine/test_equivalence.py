@@ -27,11 +27,12 @@ from repro.engine import (
 )
 from repro.engine import resilience as removal
 
-from tests.conftest import corpus_toots, edge_handles
+from tests.conftest import corpus_toots
 from tests.reference import resilience as reference
 from tests.reference.graphs import (
     build_federation_graph,
     build_follower_graph,
+    edge_handles,
     matrix_from_networkx,
 )
 from tests.reference.replication import availability_curve_python

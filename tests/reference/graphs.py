@@ -20,12 +20,20 @@ from scipy import sparse
 from repro.crawler.graph_crawler import FollowEdgeRecord
 from repro.engine.resilience import GraphMatrix
 from repro.errors import AnalysisError, DatasetError
+from repro.stats.distributions import sample_power_law
 
 
 def _domain_of(handle: str) -> str:
     if "@" not in handle:
         raise DatasetError(f"handle without a domain part: {handle!r}")
     return handle.rsplit("@", 1)[1]
+
+
+def edge_handles(graph) -> list[tuple[str, str]]:
+    """A graph store's (or graphs dataset's) edges as handle pairs, in its order."""
+    handles = graph.handles
+    follower, followed = graph.edge_codes()
+    return list(zip(handles[follower].tolist(), handles[followed].tolist()))
 
 
 def build_follower_graph(
@@ -136,8 +144,6 @@ def twitter_follower_graph(
     n_users: int, mean_out_degree: float = 12.0, seed: int = 2011
 ) -> nx.DiGraph:
     """The Twitter baseline drawn by the same RNG calls, one ``add_edge`` at a time."""
-    from repro.stats.distributions import sample_power_law
-
     rng = np.random.default_rng(seed)
     graph = nx.DiGraph()
     nodes = [f"twitter_user_{i}" for i in range(n_users)]

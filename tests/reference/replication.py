@@ -22,8 +22,7 @@ from repro.engine.placement import PlacementArrays
 from repro.engine.sweep import AvailabilityPoint
 from repro.errors import AnalysisError
 
-from tests.conftest import edge_handles
-from tests.reference.graphs import build_follower_graph
+from tests.reference.graphs import build_follower_graph, edge_handles
 from tests.reference.incidence import TootIncidence, availability_curve_array
 
 
